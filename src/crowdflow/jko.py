@@ -17,12 +17,13 @@ which active gaps pool consecutive nodes into rigid blocks.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .energy import free_energy
+from .energy import EnergyReport, free_energy
 from .model import GridDensity, GridSpec, QuantileRep, RunLedger, to_grid, to_quantile
 from .potentials import Potential
 from .transport import w2_cost_squared
@@ -55,6 +56,7 @@ class JkoStepResult:
     kkt_residual: float
     active_count: int
     iterations: int
+    energy: EnergyReport  # free energy of ``state``
 
 
 # ---------------------------------------------------------------------------
@@ -64,28 +66,26 @@ class JkoStepResult:
 def pav_nondecreasing(y, weights=None):
     """Weighted least-squares projection onto nondecreasing vectors.
 
-    Classic pool-adjacent-violators: amortized O(n).
+    Classic pool-adjacent-violators: amortized O(n).  The pooling stack
+    holds Python floats: the same double arithmetic as numpy scalars,
+    without their per-element indexing cost.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    means = np.empty(n)
-    wsum = np.empty(n)
-    count = np.empty(n, dtype=int)
-    top = -1
-    for i in range(n):
-        top += 1
-        means[top] = y[i]
-        wsum[top] = w[i]
-        count[top] = 1
-        while top > 0 and means[top - 1] > means[top]:
-            tot = wsum[top - 1] + wsum[top]
-            means[top - 1] = (wsum[top - 1] * means[top - 1]
-                              + wsum[top] * means[top]) / tot
-            wsum[top - 1] = tot
-            count[top - 1] += count[top]
-            top -= 1
-    return np.repeat(means[:top + 1], count[:top + 1])
+    w = [1.0] * y.size if weights is None \
+        else np.asarray(weights, dtype=float).tolist()
+    means, wsum, count = [], [], []
+    for mean, ws in zip(y.tolist(), w, strict=True):
+        c = 1
+        while means and means[-1] > mean:
+            prev_ws = wsum.pop()
+            tot = prev_ws + ws
+            mean = (prev_ws * means.pop() + ws * mean) / tot
+            ws = tot
+            c += count.pop()
+        means.append(mean)
+        wsum.append(ws)
+        count.append(c)
+    return np.repeat(means, count)
 
 
 def project_spacing(x, gap):
@@ -203,8 +203,10 @@ def _solve_finite_m(y, w, m, phi, h, opts):
     x = y.copy()
     f = _objective(x, y, w, m, phi, h)
     best_x, best_res, stall = x, math.inf, 0
+    g = None
     for it in range(1, opts.max_iterations + 1):
-        g = _gradient(x, y, w, m, phi, h)
+        if g is None:
+            g = _gradient(x, y, w, m, phi, h)
         res = float(np.max(np.abs(g))) / w
         if res < best_res:
             if res > 0.5 * best_res:
@@ -230,9 +232,12 @@ def _solve_finite_m(y, w, m, phi, h, opts):
         if np.any(shrink):
             alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
         # accept on objective decrease or, near the optimum where the
-        # objective is flat to round-off, on gradient-norm decrease
+        # objective is flat to round-off, on gradient-norm decrease; the
+        # accepted trial point keeps its objective and, when the gradient
+        # test accepted it, its gradient
         slope = float(np.dot(step, g))
         gnorm = float(np.max(np.abs(g)))
+        g = None
         while alpha > 1e-16:
             x_new = x + alpha * step
             f_new = _objective(x_new, y, w, m, phi, h)
@@ -241,11 +246,15 @@ def _solve_finite_m(y, w, m, phi, h, opts):
             g_new = _gradient(x_new, y, w, m, phi, h)
             if np.all(np.isfinite(g_new)) and \
                     float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
+                g = g_new
                 break
             alpha *= opts.backtrack
-        x = x + alpha * step
-        f = _objective(x, y, w, m, phi, h)
-    g = _gradient(x, y, w, m, phi, h)
+        else:  # backtracking exhausted: take the tiny step untested
+            x_new = x + alpha * step
+            f_new = _objective(x_new, y, w, m, phi, h)
+        x, f = x_new, f_new
+    if g is None:
+        g = _gradient(x, y, w, m, phi, h)
     res = float(np.max(np.abs(g))) / w
     if res <= opts.tol_grad:
         return x, res, opts.max_iterations
@@ -434,8 +443,9 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         x, res, iters = _solve_finite_m(y, w, m, phi, h, opts)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
-    e_prev = free_energy(rho0, m, phi).total
-    e_new = free_energy(state, m, phi).total
+    e_prev = _start_energy(rho0, m, phi).total
+    energy = free_energy(state, m, phi)
+    e_new = energy.total
     move = w2_cost_squared(x, y, w)
     return JkoStepResult(
         state=state,
@@ -445,7 +455,25 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         kkt_residual=res,
         active_count=nact,
         iterations=iters,
+        energy=energy,
     )
+
+
+# The report jko_trajectory already holds for the state it is about to
+# step from, as (state, m, phi, report).  It is handed over here rather
+# than as an argument so that every step is a plain public ``jko_step``
+# call; per thread, so concurrent trajectories cannot see each other's.
+_known_energy = threading.local()
+
+
+def _start_energy(rho0, m, phi):
+    """``free_energy(rho0, m, phi)``, reusing a report handed over by
+    ``jko_trajectory`` for this very state instead of recomputing it."""
+    known = getattr(_known_energy, "entry", None)
+    if known is not None and known[0] is rho0 and known[1] == m \
+            and known[2] is phi:
+        return known[3]
+    return free_energy(rho0, m, phi)
 
 
 def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
@@ -467,14 +495,17 @@ def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
                   rho0.total_mass, rho0.nodes[0], rho0.nodes[-1],
                   rho0.excess_mass())
     cur = rho0
-    for k in range(1, n_steps + 1):
-        out = jko_step(cur, m, h, phi, opts)
-        cur = out.state
-        states.append(cur)
-        rep = free_energy(cur, m, phi)
-        ledger.append(k, k * h, rep.total, rep.internal, rep.potential,
-                      out.w2_increment, cur.total_mass, cur.nodes[0],
-                      cur.nodes[-1], cur.excess_mass())
+    try:
+        for k in range(1, n_steps + 1):
+            _known_energy.entry = (cur, m, phi, rep)
+            out = jko_step(cur, m, h, phi, opts)
+            cur, rep = out.state, out.energy
+            states.append(cur)
+            ledger.append(k, k * h, rep.total, rep.internal, rep.potential,
+                          out.w2_increment, cur.total_mass, cur.nodes[0],
+                          cur.nodes[-1], cur.excess_mass())
+    finally:
+        _known_energy.entry = None
     return states, ledger
 
 

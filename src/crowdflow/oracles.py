@@ -123,12 +123,17 @@ def sublevel_intervals(phi: Potential, level: float, domain, samples=8192):
     intervals.append((start, prev))
 
     def refine(x_in, x_out):
-        # root of Phi - level between a point inside and a point outside
+        # root of Phi - level between a point inside and a point outside;
+        # a step that leaves the bracket unchanged repeats forever, so stop
         for _ in range(80):
             mid = 0.5 * (x_in + x_out)
             if phi.value(mid) <= level:
+                if mid == x_in:
+                    break
                 x_in = mid
             else:
+                if mid == x_out:
+                    break
                 x_out = mid
         return 0.5 * (x_in + x_out)
 
@@ -156,9 +161,14 @@ def stationary_patch(phi: Potential, volume: float, domain) -> Patch:
     c_lo = float(np.min(phi.value(np.linspace(lo, hi, 8192))))
     for _ in range(200):
         c_mid = 0.5 * (c_lo + c_hi)
+        # a step that leaves the bracket unchanged repeats forever: stop
         if vol(c_mid) < volume:
+            if c_mid == c_lo:
+                break
             c_lo = c_mid
         else:
+            if c_mid == c_hi:
+                break
             c_hi = c_mid
     return Patch(sublevel_intervals(phi, c_hi, domain))
 

@@ -18,6 +18,10 @@ from numpy.polynomial import polynomial as npoly
 # 5-point Gauss-Legendre on [-1, 1]: exact for polynomials up to degree 9,
 # which covers every catalog entry (max degree 4) with room for custom ones.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# per-node factors of the endpoint derivatives: the weight share 0.5 * w_i
+# and the endpoint weights la = (1 - xi) / 2, lb = (1 + xi) / 2
+_GL_HALF_WEIGHTS = 0.5 * _GL_WEIGHTS
+_GL_LA, _GL_LB = 0.5 * (1.0 - _GL_NODES), 0.5 * (1.0 + _GL_NODES)
 
 _SCAN_POINTS = 10_000
 
@@ -107,42 +111,23 @@ class Potential:
         Gauss-Legendre with 5 nodes; exact for the polynomial catalog.
         Degenerate intervals fall back to the point value.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        acc = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            acc = acc + wi * self.value(mid + half * xi)
-        return 0.5 * acc
+        v = self.value(_gl_points(a, b))
+        return 0.5 * _node_sum(_per_node(_GL_WEIGHTS, v) * v)
 
     def avg_grad(self, a, b):
         """Partial derivatives of ``avg(a, b)`` w.r.t. the endpoints."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        da = 0.0
-        db = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            g = self.grad(mid + half * xi)
-            da = da + 0.5 * wi * g * 0.5 * (1.0 - xi)
-            db = db + 0.5 * wi * g * 0.5 * (1.0 + xi)
-        return da, db
+        g = self.grad(_gl_points(a, b))
+        t = _per_node(_GL_HALF_WEIGHTS, g) * g * 0.5
+        return (_node_sum(t * _per_node(1.0 - _GL_NODES, g)),
+                _node_sum(t * _per_node(1.0 + _GL_NODES, g)))
 
     def avg_hess(self, a, b):
         """Second partials of ``avg(a, b)``: (d2_aa, d2_ab, d2_bb)."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        haa = 0.0
-        hab = 0.0
-        hbb = 0.0
-        for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-            c = self.d2(mid + half * xi)
-            la, lb = 0.5 * (1.0 - xi), 0.5 * (1.0 + xi)
-            haa = haa + 0.5 * wi * c * la * la
-            hab = hab + 0.5 * wi * c * la * lb
-            hbb = hbb + 0.5 * wi * c * lb * lb
-        return haa, hab, hbb
+        c = self.d2(_gl_points(a, b))
+        la, lb = _per_node(_GL_LA, c), _per_node(_GL_LB, c)
+        t = _per_node(_GL_HALF_WEIGHTS, c) * c
+        ta = t * la
+        return _node_sum(ta * la), _node_sum(ta * lb), _node_sum(t * lb * lb)
 
     def grad_sup(self, lo=None, hi=None):
         """``max |Phi'|`` over ``[lo, hi]`` (defaults to the working domain)."""
@@ -150,6 +135,35 @@ class Potential:
         hi = self.domain[1] if hi is None else hi
         xs = np.linspace(lo, hi, 2048)
         return float(np.max(np.abs(self.grad(xs))))
+
+
+def _gl_points(a, b):
+    """The 5 Gauss-Legendre points of every ``[a, b]``, stacked on axis 0.
+
+    One array for all nodes lets each polynomial be evaluated by a single
+    Horner pass.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * _GL_NODES.reshape((-1,) + (1,) * mid.ndim)
+
+
+def _per_node(const, pts):
+    """Per-node constants shaped to broadcast against a node-stacked array."""
+    return const.reshape((-1,) + (1,) * (pts.ndim - 1))
+
+
+def _node_sum(terms):
+    """Sum over the node axis, node by node from 0.0.
+
+    The fixed order and starting value keep the averages bit-identical to
+    a plain per-node loop; ``np.sum`` promises neither.
+    """
+    acc = 0.0
+    for row in terms:
+        acc = acc + row
+    return acc
 
 
 def _scan(domain, n=_SCAN_POINTS):

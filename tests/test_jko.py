@@ -88,6 +88,35 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_spacing(np.array([0.0, 1.0]), -0.1)
 
+    def test_weighted_pav_matches_brute_force(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            y = rng.normal(0.0, 1.0, n)
+            wts = rng.uniform(0.1, 5.0, n)
+            ours = pav_nondecreasing(y, wts)
+            assert np.max(np.abs(ours - _weighted_isotonic_oracle(y, wts))) \
+                < 1e-12
+
+
+def _weighted_isotonic_oracle(y, wts):
+    """Weighted isotonic regression by enumerating consecutive blocks.
+
+    The projection is constant, at the block's weighted mean, on blocks of
+    consecutive entries; among all block partitions whose means increase,
+    it is the one with the least weighted squared error.
+    """
+    best = None
+    for cuts in itertools.product([False, True], repeat=y.size - 1):
+        ids = np.concatenate([[0], np.cumsum(cuts, dtype=int)])
+        means = np.array([np.average(y[ids == b], weights=wts[ids == b])
+                          for b in range(ids[-1] + 1)])
+        if np.any(np.diff(means) < 0.0):
+            continue
+        cost = float(np.sum(wts * (means[ids] - y) ** 2))
+        if best is None or cost < best[0]:
+            best = (cost, means[ids])
+    return best[1]
+
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1,
                 max_size=30))
@@ -301,6 +330,25 @@ class TestTrajectory:
         for s in states:
             assert s.nodes[0] >= lo - 1e-9
             assert s.nodes[-1] <= hi + 1e-9
+
+    def test_ledger_energies_and_states_match_chained_steps(self, g6, quad_phi):
+        # the trajectory reuses each step's energy report instead of
+        # recomputing it: the ledger must still hold free_energy exactly,
+        # and the states must be those of plain jko_step chaining
+        q0 = indicator_quantile(1, 2, g6, n=60)
+        h = 0.02
+        for m in (4.0, math.inf):
+            states, ledger = jko_trajectory(q0, m, h, quad_phi, 0.1)
+            cur = q0
+            for k, (state, row) in enumerate(zip(states, ledger.rows)):
+                if k:
+                    out = jko_step(cur, m, h, quad_phi)
+                    assert out.dissipation == \
+                        free_energy(cur, m, quad_phi).total - out.energy.total
+                    cur = out.state
+                assert state.nodes.tobytes() == cur.nodes.tobytes()
+                rep = free_energy(state, m, quad_phi)
+                assert row[2:5] == (rep.total, rep.internal, rep.potential)
 
     def test_piecewise_constant_step_count(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=20)

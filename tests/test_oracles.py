@@ -126,6 +126,14 @@ class TestStationaryProfiles:
         with pytest.raises(ValueError):
             stationary_profile(3.0, quad_phi, 100.0, g)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
+    def test_quadratic_patch_is_centered_interval(self, q):
+        phi = potential_catalog("quadratic", q=q)
+        for volume in (0.3, 1.0, 2.5):
+            (a, b), = stationary_patch(phi, volume, (-3, 3)).intervals
+            assert abs(a + 0.5 * volume) <= 1e-12
+            assert abs(b - 0.5 * volume) <= 1e-12
+
     def test_double_well_sublevel_two_components(self):
         phi = potential_catalog("quartic-well", a=1.0, b=-1.0, c=0.0)
         patch = stationary_patch(phi, 0.5, (-3, 3))

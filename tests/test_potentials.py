@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,88 @@ def test_avg_gradients_match_finite_differences(rng):
     _, dba = phi.avg_grad(a + h, b)
     _, dbb = phi.avg_grad(a - h, b)
     assert np.allclose(hab, (dba - dbb) / (2 * h), atol=1e-6)
+
+
+def _polymul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return out
+
+
+def _exact_interval_data(coef, a, b):
+    """Exact ``avg``, ``avg_grad`` and ``avg_hess`` of a polynomial on [a, b].
+
+    With ``x = a + t (b - a)``, ``avg`` is the integral of ``p(x)`` over
+    t in [0, 1]; the endpoint derivatives weight ``p'(x)`` by ``1 - t`` and
+    ``t``, the second ones weight ``p''(x)`` by ``(1 - t)^2``, ``(1 - t) t``
+    and ``t^2``.  Rational arithmetic keeps every value exact, a == b too.
+    """
+    p = [Fraction(c) for c in coef]
+    a, d = Fraction(a), Fraction(b) - Fraction(a)
+
+    def along(poly):  # poly(a + t d) as a polynomial in t
+        out = [Fraction(0)]
+        for c in reversed(poly):
+            out = _polymul(out, [a, d])
+            out[0] += c
+        return out
+
+    def integral(*factors):
+        poly = [Fraction(1)]
+        for f in factors:
+            poly = _polymul(poly, f)
+        return sum(c / (k + 1) for k, c in enumerate(poly))
+
+    dp = [k * c for k, c in enumerate(p)][1:] or [Fraction(0)]
+    d2p = [k * c for k, c in enumerate(dp)][1:] or [Fraction(0)]
+    la, lb = [Fraction(1), Fraction(-1)], [Fraction(0), Fraction(1)]
+    g, c = along(dp), along(d2p)
+    return (integral(along(p)), integral(la, g), integral(lb, g),
+            integral(la, la, c), integral(la, lb, c), integral(lb, lb, c))
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("quartic-well", {"a": 1.0, "b": -1.0, "c": 0.3}),
+    # degree 9: the exactness limit of 5-point Gauss-Legendre
+    ("custom-polynomial", {"coef": [0.7, -1.2, 0.4, 2.0, -0.9, 0.3,
+                                    0.25, -0.6, 0.15, 0.05]}),
+])
+def test_interval_data_exact_against_antiderivatives(kind, params, rng):
+    phi = potential_catalog(kind, params)
+    a = rng.uniform(-2.0, 2.0, 24)
+    b = a + rng.uniform(0.0, 2.0, 24)
+    b[:4] = a[:4]  # degenerate intervals
+    got = np.array([phi.avg(a, b), *phi.avg_grad(a, b), *phi.avg_hess(a, b)])
+    for j in range(a.size):
+        exact = _exact_interval_data(phi.coef, a[j], b[j])
+        # size of the terms that cancel, as a scale for round-off
+        r = max(abs(a[j]), abs(b[j]), 1.0)
+        scale = sum((k + 1) ** 2 * abs(c) * r ** k
+                    for k, c in enumerate(phi.coef))
+        for value, ref in zip(got[:, j], exact):
+            assert abs(value - float(ref)) <= 1e-13 * scale
+
+
+def test_interval_data_shapes_match_pointwise_calls(rng):
+    phi = potential_catalog("quartic-well", a=1.0, b=0.5, c=0.1)
+    a = rng.uniform(-2.0, 1.0, (3, 4))
+    b = a + rng.uniform(0.0, 2.0, (3, 4))
+    scalar = [[(phi.avg(ai, bi), *phi.avg_grad(ai, bi), *phi.avg_hess(ai, bi))
+               for ai, bi in zip(ra, rb)] for ra, rb in zip(a, b)]
+    scalar = np.moveaxis(np.array(scalar), -1, 0)
+    for x0, x1, ref in ((a[0, 0], b[0, 0], scalar[:, 0, 0]),
+                        (a[1], b[1], scalar[:, 1]),
+                        (a, b, scalar),
+                        (a[:, :1], b, None)):
+        got = (phi.avg(x0, x1), *phi.avg_grad(x0, x1), *phi.avg_hess(x0, x1))
+        shape = np.broadcast_shapes(np.shape(x0), np.shape(x1))
+        for value in got:
+            assert np.shape(value) == shape
+        if ref is not None:
+            # same per-point arithmetic whatever the input shape
+            assert np.array_equal(np.array(got), ref)
 
 
 def test_unknown_kind_rejected():
