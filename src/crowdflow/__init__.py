@@ -21,8 +21,7 @@ from .oracles import (barenblatt, barenblatt_halfwidth,
 from .pme import (PmeOptions, PmeStabilityError, pme_run, pme_step, pressure,
                   stable_dt, support_set)
 from .potentials import Potential, potential_catalog
-from .transport import (MonotoneMap, brute_force_w2, generalized_geodesic,
-                        optimal_map, pushforward, w2_distance)
+from .transport import brute_force_w2, generalized_geodesic, w2_distance
 
 __all__ = [
     "EnergyReport", "excess_mass", "free_energy", "internal_energy",
@@ -39,8 +38,7 @@ __all__ = [
     "PmeOptions", "PmeStabilityError", "pme_run", "pme_step", "pressure",
     "stable_dt", "support_set",
     "Potential", "potential_catalog",
-    "MonotoneMap", "brute_force_w2", "generalized_geodesic", "optimal_map",
-    "pushforward", "w2_distance",
+    "brute_force_w2", "generalized_geodesic", "w2_distance",
 ]
 
 __version__ = "0.1.0"

@@ -110,9 +110,15 @@ def _quantile0(cfg, rho0, require_feasible=True):
     return q0
 
 
+def _jko_options(cfg):
+    default = JkoOptions()
+    return JkoOptions(
+        tol_grad=cfg.get_float("jko.tol", default.tol_grad),
+        max_iterations=cfg.get_int("jko.max_iterations", default.max_iterations))
+
+
 def _traj_states(args):
-    q0, m, h, phi, T, tol, max_iter = args
-    opts = JkoOptions(tol_grad=tol, max_iterations=max_iter)
+    q0, m, h, phi, T, opts = args
     states, _ = jko_trajectory(q0, m, h, phi, T, opts)
     return [s.nodes for s in states]
 
@@ -142,12 +148,11 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         raise ConfigError("converge-m needs at least two finite m values")
     h = cfg.get_float("jko.h", 0.01)
     T = cfg.get_float("run.T", 1.0)
-    tol = cfg.get_float("jko.tol", 1e-9)
-    max_iter = cfg.get_int("jko.max_iterations", 500)
+    opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0)
-    ref = _traj_states((q0, math.inf, h, phi, T, tol, max_iter))
+    ref = _traj_states((q0, math.inf, h, phi, T, opts))
     runs = _pmap(_traj_states,
-                 [(q0, m, h, phi, T, tol, max_iter) for m in m_list], workers)
+                 [(q0, m, h, phi, T, opts) for m in m_list], workers)
     w = q0.w
     rows = []
     from .transport import w2_cost_squared
@@ -180,12 +185,11 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     if halvings < 2:
         raise ConfigError("converge-h needs at least two halvings")
     T = cfg.get_float("run.T", 1.0)
-    tol = cfg.get_float("jko.tol", 1e-9)
-    max_iter = cfg.get_int("jko.max_iterations", 500)
+    opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
     runs = _pmap(_traj_states,
-                 [(q0, m, h, phi, T, tol, max_iter) for h in hs], workers)
+                 [(q0, m, h, phi, T, opts) for h in hs], workers)
     from .transport import w2_cost_squared
     w = q0.w
     rows = []
@@ -221,7 +225,7 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     m_list = cfg.get_m_list(default=(10.0, math.inf))
     h = cfg.get_float("jko.h", 1e-3)
     T = cfg.get_float("run.T", 5.0)
-    tol = cfg.get_float("jko.tol", 1e-9)
+    opts = _jko_options(cfg)
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = cfg.get_int("snapshots", 16)
     q0 = _quantile0(cfg, rho0)
@@ -237,8 +241,6 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     for m in m_list:
         rho_s = energy_minimizer_profile(m, phi, q0.total_mass, grid)
         q_s = to_quantile(rho_s, q0.n)
-        opts = JkoOptions(tol_grad=tol,
-                          max_iterations=cfg.get_int("jko.max_iterations", 500))
         states, _ = jko_trajectory(q0, m, h, phi, T, opts)
         states2, _ = jko_trajectory(q02, m, h, phi, T, opts)
         d0 = w2_distance(q0, q_s)
@@ -275,6 +277,7 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     h = cfg.get_float("jko.h", 0.01)
     n_q = cfg.get_int("quantile.n", 200)
     seed = cfg.get_int("seed", 0)
+    opts = _jko_options(cfg)
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -284,7 +287,8 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         big = _random_upper(rng, grid, span)
         small = _random_restriction(rng, big, grid)
         for m in m_list:
-            rep = verify_comparison(small, big, m, h, phi, n_quantile=n_q)
+            rep = verify_comparison(small, big, m, h, phi, n_quantile=n_q,
+                                    opts=opts)
             worst = max(worst, rep.max_violation)
             all_ok &= rep.passed
             tag = "inf" if math.isinf(m) else f"{m:g}"
@@ -392,10 +396,7 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
         m = cfg.get_m(default=math.inf)
         h = cfg.get_float("jko.h", 0.01)
         q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
-        states, ledger = jko_trajectory(
-            q0, m, h, phi, T,
-            JkoOptions(tol_grad=cfg.get_float("jko.tol", 1e-9),
-                       max_iterations=cfg.get_int("jko.max_iterations", 500)))
+        states, ledger = jko_trajectory(q0, m, h, phi, T, _jko_options(cfg))
         _ledger_criteria(report, ledger)
         e0 = free_energy(q0, m, phi).total
         diss = -np.diff(ledger.column("E"))

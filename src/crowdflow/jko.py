@@ -17,7 +17,6 @@ which active gaps pool consecutive nodes into rigid blocks.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,10 @@ from .potentials import Potential
 from .transport import w2_cost_squared
 
 
+BACKTRACK = 0.5   # line-search shrink factor
+ARMIJO = 1e-4     # sufficient-decrease constant
+
+
 class JkoConvergenceError(RuntimeError):
     """Raised when a step fails to reach the requested KKT residual."""
 
@@ -37,21 +40,15 @@ class JkoConvergenceError(RuntimeError):
 class JkoOptions:
     tol_grad: float = 1e-9        # max KKT residual, in units of cell mass
     max_iterations: int = 500
-    backtrack: float = 0.5        # line-search shrink factor
-    armijo: float = 1e-4
 
     def __post_init__(self):
         if not self.tol_grad > 0:
             raise ValueError("tol_grad must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtracking factor must lie in (0, 1)")
 
 
 @dataclass
 class JkoStepResult:
     state: QuantileRep
-    objective: float
-    dissipation: float
     w2_increment: float
     kkt_residual: float
     active_count: int
@@ -193,6 +190,38 @@ def _step_guard(h, phi):
                          f"(need h < {1.0 / (2.0 * lam_neg):.6g} for this potential)")
 
 
+def _identity(g):
+    return g
+
+
+def _line_search(x, step, alpha, f, slope, gnorm, reduce, args):
+    """Backtrack from ``alpha`` along ``step``; shared by both solvers.
+
+    A trial point is accepted on Armijo decrease of the objective or,
+    near the optimum where the objective is flat to round-off, on
+    decrease of the max-norm of its gradient mapped to the free
+    coordinates by ``reduce``.  ``args`` are the objective's trailing
+    arguments ``(y, w, m, phi, h)``.
+
+    Returns ``(alpha, x_new, f_new, g_new)``: ``g_new`` is the trial
+    gradient when the gradient test accepted the point, else None.  When
+    backtracking runs out the tiny step is taken untested and ``f_new``
+    is None too, left to the caller to evaluate if it steps again.
+    """
+    while alpha > 1e-16:
+        x_new = x + alpha * step
+        f_new = _objective(x_new, *args)
+        if f_new <= f + ARMIJO * alpha * slope:
+            return alpha, x_new, f_new, None
+        g_new = _gradient(x_new, *args)
+        red = reduce(g_new)
+        if np.all(np.isfinite(red)) and \
+                float(np.max(np.abs(red))) <= (1.0 - 0.5 * alpha) * gnorm:
+            return alpha, x_new, f_new, g_new
+        alpha *= BACKTRACK
+    return alpha, x + alpha * step, None, None
+
+
 def _solve_finite_m(y, w, m, phi, h, opts):
     """Damped Newton; the gap powers act as an interior barrier.
 
@@ -200,13 +229,13 @@ def _solve_finite_m(y, w, m, phi, h, opts):
     tol_grad at double precision; once the residual stops improving the
     best iterate is returned with its achieved residual.
     """
+    args = (y, w, m, phi, h)
     x = y.copy()
-    f = _objective(x, y, w, m, phi, h)
+    f = g = None  # objective and gradient at x, evaluated when needed
     best_x, best_res, stall = x, math.inf, 0
-    g = None
     for it in range(1, opts.max_iterations + 1):
         if g is None:
-            g = _gradient(x, y, w, m, phi, h)
+            g = _gradient(x, *args)
         res = float(np.max(np.abs(g))) / w
         if res < best_res:
             if res > 0.5 * best_res:
@@ -220,7 +249,7 @@ def _solve_finite_m(y, w, m, phi, h, opts):
             return x, res, it
         if stall >= 8 and best_res < 1e6 * opts.tol_grad:
             return best_x, best_res, it  # double-precision floor reached
-        hd, ho = _hessian(x, y, w, m, phi, h)
+        hd, ho = _hessian(x, *args)
         step = _solve_tridiag(hd, ho, -g)
         if not np.all(np.isfinite(step)) or float(np.dot(step, g)) >= 0.0:
             step = -g / np.max(hd)  # gradient fallback, crudely scaled
@@ -231,30 +260,12 @@ def _solve_finite_m(y, w, m, phi, h, opts):
         alpha = 1.0
         if np.any(shrink):
             alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
-        # accept on objective decrease or, near the optimum where the
-        # objective is flat to round-off, on gradient-norm decrease; the
-        # accepted trial point keeps its objective and, when the gradient
-        # test accepted it, its gradient
-        slope = float(np.dot(step, g))
-        gnorm = float(np.max(np.abs(g)))
-        g = None
-        while alpha > 1e-16:
-            x_new = x + alpha * step
-            f_new = _objective(x_new, y, w, m, phi, h)
-            if f_new <= f + opts.armijo * alpha * slope:
-                break
-            g_new = _gradient(x_new, y, w, m, phi, h)
-            if np.all(np.isfinite(g_new)) and \
-                    float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
-                g = g_new
-                break
-            alpha *= opts.backtrack
-        else:  # backtracking exhausted: take the tiny step untested
-            x_new = x + alpha * step
-            f_new = _objective(x_new, y, w, m, phi, h)
-        x, f = x_new, f_new
+        if f is None:
+            f = _objective(x, *args)
+        _, x, f, g = _line_search(x, step, alpha, f, float(np.dot(step, g)),
+                                  float(np.max(np.abs(g))), _identity, args)
     if g is None:
-        g = _gradient(x, y, w, m, phi, h)
+        g = _gradient(x, *args)
     res = float(np.max(np.abs(g))) / w
     if res <= opts.tol_grad:
         return x, res, opts.max_iterations
@@ -317,26 +328,34 @@ def _solve_congested(y, w, phi, h, opts):
     time on negative multipliers; the objective is convex for admissible
     h, so the final KKT point is the global step minimizer.
     """
+    args = (y, w, math.inf, phi, h)
     x = project_spacing(y, w)
     active = np.diff(x) <= w * (1.0 + 1e-12)
     total_iters = 0
     floor_res = None
+    g = None
 
     for _outer in range(opts.max_iterations):
         x = _snap_active(x, active, w)
+        f = g = None  # objective and gradient at x, evaluated when needed
         # Newton on the current manifold {gap_j = w for j active}
         for _inner in range(opts.max_iterations):
             total_iters += 1
             if total_iters > opts.max_iterations:
                 break
-            g = _gradient(x, y, w, math.inf, phi, h)
+            if g is None:
+                g = _gradient(x, *args)
             ids = _blocks_from_active(active)
             nblocks = ids[-1] + 1
-            g_red = np.bincount(ids, weights=g, minlength=nblocks)
+
+            def reduce(v):  # node vector -> block sums
+                return np.bincount(ids, weights=v, minlength=nblocks)
+
+            g_red = reduce(g)
             if float(np.max(np.abs(g_red))) / w <= 0.5 * opts.tol_grad:
                 break
-            hd, ho = _hessian(x, y, w, math.inf, phi, h)
-            hd_red = np.bincount(ids, weights=hd, minlength=nblocks)
+            hd, ho = _hessian(x, *args)
+            hd_red = reduce(hd)
             inside = active
             if np.any(inside):
                 hd_red += 2.0 * np.bincount(ids[:-1][inside],
@@ -367,26 +386,18 @@ def _solve_congested(y, w, phi, h, opts):
                 if ratios[jmin] < alpha:
                     alpha = max(ratios[jmin], 0.0)
                     hit = np.flatnonzero(closing)[jmin]
-            f = _objective(x, y, w, math.inf, phi, h)
-            gnorm = float(np.max(np.abs(g_red)))
-            a = alpha
-            while a > 1e-16:
-                if _objective(x + a * step, y, w, math.inf, phi, h) \
-                        <= f + opts.armijo * a * slope:
-                    break
-                g_try = _gradient(x + a * step, y, w, math.inf, phi, h)
-                red_try = np.bincount(ids, weights=g_try, minlength=nblocks)
-                if float(np.max(np.abs(red_try))) <= (1.0 - 0.5 * a) * gnorm:
-                    break
-                a *= opts.backtrack
-                hit = None
-            x = x + a * step
-            if hit is not None:
+            if f is None:
+                f = _objective(x, *args)
+            a, x, f, g = _line_search(x, step, alpha, f, slope,
+                                      float(np.max(np.abs(g_red))), reduce, args)
+            if hit is not None and a == alpha:  # no backtrack: contact made
                 active = active.copy()
                 active[hit] = True
                 # snap the new contact to the exact spacing
                 x[hit + 1] = x[hit] + w
-        g = _gradient(x, y, w, math.inf, phi, h)
+                f = g = None
+        if g is None:
+            g = _gradient(x, *args)
         mu = _multipliers(g, active)
         res = _kkt_residual(g, mu, w)
         eff_tol = opts.tol_grad if floor_res is None \
@@ -399,7 +410,8 @@ def _solve_congested(y, w, phi, h, opts):
             active[worst] = False
         if total_iters > opts.max_iterations:
             break
-    g = _gradient(x, y, w, math.inf, phi, h)
+    if g is None:
+        g = _gradient(x, *args)
     mu = _multipliers(g, active)
     res = _kkt_residual(g, mu, w)
     if res <= opts.tol_grad:
@@ -443,37 +455,15 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         x, res, iters = _solve_finite_m(y, w, m, phi, h, opts)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
-    e_prev = _start_energy(rho0, m, phi).total
-    energy = free_energy(state, m, phi)
-    e_new = energy.total
     move = w2_cost_squared(x, y, w)
     return JkoStepResult(
         state=state,
-        objective=e_new + move / (2.0 * h),
-        dissipation=e_prev - e_new,
         w2_increment=float(np.sqrt(max(move, 0.0))),
         kkt_residual=res,
         active_count=nact,
         iterations=iters,
-        energy=energy,
+        energy=free_energy(state, m, phi),
     )
-
-
-# The report jko_trajectory already holds for the state it is about to
-# step from, as (state, m, phi, report).  It is handed over here rather
-# than as an argument so that every step is a plain public ``jko_step``
-# call; per thread, so concurrent trajectories cannot see each other's.
-_known_energy = threading.local()
-
-
-def _start_energy(rho0, m, phi):
-    """``free_energy(rho0, m, phi)``, reusing a report handed over by
-    ``jko_trajectory`` for this very state instead of recomputing it."""
-    known = getattr(_known_energy, "entry", None)
-    if known is not None and known[0] is rho0 and known[1] == m \
-            and known[2] is phi:
-        return known[3]
-    return free_energy(rho0, m, phi)
 
 
 def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
@@ -495,17 +485,13 @@ def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
                   rho0.total_mass, rho0.nodes[0], rho0.nodes[-1],
                   rho0.excess_mass())
     cur = rho0
-    try:
-        for k in range(1, n_steps + 1):
-            _known_energy.entry = (cur, m, phi, rep)
-            out = jko_step(cur, m, h, phi, opts)
-            cur, rep = out.state, out.energy
-            states.append(cur)
-            ledger.append(k, k * h, rep.total, rep.internal, rep.potential,
-                          out.w2_increment, cur.total_mass, cur.nodes[0],
-                          cur.nodes[-1], cur.excess_mass())
-    finally:
-        _known_energy.entry = None
+    for k in range(1, n_steps + 1):
+        out = jko_step(cur, m, h, phi, opts)
+        cur, rep = out.state, out.energy
+        states.append(cur)
+        ledger.append(k, k * h, rep.total, rep.internal, rep.potential,
+                      out.w2_increment, cur.total_mass, cur.nodes[0],
+                      cur.nodes[-1], cur.excess_mass())
     return states, ledger
 
 

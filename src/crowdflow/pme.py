@@ -49,6 +49,18 @@ def _edge_geometry(rho: GridDensity):
     return e, areas, grid.cell_measures
 
 
+def _drift_dt(rho: GridDensity, phi: Potential) -> float:
+    """Drift bound of the explicit step: ``dx`` over the largest edge speed."""
+    vmax = float(np.max(np.abs(phi.grad(rho.grid.edges))))
+    return rho.dx / (vmax + 1e-30)
+
+
+def _cfl_dt(values, dx, m, drift_dt, cfl):
+    """``cfl`` times the smaller of the diffusion and drift bounds."""
+    rho_max = max(float(np.max(values)), 1e-12)
+    return cfl * min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), drift_dt)
+
+
 def stable_dt(rho: GridDensity, m: float, phi: Potential,
               opts: PmeOptions | None = None) -> float:
     """CFL-limited explicit step: diffusion and drift bounds combined."""
@@ -57,12 +69,7 @@ def stable_dt(rho: GridDensity, m: float, phi: Potential,
     if rho.grid.n_cells < 1 or rho.values.size == 0:
         raise ValueError("empty density")
     opts = opts or PmeOptions()
-    dx = rho.dx
-    rho_max = max(float(np.max(rho.values)), 1e-12)
-    diff = dx * dx / (2.0 * m * rho_max ** (m - 1.0))
-    vmax = float(np.max(np.abs(phi.grad(rho.grid.edges))))
-    adv = dx / (vmax + 1e-30)
-    return opts.cfl * min(diff, adv)
+    return _cfl_dt(rho.values, rho.dx, m, _drift_dt(rho, phi), opts.cfl)
 
 
 def pme_step(rho: GridDensity, m: float, phi: Potential, dt: float,
@@ -130,9 +137,8 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
         snap_iter.append(T)
 
     # static pieces of the CFL bound
-    vmax = float(np.max(np.abs(phi.grad(rho0.grid.edges))))
     dx = rho0.dx
-    adv = dx / (vmax + 1e-30)
+    drift_dt = _drift_dt(rho0, phi)
 
     rho = rho0
     t = 0.0
@@ -143,9 +149,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     prev_snap = rho0
     for t_snap in snap_iter:
         while t < t_snap - 1e-14:
-            rho_max = max(float(np.max(rho.values)), 1e-12)
-            dt = opts.cfl * min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), adv)
-            dt = min(dt, t_snap - t)
+            dt = min(_cfl_dt(rho.values, dx, m, drift_dt, opts.cfl), t_snap - t)
             rho = pme_step(rho, m, phi, dt, opts)
             t += dt
             step_count += 1

@@ -10,29 +10,11 @@ nodes coincide, exact for translations and scalings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import GridSpec, QuantileRep, to_grid, to_quantile
 
 MASS_RTOL = 1e-12
-
-
-@dataclass
-class MonotoneMap:
-    """Monotone rearrangement: node-wise images of a source representation."""
-
-    base: QuantileRep
-    images: np.ndarray
-
-    def __post_init__(self):
-        im = np.asarray(self.images, dtype=float)
-        if im.shape != self.base.nodes.shape:
-            raise ValueError("one image per source node required")
-        if np.any(np.diff(im) < 0.0):
-            raise ValueError("a monotone map needs nondecreasing images")
-        self.images = im
 
 
 def _check_pair(a: QuantileRep, b: QuantileRep, resample: bool):
@@ -66,38 +48,21 @@ def w2_distance(a: QuantileRep, b: QuantileRep, resample: bool = False) -> float
     return float(np.sqrt(max(w2_cost_squared(a.nodes, b.nodes, a.w), 0.0)))
 
 
-def optimal_map(a: QuantileRep, b: QuantileRep, resample: bool = False) -> MonotoneMap:
-    """Monotone optimal map pairing equal mass levels node by node."""
-    a, b = _check_pair(a, b, resample)
-    return MonotoneMap(base=a, images=b.nodes.copy())
-
-
-def map_cost(m: MonotoneMap) -> float:
-    """Squared transport cost of a monotone map (equals w2_distance**2)."""
-    return w2_cost_squared(m.base.nodes, m.images, m.base.w)
-
-
-def pushforward(a: QuantileRep, m: MonotoneMap) -> QuantileRep:
-    if m.base.nodes.shape != a.nodes.shape:
-        raise ValueError("map base does not match the measure being pushed")
-    return QuantileRep(a.total_mass, np.sort(m.images))
-
-
 def generalized_geodesic(base: QuantileRep, mu2: QuantileRep,
                          mu3: QuantileRep, t: float) -> QuantileRep:
     """Interpolate the optimal maps from a common base measure.
 
-    At parameter ``t`` the nodes are ``(1 - t) T2 + t T3`` where ``Ti`` is
-    the monotone map from ``base`` to ``mu_i``; with node-wise pairing at
-    equal levels this is the node-wise affine interpolation, and gaps
-    interpolate too, so feasibility (density <= 1) is preserved along the
-    whole curve.
+    The monotone optimal map from ``base`` to ``mu_i`` pairs equal mass
+    levels, so its images of the base nodes are the nodes of ``mu_i``; at
+    parameter ``t`` the nodes are the node-wise affine interpolation
+    ``(1 - t) X2 + t X3``.  Gaps interpolate too, so feasibility
+    (density <= 1) is preserved along the whole curve.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("geodesic parameter must lie in [0, 1]")
-    t2 = optimal_map(base, mu2)
-    t3 = optimal_map(base, mu3)
-    nodes = (1.0 - t) * t2.images + t * t3.images
+    _check_pair(base, mu2, resample=False)
+    _check_pair(base, mu3, resample=False)
+    nodes = (1.0 - t) * mu2.nodes + t * mu3.nodes
     return QuantileRep(base.total_mass, nodes)
 
 

@@ -8,6 +8,7 @@ import pytest
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, ExperimentConfig
 from crowdflow.experiments import run_experiment
+from crowdflow.jko import JkoConvergenceError
 from crowdflow.svgplot import line_chart
 
 BASE = """
@@ -163,6 +164,18 @@ class TestDrivers:
         assert rep.all_passed
         header, rows = rep.tables["compare"]
         assert len(rows) == 6
+
+    def test_compare_honours_jko_options(self):
+        # the compare sweep steps with the configured solver options: a
+        # one-iteration budget cannot reach the default KKT tolerance
+        text = ("potential.kind = quadratic\npotential.q = 1.0\n"
+                "grid.lo = -4\ngrid.hi = 4\ngrid.n = 800\ntrials = 1\n"
+                "m.list = 5\njko.h = 0.01\nquantile.n = 200\nseed = 11\n")
+        assert run_experiment(ExperimentConfig.from_text(text),
+                              kind="compare").all_passed
+        cfg = ExperimentConfig.from_text(text + "jko.max_iterations = 1\n")
+        with pytest.raises(JkoConvergenceError):
+            run_experiment(cfg, kind="compare")
 
     def test_longtime_requires_convexity(self):
         cfg = ExperimentConfig.from_text(

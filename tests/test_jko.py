@@ -215,7 +215,7 @@ class TestJkoStep:
             out = jko_step(q, m, 0.05, quad_phi)
             cur = free_energy(out.state, m, quad_phi).total
             assert cur + out.w2_increment**2 / (2 * 0.05) <= prev + 1e-9
-            assert out.dissipation >= -1e-9
+            assert prev - out.energy.total >= -1e-9
 
     def test_objective_convex_along_random_segments(self, rng, g6, quad_phi):
         # second differences of the step objective along feasible chords
@@ -303,6 +303,22 @@ class TestJkoStep:
         assert out.state.total_mass == q0.total_mass
         assert out.state.n == q0.n
 
+    def test_one_free_energy_call_per_step(self, g6, quad_phi, monkeypatch):
+        # the step reports the new state's energy and needs no other
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return free_energy(*args, **kwargs)
+
+        monkeypatch.setattr("crowdflow.jko.free_energy", counted)
+        q0 = indicator_quantile(1, 2, g6, n=40)
+        for m in (6.0, math.inf):
+            calls.clear()
+            out = jko_step(q0, m, 0.02, quad_phi)
+            assert len(calls) == 1
+            assert calls[0][0] is out.state
+
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -343,8 +359,9 @@ class TestTrajectory:
             for k, (state, row) in enumerate(zip(states, ledger.rows)):
                 if k:
                     out = jko_step(cur, m, h, quad_phi)
-                    assert out.dissipation == \
-                        free_energy(cur, m, quad_phi).total - out.energy.total
+                    # the reported energy is the new state's, exactly, so
+                    # the step's dissipation is E(cur) - out.energy.total
+                    assert out.energy == free_energy(out.state, m, quad_phi)
                     cur = out.state
                 assert state.nodes.tobytes() == cur.nodes.tobytes()
                 rep = free_energy(state, m, quad_phi)

@@ -6,11 +6,9 @@ import pytest
 from crowdflow.energy import potential_energy
 from crowdflow.model import GridSpec, QuantileRep, to_quantile
 from crowdflow.potentials import potential_catalog
-from crowdflow.transport import (MonotoneMap, atoms_from_quantile,
-                                 brute_force_w2, generalized_geodesic,
-                                 map_cost, optimal_map, pushforward,
-                                 resample_quantile, w2_cost_squared,
-                                 w2_distance)
+from crowdflow.transport import (atoms_from_quantile, brute_force_w2,
+                                 generalized_geodesic, resample_quantile,
+                                 w2_cost_squared, w2_distance)
 
 from conftest import indicator_quantile, random_density
 
@@ -79,61 +77,60 @@ class TestW2Distance:
 
 
 class TestOptimalMap:
+    # the monotone optimal map pairs equal mass levels: its images of the
+    # source nodes are the target nodes, and its cost is w2_cost_squared
     def test_identity(self, g6):
         a = indicator_quantile(0, 1, g6)
-        m = optimal_map(a, a)
-        assert np.allclose(m.images, a.nodes)
-        assert map_cost(m) == 0.0
+        assert w2_cost_squared(a.nodes, a.nodes, a.w) == 0.0
+        assert w2_distance(a, QuantileRep(a.total_mass, a.nodes.copy())) == 0.0
 
     def test_translation_map(self, g6):
         a = indicator_quantile(0, 1, g6)
         b = indicator_quantile(2, 3, g6)
-        m = optimal_map(a, b)
-        assert np.allclose(m.images, a.nodes + 2.0, atol=1e-12)
+        assert np.allclose(b.nodes, a.nodes + 2.0, atol=1e-12)
 
     def test_scaling_map_cost_matches_assignment_oracles(self, g6):
         a = indicator_quantile(0, 1, g6, n=50)
         b = indicator_quantile(0, 2, g6, n=50, height=0.5)
-        m = optimal_map(a, b)
-        assert np.allclose(m.images, 2.0 * a.nodes, atol=1e-10)
-        assert map_cost(m) == pytest.approx(w2_distance(a, b) ** 2, rel=1e-12)
+        assert np.allclose(b.nodes, 2.0 * a.nodes, atol=1e-10)
+        cost = w2_cost_squared(a.nodes, b.nodes, a.w)
+        assert cost == pytest.approx(w2_distance(a, b) ** 2, rel=1e-12)
         xa, xb = atoms_from_quantile(a), atoms_from_quantile(b)
         sorted_cost = brute_force_w2(xa, xb)
-        assert abs(math.sqrt(map_cost(m)) - sorted_cost) < 1e-2
+        assert abs(math.sqrt(cost) - sorted_cost) < 1e-2
         # independent assignment oracle: sorted pairing is truly optimal
         from scipy.optimize import linear_sum_assignment
-        cost = (xa[:, None] - xb[None, :]) ** 2
-        rows, cols = linear_sum_assignment(cost)
-        hungarian = math.sqrt(cost[rows, cols].sum() / xa.size)
+        pair_cost = (xa[:, None] - xb[None, :]) ** 2
+        rows, cols = linear_sum_assignment(pair_cost)
+        hungarian = math.sqrt(pair_cost[rows, cols].sum() / xa.size)
         assert hungarian == pytest.approx(sorted_cost, rel=1e-12)
 
     def test_monotone_map_validation(self, g6):
         a = indicator_quantile(0, 1, g6, n=4)
         with pytest.raises(ValueError):
-            MonotoneMap(a, np.array([0.0, 1.0, 0.5, 2.0, 3.0]))
+            QuantileRep(a.total_mass, np.array([0.0, 1.0, 0.5, 2.0, 3.0]))
 
 
 class TestPushforward:
+    # pushing a forward by a monotone map is the representation with the
+    # map's images as nodes
     def test_identity(self, g6):
         a = indicator_quantile(0, 1, g6)
-        out = pushforward(a, optimal_map(a, a))
+        out = QuantileRep(a.total_mass, a.nodes)
         assert np.allclose(out.nodes, a.nodes)
+        assert out.w == a.w
 
     def test_exact_target(self, g6):
         a = indicator_quantile(0, 1, g6)
         b = indicator_quantile(-1, 0.5, g6, height=2.0 / 3.0)
-        out = pushforward(a, optimal_map(a, b))
+        out = QuantileRep(a.total_mass, b.nodes)
         assert np.allclose(out.nodes, b.nodes)
-        assert w2_distance(a, pushforward(a, optimal_map(a, b))) \
-            == pytest.approx(w2_distance(a, b), rel=1e-12)
+        assert w2_distance(a, out) == pytest.approx(w2_distance(a, b), rel=1e-12)
 
     def test_translation_composition(self, g6):
         a = indicator_quantile(0, 1, g6)
         s, t = 0.7, -1.3
-        m1 = MonotoneMap(a, a.nodes + s)
-        mid = pushforward(a, m1)
-        m2 = MonotoneMap(mid, mid.nodes + t)
-        out = pushforward(mid, m2)
+        out = a.translated(s).translated(t)
         assert np.allclose(out.nodes, a.nodes + (s + t), atol=1e-12)
 
 
