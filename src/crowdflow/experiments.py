@@ -26,8 +26,8 @@ from .heleshaw import hausdorff_distance, heleshaw_run, write_patch_csv
 from .jko import JkoOptions, jko_trajectory, verify_comparison
 from .model import GridDensity, Patch, make_grid_density, to_quantile, write_csv
 from .oracles import energy_minimizer_profile
-from .pme import PmeOptions, pme_run, support_set
-from .transport import w2_distance
+from .pme import PmeOptions, pme_run, pressure, support_set
+from .transport import w2_cost_squared, w2_distance
 
 
 @dataclass
@@ -155,7 +155,6 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
                  [(q0, m, h, phi, T, opts) for m in m_list], workers)
     w = q0.w
     rows = []
-    from .transport import w2_cost_squared
     for m, states in zip(m_list, runs):
         sup = max(math.sqrt(max(w2_cost_squared(a, b, w), 0.0))
                   for a, b in zip(states, ref))
@@ -190,7 +189,6 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
     runs = _pmap(_traj_states,
                  [(q0, m, h, phi, T, opts) for h in hs], workers)
-    from .transport import w2_cost_squared
     w = q0.w
     rows = []
     for k in range(halvings):
@@ -271,7 +269,8 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
 
 def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Randomized ordered pairs, one step each, order-preservation verdicts."""
-    phi, grid, _ = (cfg.potential(), cfg.grid_spec(), None)
+    phi = cfg.potential()
+    grid = cfg.grid_spec()
     trials = cfg.get_int("trials", 20)
     m_list = cfg.get_m_list(default=(5.0, 50.0, math.inf))
     h = cfg.get_float("jko.h", 0.01)
@@ -330,7 +329,8 @@ def _crossval_one(args):
 
 def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Degenerate-diffusion supports against the tracked free boundary."""
-    phi, grid, _ = cfg.potential(), cfg.grid_spec(), None
+    phi = cfg.potential()
+    grid = cfg.grid_spec()
     boxes = cfg.boxes()
     patch0 = Patch(tuple((a, b) for a, b, _h in boxes))
     rho0 = patch0.indicator(grid)
@@ -417,12 +417,11 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
         if outdir:
             os.makedirs(outdir, exist_ok=True)
             ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-            from .pme import pressure as _press
             for k, (t, rho) in enumerate(snaps):
                 write_csv(os.path.join(outdir, f"snapshot_{k:05d}.csv"),
                           ["x_center", "rho", "pressure"],
                           np.column_stack([rho.centers, rho.values,
-                                           _press(rho, m)]))
+                                           pressure(rho, m)]))
     elif scheme == "heleshaw":
         boxes = cfg.boxes()
         patch0 = Patch(tuple((a, b) for a, b, _h in boxes))

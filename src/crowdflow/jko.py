@@ -8,10 +8,14 @@ where all three terms are evaluated exactly for the piecewise-constant
 density the nodes represent: the internal energy is a sum of gap powers,
 the potential energy uses exact per-gap averages, and the movement
 limiter is the exact inverse-CDF quadratic form.  For finite m the gap
-powers act as a barrier and the problem is smooth and unconstrained; for
-m = inf the internal energy vanishes and the congestion cap becomes the
-gap constraint ``gap_j >= w``, handled by an active-set Newton method in
-which active gaps pool consecutive nodes into rigid blocks.
+powers act as a barrier and the problem is smooth and unconstrained; it
+is solved by damped Newton, and ``JkoStepResult.iterations`` counts its
+Newton iterations.  For m = inf the internal energy vanishes and the
+congestion cap becomes the gap constraint ``gap_j >= w``, handled by
+primal-dual active-set sweeps: active gaps pool consecutive nodes into
+rigid blocks, each sweep takes one Newton step on the blocks and then
+adds every violated gap or releases every gap with a negative
+multiplier, and ``iterations`` counts sweeps.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ class JkoOptions:
     def __post_init__(self):
         if not self.tol_grad > 0:
             raise ValueError("tol_grad must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -190,21 +196,16 @@ def _step_guard(h, phi):
                          f"(need h < {1.0 / (2.0 * lam_neg):.6g} for this potential)")
 
 
-def _identity(g):
-    return g
-
-
-def _line_search(x, step, alpha, f, slope, gnorm, reduce, args):
-    """Backtrack from ``alpha`` along ``step``; shared by both solvers.
+def _line_search(x, step, alpha, f, slope, gnorm, args):
+    """Backtrack from ``alpha`` along ``step`` (finite-m damped Newton).
 
     A trial point is accepted on Armijo decrease of the objective or,
     near the optimum where the objective is flat to round-off, on
-    decrease of the max-norm of its gradient mapped to the free
-    coordinates by ``reduce``.  ``args`` are the objective's trailing
-    arguments ``(y, w, m, phi, h)``.
+    decrease of the max-norm of its gradient.  ``args`` are the
+    objective's trailing arguments ``(y, w, m, phi, h)``.
 
-    Returns ``(alpha, x_new, f_new, g_new)``: ``g_new`` is the trial
-    gradient when the gradient test accepted the point, else None.  When
+    Returns ``(x_new, f_new, g_new)``: ``g_new`` is the trial gradient
+    when the gradient test accepted the point, else None.  When
     backtracking runs out the tiny step is taken untested and ``f_new``
     is None too, left to the caller to evaluate if it steps again.
     """
@@ -212,14 +213,13 @@ def _line_search(x, step, alpha, f, slope, gnorm, reduce, args):
         x_new = x + alpha * step
         f_new = _objective(x_new, *args)
         if f_new <= f + ARMIJO * alpha * slope:
-            return alpha, x_new, f_new, None
+            return x_new, f_new, None
         g_new = _gradient(x_new, *args)
-        red = reduce(g_new)
-        if np.all(np.isfinite(red)) and \
-                float(np.max(np.abs(red))) <= (1.0 - 0.5 * alpha) * gnorm:
-            return alpha, x_new, f_new, g_new
+        if np.all(np.isfinite(g_new)) and \
+                float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
+            return x_new, f_new, g_new
         alpha *= BACKTRACK
-    return alpha, x + alpha * step, None, None
+    return x + alpha * step, None, None
 
 
 def _solve_finite_m(y, w, m, phi, h, opts):
@@ -262,8 +262,8 @@ def _solve_finite_m(y, w, m, phi, h, opts):
             alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
         if f is None:
             f = _objective(x, *args)
-        _, x, f, g = _line_search(x, step, alpha, f, float(np.dot(step, g)),
-                                  float(np.max(np.abs(g))), _identity, args)
+        x, f, g = _line_search(x, step, alpha, f, float(np.dot(step, g)),
+                               float(np.max(np.abs(g))), args)
     if g is None:
         g = _gradient(x, *args)
     res = float(np.max(np.abs(g))) / w
@@ -320,104 +320,52 @@ def _kkt_residual(g, mu, w):
 
 
 def _solve_congested(y, w, phi, h, opts):
-    """Active-set Newton for the m = inf step.
+    """Primal-dual active-set Newton for the m = inf step.
 
     Active gaps (at the congestion spacing ``w``) pool nodes into rigid
     blocks; the reduced problem over block positions stays tridiagonal,
-    so every inner iteration is O(n).  Constraints are released one at a
-    time on negative multipliers; the objective is convex for admissible
-    h, so the final KKT point is the global step minimizer.
+    so every sweep is O(n).  A sweep takes one full Newton step on the
+    current blocks.  It then adds every gap that closed below ``w`` or,
+    only when none did, releases every active gap with a negative
+    multiplier (primal-dual active set: Hintermueller, Ito and Kunisch,
+    SIAM J. Optim. 13, 2002), and snaps the blocks back to spacing ``w``.
+    Adding before releasing matters: a release next to a violated gap
+    sees a spurious negative multiplier.  The objective is convex for
+    admissible h, so the final KKT point is the global step minimizer.
+    Returns the number of sweeps as the iteration count.
     """
     args = (y, w, math.inf, phi, h)
+    floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
     x = project_spacing(y, w)
     active = np.diff(x) <= w * (1.0 + 1e-12)
-    total_iters = 0
-    floor_res = None
-    g = None
-
-    for _outer in range(opts.max_iterations):
-        x = _snap_active(x, active, w)
-        f = g = None  # objective and gradient at x, evaluated when needed
-        # Newton on the current manifold {gap_j = w for j active}
-        for _inner in range(opts.max_iterations):
-            total_iters += 1
-            if total_iters > opts.max_iterations:
-                break
-            if g is None:
-                g = _gradient(x, *args)
-            ids = _blocks_from_active(active)
-            nblocks = ids[-1] + 1
-
-            def reduce(v):  # node vector -> block sums
-                return np.bincount(ids, weights=v, minlength=nblocks)
-
-            g_red = reduce(g)
-            if float(np.max(np.abs(g_red))) / w <= 0.5 * opts.tol_grad:
-                break
-            hd, ho = _hessian(x, *args)
-            hd_red = reduce(hd)
-            inside = active
-            if np.any(inside):
-                hd_red += 2.0 * np.bincount(ids[:-1][inside],
-                                            weights=ho[inside],
-                                            minlength=nblocks)
-            ho_red = ho[~active]
-            dxi = _solve_tridiag(hd_red, ho_red, -g_red)
-            step = dxi[ids]
-            slope = float(np.dot(step, g))
-            if not np.all(np.isfinite(step)) or slope >= 0.0:
-                step = -g / np.max(hd)
-                slope = float(np.dot(step, g))
-            if float(np.max(np.abs(step))) <= 8.0 * np.finfo(float).eps \
-                    * max(1.0, float(np.max(np.abs(x)))):
-                # manifold iterate at the double-precision optimum
-                floor_res = float(np.max(np.abs(g_red))) / w
-                break
-            # cap so inactive gaps do not cross the spacing floor
-            gaps = np.diff(x)
-            dgap = np.diff(step)
-            room = np.maximum(gaps - w, 0.0)
-            closing = (~active) & (dgap < 0.0)
-            alpha = 1.0
-            hit = None
-            if np.any(closing):
-                ratios = room[closing] / -dgap[closing]
-                jmin = int(np.argmin(ratios))
-                if ratios[jmin] < alpha:
-                    alpha = max(ratios[jmin], 0.0)
-                    hit = np.flatnonzero(closing)[jmin]
-            if f is None:
-                f = _objective(x, *args)
-            a, x, f, g = _line_search(x, step, alpha, f, slope,
-                                      float(np.max(np.abs(g_red))), reduce, args)
-            if hit is not None and a == alpha:  # no backtrack: contact made
-                active = active.copy()
-                active[hit] = True
-                # snap the new contact to the exact spacing
-                x[hit + 1] = x[hit] + w
-                f = g = None
-        if g is None:
-            g = _gradient(x, *args)
+    x = _snap_active(x, active, w)
+    g = _gradient(x, *args)
+    for sweep in range(1, opts.max_iterations + 1):
+        ids = _blocks_from_active(active)
+        nblocks = ids[-1] + 1
+        hd, ho = _hessian(x, *args)
+        hd_red = np.bincount(ids, weights=hd, minlength=nblocks)
+        hd_red += 2.0 * np.bincount(ids[:-1][active], weights=ho[active],
+                                    minlength=nblocks)
+        g_red = np.bincount(ids, weights=g, minlength=nblocks)
+        x = x + _solve_tridiag(hd_red, ho[~active], -g_red)[ids]
+        g = _gradient(x, *args)
         mu = _multipliers(g, active)
         res = _kkt_residual(g, mu, w)
-        eff_tol = opts.tol_grad if floor_res is None \
-            else max(opts.tol_grad, 1.1 * floor_res)
-        if res <= eff_tol:
-            return x, res, int(np.sum(active)), total_iters
-        worst = int(np.argmin(mu))
-        if mu[worst] < 0.0 and active[worst]:
-            active = active.copy()
-            active[worst] = False
-        if total_iters > opts.max_iterations:
-            break
-    if g is None:
+        violated = ~active & (np.diff(x) < floor)
+        if not np.any(violated):
+            if res <= opts.tol_grad:
+                return x, res, int(np.sum(active)), sweep
+            active = active & (mu >= 0.0)
+        while np.any(violated):
+            active = active | violated
+            # snapping a grown block to spacing w can push its neighbours
+            # below w; adding them now keeps the sweep count independent of n
+            violated = ~active & (np.diff(_snap_active(x, active, w)) < floor)
+        x = _snap_active(x, active, w)
         g = _gradient(x, *args)
-    mu = _multipliers(g, active)
-    res = _kkt_residual(g, mu, w)
-    if res <= opts.tol_grad:
-        return x, res, int(np.sum(active)), total_iters
     raise JkoConvergenceError(
-        f"congested step did not converge in {opts.max_iterations} iterations "
+        f"congested step did not converge in {opts.max_iterations} sweeps "
         f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
 
 

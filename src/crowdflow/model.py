@@ -29,7 +29,7 @@ def _locked(a):
     return a
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridSpec:
     """Uniform 1D grid (or radial mesh on [0, r_max] when dim > 1)."""
 
@@ -37,12 +37,19 @@ class GridSpec:
     x_hi: float
     n_cells: int
     dim: int = 1
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_cells < 1 or not self.x_hi > self.x_lo:
             raise ValueError("grid needs x_hi > x_lo and at least one cell")
         if self.dim > 1 and self.x_lo != 0.0:
             raise ValueError("radial grids must start at r = 0")
+        object.__setattr__(self, "_edges", _locked(
+            np.linspace(self.x_lo, self.x_hi, self.n_cells + 1)))
+
+    def __reduce__(self):
+        # rebuild when unpickled: a pickled array comes back writable
+        return GridSpec, (self.x_lo, self.x_hi, self.n_cells, self.dim)
 
     @property
     def dx(self):
@@ -50,7 +57,8 @@ class GridSpec:
 
     @property
     def edges(self):
-        return np.linspace(self.x_lo, self.x_hi, self.n_cells + 1)
+        """Cell edges, computed once; read-only."""
+        return self._edges
 
     @property
     def centers(self):

@@ -245,17 +245,19 @@ class TestJkoStep:
         from scipy.optimize import minimize
         from crowdflow.energy import free_energy as fe
         h = 0.02
-        for _ in range(5):
+        well = potential_catalog("quartic-well", a=1.0, b=-1.0)
+        for phi in (quad_phi,) * 5 + (well,) * 3:
             base = indicator_quantile(0, 1, g6, n=12)
             y = project_spacing(
                 np.sort(base.nodes + rng.normal(0, 0.1, base.n + 1)), base.w)
             q0 = QuantileRep(1.0, y)
             w = q0.w
-            out = jko_step(q0, math.inf, h, quad_phi)
+            out = jko_step(q0, math.inf, h, phi)
 
-            def obj(x):
+            def obj(x, phi=phi):
                 rep = QuantileRep(1.0, np.maximum.accumulate(x))
-                return fe(rep, math.inf, quad_phi).potential                     + w2_cost_squared(rep.nodes, y, w) / (2 * h)
+                return (fe(rep, math.inf, phi).potential
+                        + w2_cost_squared(rep.nodes, y, w) / (2 * h))
 
             cons = [{"type": "ineq",
                      "fun": (lambda x, j=j: x[j + 1] - x[j] - w)}
@@ -264,6 +266,39 @@ class TestJkoStep:
                            options={"maxiter": 400, "ftol": 1e-14})
             assert obj(out.state.nodes) <= ref.fun + 1e-10
             assert np.max(np.abs(out.state.nodes - ref.x)) < 1e-5
+
+    @staticmethod
+    def _assert_congested_step_converged(q0, out):
+        assert out.kkt_residual <= 1e-9
+        assert np.min(np.diff(out.state.nodes)) >= q0.w * (1.0 - 1e-12)
+
+    def test_saturating_congested_step_sweeps_independent_of_n(self):
+        # a box pushed into a steep well saturates every cell in one step;
+        # the number of sweeps must not grow with the number of cells
+        grid = GridSpec(-4.0, 4.0, 4000)
+        phi = potential_catalog("quadratic", q=4.0)
+        sweeps = set()
+        for n in (100, 200, 400, 800, 1600, 3200):
+            q0 = indicator_quantile(-1.5, 1.5, grid, n=n, height=0.6)
+            out = jko_step(q0, math.inf, 0.5, phi)
+            self._assert_congested_step_converged(q0, out)
+            sweeps.add(out.iterations)
+        assert len(sweeps) == 1
+
+    def test_partly_saturated_quartic_step_sweeps_independent_of_n(self):
+        # saturation grows from the well's centre; snapping each grown block
+        # pushes its neighbours below the spacing, which must not cost a
+        # sweep per few cells
+        grid = GridSpec(-6.0, 6.0, 4800)
+        phi = potential_catalog("quartic-well", a=2.0, b=0.5, c=0.3)
+        sweeps = set()
+        for n in (100, 400, 1600):
+            q0 = indicator_quantile(-1.5, 1.5, grid, n=n, height=0.6)
+            out = jko_step(q0, math.inf, 0.4, phi)
+            self._assert_congested_step_converged(q0, out)
+            assert 0 < out.active_count < q0.n
+            sweeps.add(out.iterations)
+        assert len(sweeps) == 1
 
     def test_kkt_residual_reported_small(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=100)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -169,6 +171,19 @@ class TestTypes:
         g = GridSpec(-1, 2, 300)
         rho = Patch(((0.0, 1.0),)).indicator(g)
         assert rho.mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_edges_computed_once_and_frozen(self):
+        for g in (GridSpec(-4.0, 4.0, 4000), GridSpec(0.0, 1.0, 7, dim=3)):
+            e = g.edges
+            assert e is g.edges
+            assert np.array_equal(e, np.linspace(g.x_lo, g.x_hi, g.n_cells + 1))
+            assert not e.flags.writeable
+            with pytest.raises(ValueError):
+                e[0] = 0.0
+            clone = pickle.loads(pickle.dumps(g))
+            assert clone == g and not clone.edges.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                g.n_cells = 8
 
     def test_radial_grid_measures(self):
         g = GridSpec(0.0, 1.0, 4, dim=3)
