@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 configuration
-error, 3 numerical failure inside a run.
+error or rejected value, 3 numerical failure inside a run.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENT_KINDS, ConfigError, ExperimentConfig
+from .config import EXPERIMENT_KINDS, ExperimentConfig
 from .experiments import run_experiment
 from .jko import JkoConvergenceError
 from .pme import PmeStabilityError
@@ -47,13 +47,13 @@ def main(argv=None) -> int:
         outdir = args.out or cfg.get("out", "out")
         report = run_experiment(cfg, kind=args.kind, workers=workers,
                                 outdir=outdir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (JkoConvergenceError, PmeStabilityError, FloatingPointError,
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # ConfigError and rejected arguments alike
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report.write(outdir, plots=args.plots)
     for crit in report.criteria:
         mark = "PASS" if crit["pass"] else "FAIL"

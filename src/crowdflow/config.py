@@ -54,11 +54,16 @@ class ExperimentConfig:
     def get(self, key, default=None):
         return self.raw.get(key, default)
 
-    def get_float(self, key, default=None):
+    def _lookup(self, key, default):
+        """Raw value of ``key``; ``None`` when absent but defaulted."""
         val = self.raw.get(key)
+        if val is None and default is None:
+            raise ConfigError(f"missing required key {key!r}")
+        return val
+
+    def get_float(self, key, default=None):
+        val = self._lookup(key, default)
         if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
             return float(default)
         try:
             return float(val)
@@ -66,7 +71,10 @@ class ExperimentConfig:
             raise ConfigError(f"key {key!r}: not a number: {val!r}") from exc
 
     def get_int(self, key, default=None):
-        return int(round(self.get_float(key, default)))
+        val = self.get_float(key, default)
+        if not val.is_integer():  # also False for inf and nan
+            raise ConfigError(f"key {key!r}: not an integer: {val!r}")
+        return int(val)
 
     def get_bool(self, key, default=False):
         val = self.raw.get(key)
@@ -79,10 +87,8 @@ class ExperimentConfig:
         raise ConfigError(f"key {key!r}: not a boolean: {val!r}")
 
     def get_floats(self, key, default=None):
-        val = self.raw.get(key)
+        val = self._lookup(key, default)
         if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
             return list(default)
         try:
             return [float(tok) for tok in val.split(",") if tok.strip()]
@@ -90,10 +96,8 @@ class ExperimentConfig:
             raise ConfigError(f"key {key!r}: bad list: {val!r}") from exc
 
     def get_m_list(self, key="m.list", default=None):
-        val = self.raw.get(key)
+        val = self._lookup(key, default)
         if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
             vals = list(default)
         else:
             vals = []
@@ -108,10 +112,8 @@ class ExperimentConfig:
         return vals
 
     def get_m(self, key="m", default=None):
-        val = self.raw.get(key)
+        val = self._lookup(key, default)
         if val is None:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
             return default
         tok = val.strip().lower()
         return math.inf if tok in ("inf", "infinity") else float(tok)
@@ -119,9 +121,7 @@ class ExperimentConfig:
     # -- composite builders --------------------------------------------------
 
     def boxes(self, key="init.boxes"):
-        val = self.raw.get(key)
-        if val is None:
-            raise ConfigError(f"missing required key {key!r}")
+        val = self._lookup(key, None)
         out = []
         for part in val.split(";"):
             toks = [t for t in part.split(",") if t.strip()]

@@ -424,6 +424,7 @@ def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
+    _step_guard(h, phi)
     opts = opts or JkoOptions()
     n_steps = int(math.ceil(T / h - 1e-12))
     states = [rho0]

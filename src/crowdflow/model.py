@@ -38,14 +38,25 @@ class GridSpec:
     n_cells: int
     dim: int = 1
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _cell_measures: np.ndarray = field(init=False, repr=False, compare=False)
+    _edge_areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_cells < 1 or not self.x_hi > self.x_lo:
             raise ValueError("grid needs x_hi > x_lo and at least one cell")
         if self.dim > 1 and self.x_lo != 0.0:
             raise ValueError("radial grids must start at r = 0")
-        object.__setattr__(self, "_edges", _locked(
-            np.linspace(self.x_lo, self.x_hi, self.n_cells + 1)))
+        d = self.dim
+        e = np.linspace(self.x_lo, self.x_hi, self.n_cells + 1)
+        if d == 1:
+            meas, areas = np.full(self.n_cells, self.dx), np.ones(e.size)
+        else:
+            meas = _ball_volume(d) * (e[1:] ** d - e[:-1] ** d)
+            areas = (d * math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+                     * e ** (d - 1))
+        for name, a in (("_edges", e), ("_cell_measures", meas),
+                        ("_edge_areas", areas)):
+            object.__setattr__(self, name, _locked(a))
 
     def __reduce__(self):
         # rebuild when unpickled: a pickled array comes back writable
@@ -67,11 +78,13 @@ class GridSpec:
 
     @property
     def cell_measures(self):
-        """Cell lengths in 1D, annular shell volumes in radial mode."""
-        e = self.edges
-        if self.dim == 1:
-            return np.full(self.n_cells, self.dx)
-        return _ball_volume(self.dim) * (e[1:] ** self.dim - e[:-1] ** self.dim)
+        """Cell lengths in 1D, annular shell volumes in radial mode; read-only."""
+        return self._cell_measures
+
+    @property
+    def edge_areas(self):
+        """Ones in 1D, sphere surface areas at the edges in radial mode; read-only."""
+        return self._edge_areas
 
 
 @dataclass
@@ -85,7 +98,7 @@ class GridDensity:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_cells,):
             raise ValueError("values must have one entry per cell")
-        if np.min(v) < 0.0:
+        if not np.min(v) >= 0.0:  # NaN fails too
             raise ValueError("density values must be nonnegative")
         self.values = _locked(v)
 
@@ -134,9 +147,9 @@ class QuantileRep:
         x = np.asarray(self.nodes, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("need at least two nodes")
-        if self.total_mass <= 0.0:
+        if not self.total_mass > 0.0:  # NaN fails too
             raise ValueError("total mass must be positive")
-        if np.any(np.diff(x) < 0.0):
+        if not np.all(np.diff(x) >= 0.0):
             raise ValueError("nodes must be nondecreasing")
         self.nodes = _locked(x)
 

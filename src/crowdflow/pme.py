@@ -29,7 +29,6 @@ class PmeStabilityError(RuntimeError):
 @dataclass
 class PmeOptions:
     cfl: float = 0.4              # safety factor on the explicit stability bound
-    eps_supp: float = EPS_SUPP
     clip_abort: float = 1e-12     # max tolerated clipped mass fraction per run
     n_snapshots: int = 16
 
@@ -38,25 +37,15 @@ class PmeOptions:
             raise ValueError("cfl safety factor must lie in (0, 1]")
 
 
-def _edge_geometry(rho: GridDensity):
-    grid = rho.grid
-    e = grid.edges
-    if grid.dim == 1:
-        areas = np.ones(e.size)
-    else:
-        d = grid.dim
-        areas = d * math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * e ** (d - 1)
-    return e, areas, grid.cell_measures
-
-
-def _drift_dt(rho: GridDensity, phi: Potential) -> float:
-    """Drift bound of the explicit step: ``dx`` over the largest edge speed."""
-    vmax = float(np.max(np.abs(phi.grad(rho.grid.edges))))
-    return rho.dx / (vmax + 1e-30)
+def _drift_dt(vel, dx) -> float:
+    """Drift bound of the explicit step: ``dx`` over the largest ``|vel|``."""
+    return dx / (float(np.max(np.abs(vel))) + 1e-30)
 
 
 def _cfl_dt(values, dx, m, drift_dt, cfl):
     """``cfl`` times the smaller of the diffusion and drift bounds."""
+    if not m > 1:
+        raise ValueError("diffusion exponent must satisfy m > 1")
     rho_max = max(float(np.max(values)), 1e-12)
     return cfl * min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), drift_dt)
 
@@ -64,39 +53,36 @@ def _cfl_dt(values, dx, m, drift_dt, cfl):
 def stable_dt(rho: GridDensity, m: float, phi: Potential,
               opts: PmeOptions | None = None) -> float:
     """CFL-limited explicit step: diffusion and drift bounds combined."""
-    if not m > 1:
-        raise ValueError("diffusion exponent must satisfy m > 1")
-    if rho.grid.n_cells < 1 or rho.values.size == 0:
-        raise ValueError("empty density")
     opts = opts or PmeOptions()
-    return _cfl_dt(rho.values, rho.dx, m, _drift_dt(rho, phi), opts.cfl)
+    drift_dt = _drift_dt(phi.grad(rho.grid.edges), rho.dx)
+    return _cfl_dt(rho.values, rho.dx, m, drift_dt, opts.cfl)
 
 
 def pme_step(rho: GridDensity, m: float, phi: Potential, dt: float,
              opts: PmeOptions | None = None) -> GridDensity:
     """One conservative explicit update; rejects over-CFL steps.
 
-    Negative values beyond round-off abort; round-off negatives are
-    zeroed and the mass restored by rescaling, so the update conserves
-    mass exactly.
+    The edge velocity ``-Phi'`` is evaluated once: its maximum bounds
+    ``dt`` (the CFL bound without the ``cfl`` factor), its interior values
+    drive the upwind flux.  Negative values beyond round-off abort;
+    round-off negatives are zeroed and the mass restored by rescaling.
     """
     opts = opts or PmeOptions()
-    limit = stable_dt(rho, m, phi, opts) / opts.cfl
+    grid, v, dx = rho.grid, rho.values, rho.dx
+    vel = -phi.grad(grid.edges)
+    limit = _cfl_dt(v, dx, m, _drift_dt(vel, dx), 1.0)
     if dt > limit * (1.0 + 1e-9):
         raise ValueError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
-    v = rho.values
-    e, areas, meas = _edge_geometry(rho)
     rhom = v ** m
-    dx = rho.dx
     # interior edges: flux F = d(rho^m)/dx + rho * Phi' (so rho_t = dF/dx);
     # the advected density is taken upwind of the transport speed -Phi'
     diff_flux = (rhom[1:] - rhom[:-1]) / dx
-    vel = -phi.grad(e[1:-1])
+    vel = vel[1:-1]
     upwind = np.where(vel > 0.0, v[:-1], v[1:])
     flux = diff_flux - vel * upwind
-    total = np.zeros(e.size)
-    total[1:-1] = areas[1:-1] * flux
-    new = v + dt * (total[1:] - total[:-1]) / meas
+    total = np.zeros(v.size + 1)
+    total[1:-1] = grid.edge_areas[1:-1] * flux
+    new = v + dt * (total[1:] - total[:-1]) / grid.cell_measures
     return _clipped(rho, new, opts)
 
 
@@ -138,7 +124,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
 
     # static pieces of the CFL bound
     dx = rho0.dx
-    drift_dt = _drift_dt(rho0, phi)
+    drift_dt = _drift_dt(phi.grad(rho0.grid.edges), dx)
 
     rho = rho0
     t = 0.0

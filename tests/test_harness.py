@@ -90,11 +90,21 @@ class TestCli:
                 assert b1 == b2, name
 
     def test_config_error_exit_2_no_partial_files(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("this is not a config\n")
-        out = str(tmp_path / "never")
-        assert main(["single-run", "--config", str(bad), "--out", out]) == 2
-        assert not os.path.exists(out)
+        # a malformed file, then values the library rejects: none may leave
+        # a traceback (exit 1, "a verdict failed") or a silent PASS
+        for k, text in enumerate([
+                "this is not a config\n",
+                BASE + "grid.lo = 5\ngrid.hi = 4\n",
+                BASE + "init.boxes = 5,6,1\n",
+                BASE + "grid.n = inf\n",
+                BASE + "grid.n = 600.5\n",
+                BASE + "jko.h = -0.1\n"]):
+            bad = tmp_path / f"bad{k}.txt"
+            bad.write_text(text)
+            out = str(tmp_path / f"never{k}")
+            assert main(["single-run", "--config", str(bad), "--out", out]) \
+                == 2, text
+            assert not os.path.exists(out)
 
     def test_numerical_failure_exit_3(self, tmp_path):
         cfgp = cfg_file(tmp_path,

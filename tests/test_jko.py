@@ -360,6 +360,13 @@ class TestJkoStep:
 # ---------------------------------------------------------------------------
 
 class TestTrajectory:
+    @pytest.mark.parametrize("h", [-0.1, 0.0])
+    def test_nonpositive_step_rejected(self, g6, quad_phi, h):
+        # a negative h used to give ceil(T / h) < 1 steps and a silent PASS
+        q0 = indicator_quantile(1, 2, g6, n=20)
+        with pytest.raises(ValueError):
+            jko_trajectory(q0, 4.0, h, quad_phi, 0.5)
+
     def test_energy_monotone_and_dissipation_budget(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=100)
         for m in (6.0, math.inf):

@@ -141,8 +141,10 @@ def test_to_quantile_nodes_nondecreasing(vals):
 
 class TestTypes:
     def test_quantile_rejects_decreasing_nodes(self):
-        with pytest.raises(ValueError):
-            QuantileRep(1.0, np.array([0.0, 1.0, 0.5]))
+        for mass, nodes in ((1.0, [0.0, 1.0, 0.5]), (1.0, [0.0, math.nan, 1.0]),
+                            (math.nan, [0.0, 0.5, 1.0])):
+            with pytest.raises(ValueError):
+                QuantileRep(mass, np.array(nodes))
 
     def test_quantile_feasibility_reading(self):
         q = QuantileRep(1.0, np.linspace(0, 1, 11))  # gaps exactly w
@@ -151,8 +153,9 @@ class TestTypes:
 
     def test_grid_density_rejects_negative(self):
         g = GridSpec(0, 1, 4)
-        with pytest.raises(ValueError):
-            GridDensity(g, np.array([0.1, -0.2, 0.3, 0.0]))
+        for vals in ([0.1, -0.2, 0.3, 0.0], [0.1, math.nan, 0.3, 0.0]):
+            with pytest.raises(ValueError):
+                GridDensity(g, np.array(vals))
 
     def test_patch_volume_1d(self):
         p = Patch(((0.0, 1.0), (2.0, 2.5)))
@@ -182,6 +185,14 @@ class TestTypes:
                 e[0] = 0.0
             clone = pickle.loads(pickle.dumps(g))
             assert clone == g and not clone.edges.flags.writeable
+            for name in ("cell_measures", "edge_areas"):
+                a = getattr(g, name)
+                assert a is getattr(g, name)
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+                copy = getattr(clone, name)
+                assert np.array_equal(copy, a) and not copy.flags.writeable
             with pytest.raises(dataclasses.FrozenInstanceError):
                 g.n_cells = 8
 

@@ -85,6 +85,33 @@ class TestPmeStep:
         err = float(np.sum(np.abs(out.values - exact)) * g.dx)
         assert err <= 2.0 * dt * (dt + g.dx)
 
+    def test_one_drift_evaluation_and_no_stable_dt_per_step(
+            self, monkeypatch, quad_phi):
+        import crowdflow.pme as pme
+        from crowdflow.potentials import Potential
+
+        rho = indicator(0, 1, GridSpec(-3, 3, 200))
+        dt = stable_dt(rho, 2.0, quad_phi)
+        calls = {"grad": 0, "stable_dt": 0, "pme_step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Potential, "grad", counted("grad", Potential.grad))
+        monkeypatch.setattr(pme, "stable_dt", counted("stable_dt", stable_dt))
+        pme_step(rho, 2.0, quad_phi, dt)
+        assert calls == {"grad": 1, "stable_dt": 0, "pme_step": 0}
+        monkeypatch.setattr(pme, "pme_step", counted("pme_step", pme_step))
+        calls["grad"] = 0
+        pme_run(rho, 2.0, quad_phi, 20 * dt, PmeOptions(n_snapshots=2))
+        # the run's drift bound once, then one drift evaluation per step
+        assert calls["pme_step"] > 1
+        assert calls["grad"] == 1 + calls["pme_step"]
+        assert calls["stable_dt"] == 0
+
 
 class TestPmeRun:
     def test_free_energy_nonincreasing(self, quad_phi):
