@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import EXPERIMENT_KINDS, ExperimentConfig
-from .experiments import run_experiment
+from .config import ExperimentConfig
+from .experiments import DRIVERS, run_experiment
 from .jko import JkoConvergenceError
 from .pme import PmeStabilityError
 
@@ -22,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "movements, degenerate diffusion, and free-boundary "
                     "patch dynamics with cross-validation experiments.")
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in EXPERIMENT_KINDS:
+    for kind in DRIVERS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=None,

@@ -20,10 +20,6 @@ class ConfigError(ValueError):
     """Malformed or missing configuration (CLI exit code 2)."""
 
 
-EXPERIMENT_KINDS = ("single-run", "converge-m", "converge-h", "compare",
-                    "longtime", "crossval")
-
-
 @dataclass
 class ExperimentConfig:
     raw: dict = field(default_factory=dict)

@@ -124,7 +124,10 @@ def _traj_states(args):
 
 
 def _pmap(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
+    # no more workers than items: a fork-based pool starts every worker
+    # at the first submit
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -453,7 +456,8 @@ def _ledger_criteria(report: ExperimentReport, ledger):
                          drift <= 1e-10)
 
 
-_DISPATCH = {
+# experiment kind -> driver; the CLI makes one subcommand per key
+DRIVERS = {
     "single-run": single_run,
     "converge-m": converge_in_m,
     "converge-h": converge_in_h,
@@ -466,9 +470,9 @@ _DISPATCH = {
 def run_experiment(cfg: ExperimentConfig, kind=None, workers=1,
                    outdir=None) -> ExperimentReport:
     kind = kind or cfg.get("experiment")
-    if kind not in _DISPATCH:
+    if kind not in DRIVERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; "
-                          f"choose one of {', '.join(_DISPATCH)}")
+                          f"choose one of {', '.join(DRIVERS)}")
     if kind == "single-run":
         return single_run(cfg, workers=workers, outdir=outdir)
-    return _DISPATCH[kind](cfg, workers=workers)
+    return DRIVERS[kind](cfg, workers=workers)

@@ -9,13 +9,15 @@ density the nodes represent: the internal energy is a sum of gap powers,
 the potential energy uses exact per-gap averages, and the movement
 limiter is the exact inverse-CDF quadratic form.  For finite m the gap
 powers act as a barrier and the problem is smooth and unconstrained; it
-is solved by damped Newton, and ``JkoStepResult.iterations`` counts its
-Newton iterations.  For m = inf the internal energy vanishes and the
-congestion cap becomes the gap constraint ``gap_j >= w``, handled by
-primal-dual active-set sweeps: active gaps pool consecutive nodes into
-rigid blocks, each sweep takes one Newton step on the blocks and then
-adds every violated gap or releases every gap with a negative
-multiplier, and ``iterations`` counts sweeps.
+is solved by damped Newton whose state tracks the gaps and displacements
+next to the nodes, so every accepted step meets ``tol_grad``, and
+``JkoStepResult.iterations`` counts the Newton steps taken.  For m = inf
+the internal energy vanishes and the congestion cap becomes the gap
+constraint ``gap_j >= w``, handled by primal-dual active-set sweeps:
+active gaps pool consecutive nodes into rigid blocks, each sweep takes
+one Newton step on the blocks and then adds every violated gap or
+releases every gap with a negative multiplier, and ``iterations`` counts
+sweeps.
 """
 
 from __future__ import annotations
@@ -119,26 +121,26 @@ def _movement_grad(d, w):
     return g
 
 
-def _objective(x, y, w, m, phi, h):
-    gaps = np.diff(x)
-    if np.any(gaps <= 0.0) and not math.isinf(m):
+def _objective(x, d, gaps, w, m, phi, h):
+    """Step objective from the nodes, displacements ``d`` and gaps."""
+    if not math.isinf(m) and np.any(gaps <= 0.0):
         return math.inf
     val = w * np.sum(phi.avg(x[:-1], x[1:]))
-    val += _movement_value(x - y, w) / (2.0 * h)
+    val += _movement_value(d, w) / (2.0 * h)
     if not math.isinf(m):
         with np.errstate(over="ignore"):
             val += (w / m) * np.sum((w / gaps) ** (m - 1.0))
     return float(val)
 
 
-def _gradient(x, y, w, m, phi, h):
+def _gradient(x, d, gaps, w, m, phi, h):
     g = np.zeros_like(x)
     da, db = phi.avg_grad(x[:-1], x[1:])
     g[:-1] += w * da
     g[1:] += w * db
-    g += _movement_grad(x - y, w) / (2.0 * h)
+    g += _movement_grad(d, w) / (2.0 * h)
     if not math.isinf(m):
-        dens = w / np.diff(x)
+        dens = w / gaps
         with np.errstate(over="ignore"):
             sp = -((m - 1.0) / m) * dens ** m
         g[:-1] -= sp
@@ -146,7 +148,7 @@ def _gradient(x, y, w, m, phi, h):
     return g
 
 
-def _hessian(x, y, w, m, phi, h):
+def _hessian(x, d, gaps, w, m, phi, h):
     """Tridiagonal Hessian of the step objective: (diag, offdiag)."""
     n1 = x.size
     hd = np.zeros(n1)
@@ -159,7 +161,6 @@ def _hessian(x, y, w, m, phi, h):
     hd[1:] += w / (3.0 * h)
     ho += w / (6.0 * h)
     if not math.isinf(m):
-        gaps = np.diff(x)
         dens = w / gaps
         with np.errstate(over="ignore"):
             spp = (m - 1.0) * dens ** (m + 1.0) / w
@@ -196,82 +197,77 @@ def _step_guard(h, phi):
                          f"(need h < {1.0 / (2.0 * lam_neg):.6g} for this potential)")
 
 
-def _line_search(x, step, alpha, f, slope, gnorm, args):
-    """Backtrack from ``alpha`` along ``step`` (finite-m damped Newton).
+def _line_search(state, step, f, slope, gnorm, args):
+    """Backtrack along ``step`` (finite-m damped Newton).
 
-    A trial point is accepted on Armijo decrease of the objective or,
-    near the optimum where the objective is flat to round-off, on
+    ``state`` is ``(x, d, gaps)``; a trial point moves all three by the
+    same step.  The first trial is the full step, shortened to keep every
+    gap positive.  A trial is accepted on Armijo decrease of the objective
+    or, near the optimum where the objective is flat to round-off, on
     decrease of the max-norm of its gradient.  ``args`` are the
-    objective's trailing arguments ``(y, w, m, phi, h)``.
+    objective's trailing arguments ``(w, m, phi, h)``.
 
-    Returns ``(x_new, f_new, g_new)``: ``g_new`` is the trial gradient
-    when the gradient test accepted the point, else None.  When
+    Returns ``(state_new, f_new, g_new)``: ``g_new`` is the trial
+    gradient when the gradient test accepted the point, else None.  When
     backtracking runs out the tiny step is taken untested and ``f_new``
     is None too, left to the caller to evaluate if it steps again.
     """
-    while alpha > 1e-16:
-        x_new = x + alpha * step
-        f_new = _objective(x_new, *args)
+    x, d, gaps = state
+    dgap = np.diff(step)
+    shrink = dgap < 0.0
+    alpha = 1.0
+    if np.any(shrink):
+        alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
+    while True:
+        trial = (x + alpha * step, d + alpha * step, gaps + alpha * dgap)
+        if not alpha > 1e-16:
+            return trial, None, None
+        f_new = _objective(*trial, *args)
         if f_new <= f + ARMIJO * alpha * slope:
-            return x_new, f_new, None
-        g_new = _gradient(x_new, *args)
+            return trial, f_new, None
+        g_new = _gradient(*trial, *args)
         if np.all(np.isfinite(g_new)) and \
                 float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
-            return x_new, f_new, g_new
+            return trial, f_new, g_new
         alpha *= BACKTRACK
-    return x + alpha * step, None, None
 
 
 def _solve_finite_m(y, w, m, phi, h, opts):
     """Damped Newton; the gap powers act as an interior barrier.
 
-    Stiff barriers (large m) can put the optimizer's residual floor above
-    tol_grad at double precision; once the residual stops improving the
-    best iterate is returned with its achieved residual.
+    The iterate is the triple ``(x, d, gaps)``: the nodes, the
+    displacement ``d = x - y`` and the gaps, all moved by the same Newton
+    step.  The barrier reads the tracked gaps and the movement term reads
+    ``d``, so neither inherits the ``eps * |x|`` rounding of differences
+    of absolute positions, which the stiff barrier would amplify like
+    ``m * n**2`` into a residual floor above ``tol_grad``.  Returns at
+    ``kkt_residual <= tol_grad`` or raises after ``max_iterations``
+    Newton steps; the iteration count is the number of steps taken.
     """
-    args = (y, w, m, phi, h)
-    x = y.copy()
-    f = g = None  # objective and gradient at x, evaluated when needed
-    best_x, best_res, stall = x, math.inf, 0
-    for it in range(1, opts.max_iterations + 1):
-        if g is None:
-            g = _gradient(x, *args)
-        res = float(np.max(np.abs(g))) / w
-        if res < best_res:
-            if res > 0.5 * best_res:
-                stall += 1
-            else:
-                stall = 0
-            best_x, best_res = x, res
-        else:
-            stall += 1
-        if res <= opts.tol_grad:
-            return x, res, it
-        if stall >= 8 and best_res < 1e6 * opts.tol_grad:
-            return best_x, best_res, it  # double-precision floor reached
-        hd, ho = _hessian(x, *args)
+    args = (w, m, phi, h)
+    state = (y.copy(), np.zeros_like(y), np.diff(y))
+    f = None  # objective at the iterate, evaluated when needed
+    g = _gradient(*state, *args)
+    res = float(np.max(np.abs(g))) / w
+    it = 0
+    while res > opts.tol_grad:
+        if it == opts.max_iterations:
+            raise JkoConvergenceError(
+                f"step did not converge in {opts.max_iterations} iterations "
+                f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
+        it += 1
+        hd, ho = _hessian(*state, *args)
         step = _solve_tridiag(hd, ho, -g)
         if not np.all(np.isfinite(step)) or float(np.dot(step, g)) >= 0.0:
             step = -g / np.max(hd)  # gradient fallback, crudely scaled
-        # keep gaps strictly positive
-        dgap = np.diff(step)
-        gaps = np.diff(x)
-        shrink = dgap < 0.0
-        alpha = 1.0
-        if np.any(shrink):
-            alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
         if f is None:
-            f = _objective(x, *args)
-        x, f, g = _line_search(x, step, alpha, f, float(np.dot(step, g)),
-                               float(np.max(np.abs(g))), args)
-    if g is None:
-        g = _gradient(x, *args)
-    res = float(np.max(np.abs(g))) / w
-    if res <= opts.tol_grad:
-        return x, res, opts.max_iterations
-    raise JkoConvergenceError(
-        f"step did not converge in {opts.max_iterations} iterations "
-        f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
+            f = _objective(*state, *args)
+        state, f, g = _line_search(state, step, f, float(np.dot(step, g)),
+                                   float(np.max(np.abs(g))), args)
+        if g is None:
+            g = _gradient(*state, *args)
+        res = float(np.max(np.abs(g))) / w
+    return state[0], res, it
 
 
 def _blocks_from_active(active):
@@ -334,25 +330,27 @@ def _solve_congested(y, w, phi, h, opts):
     admissible h, so the final KKT point is the global step minimizer.
     Returns the number of sweeps as the iteration count.
     """
-    args = (y, w, math.inf, phi, h)
+    args = (w, math.inf, phi, h)
     floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
     x = project_spacing(y, w)
     active = np.diff(x) <= w * (1.0 + 1e-12)
     x = _snap_active(x, active, w)
-    g = _gradient(x, *args)
+    d, gaps = x - y, np.diff(x)
+    g = _gradient(x, d, gaps, *args)
     for sweep in range(1, opts.max_iterations + 1):
         ids = _blocks_from_active(active)
         nblocks = ids[-1] + 1
-        hd, ho = _hessian(x, *args)
+        hd, ho = _hessian(x, d, gaps, *args)
         hd_red = np.bincount(ids, weights=hd, minlength=nblocks)
         hd_red += 2.0 * np.bincount(ids[:-1][active], weights=ho[active],
                                     minlength=nblocks)
         g_red = np.bincount(ids, weights=g, minlength=nblocks)
         x = x + _solve_tridiag(hd_red, ho[~active], -g_red)[ids]
-        g = _gradient(x, *args)
+        d, gaps = x - y, np.diff(x)
+        g = _gradient(x, d, gaps, *args)
         mu = _multipliers(g, active)
         res = _kkt_residual(g, mu, w)
-        violated = ~active & (np.diff(x) < floor)
+        violated = ~active & (gaps < floor)
         if not np.any(violated):
             if res <= opts.tol_grad:
                 return x, res, int(np.sum(active)), sweep
@@ -363,7 +361,8 @@ def _solve_congested(y, w, phi, h, opts):
             # below w; adding them now keeps the sweep count independent of n
             violated = ~active & (np.diff(_snap_active(x, active, w)) < floor)
         x = _snap_active(x, active, w)
-        g = _gradient(x, *args)
+        d, gaps = x - y, np.diff(x)
+        g = _gradient(x, d, gaps, *args)
     raise JkoConvergenceError(
         f"congested step did not converge in {opts.max_iterations} sweeps "
         f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")

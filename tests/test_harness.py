@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from crowdflow.cli import main
+from crowdflow.cli import build_parser, main
 from crowdflow.config import ConfigError, ExperimentConfig
 from crowdflow.experiments import run_experiment
 from crowdflow.jko import JkoConvergenceError
@@ -106,6 +106,14 @@ class TestCli:
                 == 2, text
             assert not os.path.exists(out)
 
+    def test_one_subcommand_per_experiment_kind(self):
+        parser = build_parser()
+        for kind in ("single-run", "converge-m", "converge-h", "compare",
+                     "longtime", "crossval"):
+            assert parser.parse_args([kind, "--config", "c.txt"]).kind == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args(["does-not-exist", "--config", "c.txt"])
+
     def test_numerical_failure_exit_3(self, tmp_path):
         cfgp = cfg_file(tmp_path,
                         "m = 7\njko.max_iterations = 2\njko.tol = 1e-13\n")
@@ -204,6 +212,35 @@ class TestDrivers:
         r2 = rep2.tables["converge_m"][1]
         assert np.allclose(np.array(r1, dtype=float),
                            np.array(r2, dtype=float), rtol=0, atol=0)
+
+    def test_worker_pool_never_larger_than_sweep(self, monkeypatch):
+        # a fork-based pool starts all max_workers processes at once, so a
+        # sweep of two entries must not ask for 64; the fake runs serially
+        # and starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("crowdflow.experiments.ProcessPoolExecutor",
+                            SerialPool)
+        text = BASE + "m.list = 4,8\nrun.T = 0.1\n"
+        rep = run_experiment(ExperimentConfig.from_text(text),
+                             kind="converge-m", workers=64)
+        assert sizes == [2]
+        serial = run_experiment(ExperimentConfig.from_text(text),
+                                kind="converge-m", workers=1)
+        assert rep.tables == serial.tables
 
 
 def test_svg_line_chart_self_contained(tmp_path):

@@ -300,6 +300,31 @@ class TestJkoStep:
             sweeps.add(out.iterations)
         assert len(sweeps) == 1
 
+    def test_saturating_finite_m_step_meets_tolerance_at_every_n(self):
+        # the congested reproduction at finite m: a stiff barrier on fine
+        # quantiles used to stall above tol_grad and be accepted there
+        grid = GridSpec(-4.0, 4.0, 4000)
+        phi = potential_catalog("quadratic", q=4.0)
+        opts = JkoOptions()
+        for m in (10.0, 50.0):
+            iters = set()
+            for n in (100, 200, 400, 800, 1600):
+                q0 = indicator_quantile(-1.5, 1.5, grid, n=n, height=0.6)
+                out = jko_step(q0, m, 0.5, phi, opts)
+                assert out.kkt_residual <= opts.tol_grad, (m, n)
+                iters.add(out.iterations)
+            assert len(iters) == 1, (m, iters)
+
+    def test_unreachable_finite_m_tolerance_raises(self):
+        # this step stalls near a residual of 1e-11 in double precision: a
+        # tighter tolerance must raise, not return the best iterate
+        grid = GridSpec(-4.0, 4.0, 4000)
+        phi = potential_catalog("quadratic", q=4.0)
+        q0 = indicator_quantile(-1.5, 1.5, grid, n=1600, height=0.6)
+        with pytest.raises(JkoConvergenceError):
+            jko_step(q0, 50.0, 0.5, phi,
+                     JkoOptions(tol_grad=1e-12, max_iterations=50))
+
     def test_kkt_residual_reported_small(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=100)
         for m in (7.0, math.inf):
