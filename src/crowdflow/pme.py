@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import excess_mass, free_energy
-from .model import EPS_SUPP, GridDensity, Patch, RunLedger, to_quantile
+from .model import (EPS_SUPP, GridDensity, GridSpec, Patch, RunLedger,
+                    to_quantile)
 from .potentials import Potential
 from .transport import w2_distance
 
@@ -42,12 +43,12 @@ def _drift_dt(vel, dx) -> float:
     return dx / (float(np.max(np.abs(vel))) + 1e-30)
 
 
-def _cfl_dt(values, dx, m, drift_dt, cfl):
-    """``cfl`` times the smaller of the diffusion and drift bounds."""
+def _cfl_dt(values, dx, m, drift_dt):
+    """The smaller of the diffusion and drift bounds on the explicit step."""
     if not m > 1:
         raise ValueError("diffusion exponent must satisfy m > 1")
-    rho_max = max(float(np.max(values)), 1e-12)
-    return cfl * min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), drift_dt)
+    rho_max = max(float(values.max()), 1e-12)
+    return min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), drift_dt)
 
 
 def stable_dt(rho: GridDensity, m: float, phi: Potential,
@@ -55,52 +56,86 @@ def stable_dt(rho: GridDensity, m: float, phi: Potential,
     """CFL-limited explicit step: diffusion and drift bounds combined."""
     opts = opts or PmeOptions()
     drift_dt = _drift_dt(phi.grad(rho.grid.edges), rho.dx)
-    return _cfl_dt(rho.values, rho.dx, m, drift_dt, opts.cfl)
+    return opts.cfl * _cfl_dt(rho.values, rho.dx, m, drift_dt)
 
 
-def pme_step(rho: GridDensity, m: float, phi: Potential, dt: float,
-             opts: PmeOptions | None = None) -> GridDensity:
-    """One conservative explicit update; rejects over-CFL steps.
+class _Stencil:
+    """What the explicit update needs of one grid under one potential.
 
-    The edge velocity ``-Phi'`` is evaluated once: its maximum bounds
-    ``dt`` (the CFL bound without the ``cfl`` factor), its interior values
-    drive the upwind flux.  Negative values beyond round-off abort;
-    round-off negatives are zeroed and the mass restored by rescaling.
+    The edge velocity ``-Phi'`` is evaluated once, here: its maximum gives
+    the drift bound, its interior values drive the upwind flux.  A run
+    builds one stencil and steps raw value arrays through it.
     """
-    opts = opts or PmeOptions()
-    grid, v, dx = rho.grid, rho.values, rho.dx
-    vel = -phi.grad(grid.edges)
-    limit = _cfl_dt(v, dx, m, _drift_dt(vel, dx), 1.0)
-    if dt > limit * (1.0 + 1e-9):
-        raise ValueError(f"dt = {dt:.3e} exceeds the stability bound {limit:.3e}")
-    rhom = v ** m
-    # interior edges: flux F = d(rho^m)/dx + rho * Phi' (so rho_t = dF/dx);
-    # the advected density is taken upwind of the transport speed -Phi'
-    diff_flux = (rhom[1:] - rhom[:-1]) / dx
-    vel = vel[1:-1]
-    upwind = np.where(vel > 0.0, v[:-1], v[1:])
-    flux = diff_flux - vel * upwind
-    total = np.zeros(v.size + 1)
-    total[1:-1] = grid.edge_areas[1:-1] * flux
-    new = v + dt * (total[1:] - total[:-1]) / grid.cell_measures
-    return _clipped(rho, new, opts)
+
+    def __init__(self, grid: GridSpec, phi: Potential):
+        vel = -phi.grad(grid.edges)
+        self.dx = grid.dx
+        self.drift_dt = _drift_dt(vel, self.dx)
+        self.vel = vel[1:-1]
+        # the advected density is taken upwind of the transport speed -Phi'
+        n = grid.n_cells
+        self.upwind = np.where(self.vel > 0.0, np.arange(n - 1),
+                               np.arange(1, n))
+        self.areas = grid.edge_areas[1:-1]
+        self.meas = grid.cell_measures
+        self.total = np.zeros(n + 1)  # edge fluxes; the walls stay zero
+
+    def bound(self, v: np.ndarray, m: float) -> float:
+        """The CFL bound on ``dt`` for values ``v``, without the ``cfl`` factor."""
+        return _cfl_dt(v, self.dx, m, self.drift_dt)
+
+    def advance(self, v: np.ndarray, m: float, dt: float, bound: float,
+                opts: PmeOptions) -> np.ndarray:
+        """One conservative explicit update of ``v``.
+
+        ``bound`` is ``self.bound(v, m)``; a ``dt`` above it is rejected.
+        Negative values beyond round-off abort; round-off negatives are
+        zeroed and the mass restored by rescaling.
+        """
+        if dt > bound * (1.0 + 1e-9):
+            raise ValueError(f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
+        rhom = v ** m
+        # interior edges: flux F = d(rho^m)/dx + rho * Phi' (so rho_t = dF/dx)
+        flux = (rhom[1:] - rhom[:-1]) / self.dx - self.vel * v[self.upwind]
+        total = self.total
+        np.multiply(self.areas, flux, out=total[1:-1])
+        new = v + dt * (total[1:] - total[:-1]) / self.meas
+        if new.min() >= 0.0:
+            return new
+        return _clipped(v, new, self.meas, opts)
 
 
-def _clipped(rho: GridDensity, new: np.ndarray, opts: PmeOptions) -> GridDensity:
+def _clipped(v: np.ndarray, new: np.ndarray, meas: np.ndarray,
+             opts: PmeOptions) -> np.ndarray:
+    """``new`` with round-off negatives zeroed, rescaled to the mass of ``v``."""
+    mass = float(np.dot(v, meas))
     neg = new < 0.0
-    if not np.any(neg):
-        return rho.with_values(new)
-    meas = rho.grid.cell_measures
     lost = -float(np.sum(new[neg] * meas[neg]))
-    if lost > opts.clip_abort * rho.mass:
+    if lost > opts.clip_abort * mass:
         raise PmeStabilityError(
             f"negative mass {lost:.3e} exceeds round-off budget; "
             "the step size is unstable for this state")
     new = np.maximum(new, 0.0)
     pos_mass = float(np.dot(new, meas))
     if pos_mass > 0.0:
-        new = new * (rho.mass / pos_mass)
-    return rho.with_values(new)
+        new = new * (mass / pos_mass)
+    if not new.min() >= 0.0:  # NaN passes through the clip
+        raise ValueError("density values must be nonnegative")
+    return new
+
+
+def pme_step(rho: GridDensity, m: float, phi: Potential, dt: float,
+             opts: PmeOptions | None = None) -> GridDensity:
+    """One conservative explicit update; rejects over-CFL steps.
+
+    ``dt`` may not exceed the CFL bound without the ``cfl`` factor.
+    Negative values beyond round-off abort; round-off negatives are
+    zeroed and the mass restored by rescaling.
+    """
+    stencil = _Stencil(rho.grid, phi)
+    bound = stencil.bound(rho.values, m)
+    return rho.with_values(
+        stencil.advance(rho.values, m, dt, bound, opts or PmeOptions()))
 
 
 def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
@@ -112,21 +147,24 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     ledger carries the energy split, mass, support extent and excess mass
     at the snapshot times (the Wasserstein increment column holds the
     distance between consecutive snapshots in 1D, nan in radial mode).
+    ``snapshot_times`` must be strictly increasing; times outside
+    ``(0, T]`` are dropped.  Between snapshots the run steps the value
+    array, with the same update as ``pme_step``.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
     opts = opts or PmeOptions()
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, opts.n_snapshots + 1)[1:]
-    snap_iter = [float(s) for s in snapshot_times if 0.0 < s <= T]
+    times = [float(s) for s in snapshot_times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"snapshot_times must be strictly increasing, got {times}")
+    snap_iter = [s for s in times if 0.0 < s <= T]
     if not snap_iter or snap_iter[-1] < T:
         snap_iter.append(T)
 
-    # static pieces of the CFL bound
-    dx = rho0.dx
-    drift_dt = _drift_dt(phi.grad(rho0.grid.edges), dx)
-
-    rho = rho0
+    stencil = _Stencil(rho0.grid, phi)
+    v = rho0.values
     t = 0.0
     snapshots = [(0.0, rho0)]
     ledger = RunLedger()
@@ -135,11 +173,13 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     prev_snap = rho0
     for t_snap in snap_iter:
         while t < t_snap - 1e-14:
-            dt = min(_cfl_dt(rho.values, dx, m, drift_dt, opts.cfl), t_snap - t)
-            rho = pme_step(rho, m, phi, dt, opts)
+            bound = stencil.bound(v, m)
+            dt = min(opts.cfl * bound, t_snap - t)
+            v = stencil.advance(v, m, dt, bound, opts)
             t += dt
             step_count += 1
         t = t_snap
+        rho = rho0.with_values(v)
         snapshots.append((t, rho))
         _ledger_row(ledger, step_count, t, rho, prev_snap, m, phi)
         prev_snap = rho

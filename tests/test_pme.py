@@ -107,13 +107,44 @@ class TestPmeStep:
         monkeypatch.setattr(pme, "pme_step", counted("pme_step", pme_step))
         calls["grad"] = 0
         pme_run(rho, 2.0, quad_phi, 20 * dt, PmeOptions(n_snapshots=2))
-        # the run's drift bound once, then one drift evaluation per step
-        assert calls["pme_step"] > 1
-        assert calls["grad"] == 1 + calls["pme_step"]
-        assert calls["stable_dt"] == 0
+        # one drift evaluation per run; the run steps arrays, not states
+        assert calls == {"grad": 1, "stable_dt": 0, "pme_step": 0}
 
 
 class TestPmeRun:
+    @pytest.mark.parametrize("grid", [GridSpec(-0.5, 2.5, 72),
+                                      GridSpec(0.0, 2.5, 60, dim=3)],
+                             ids=["1d", "radial"])
+    @pytest.mark.parametrize("kind, params", [
+        ("quadratic", {"q": 1.0}), ("quartic-well", {"a": 1.0, "b": -1.0})])
+    def test_run_equals_chained_public_steps(self, grid, kind, params):
+        # the run loop is no fork of pme_step: same steps, same bits
+        phi = potential_catalog(kind, params, dim=grid.dim)
+        c = grid.centers
+        rho0 = GridDensity(grid, np.where((c > 1.0) & (c < 2.0), 1.0, 0.0)
+                           if grid.dim == 1 else np.where(c < 1.0, 0.8, 0.0))
+        opts = PmeOptions(n_snapshots=3)
+        T = 0.06
+        for m in (2.0, 4.0, 64.0):
+            snaps, _ = pme_run(rho0, m, phi, T, opts)
+            rho, t = rho0, 0.0
+            for t_snap, snap in snaps[1:]:
+                while t < t_snap - 1e-14:
+                    bound = stable_dt(rho, m, phi, PmeOptions(cfl=1.0))
+                    dt = min(opts.cfl * bound, t_snap - t)
+                    rho = pme_step(rho, m, phi, dt, opts)
+                    t += dt
+                t = t_snap
+                assert np.array_equal(snap.values, rho.values), (m, t_snap)
+            assert not np.array_equal(rho.values, rho0.values)
+
+    def test_decreasing_snapshot_times_rejected(self, quad_phi):
+        rho = indicator(0, 1, GridSpec(-3, 3, 100))
+        with pytest.raises(ValueError, match="snapshot_times must be strictly"):
+            pme_run(rho, 2.0, quad_phi, 1.0, snapshot_times=(0.5, 0.25, 1.0))
+        with pytest.raises(ValueError, match="snapshot_times must be strictly"):
+            pme_run(rho, 2.0, quad_phi, 1.0, snapshot_times=(0.5, 0.5))
+
     def test_free_energy_nonincreasing(self, quad_phi):
         g = GridSpec(-3, 3, 300)
         rho = indicator(0.5, 1.5, g)
