@@ -20,6 +20,14 @@ class ConfigError(ValueError):
     """Malformed or missing configuration (CLI exit code 2)."""
 
 
+def _m_value(key, tok):
+    """One congestion exponent: a number, or ``inf`` for the hard constraint."""
+    try:
+        return float(tok)  # float() also reads inf / infinity, in any case
+    except ValueError as exc:
+        raise ConfigError(f"key {key!r}: not a number or inf: {tok!r}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict = field(default_factory=dict)
@@ -96,12 +104,7 @@ class ExperimentConfig:
         if val is None:
             vals = list(default)
         else:
-            vals = []
-            for tok in val.split(","):
-                tok = tok.strip().lower()
-                if not tok:
-                    continue
-                vals.append(math.inf if tok in ("inf", "infinity") else float(tok))
+            vals = [_m_value(key, tok) for tok in val.split(",") if tok.strip()]
         finite = [v for v in vals if not math.isinf(v)]
         if finite != sorted(finite):
             raise ConfigError("m.list must be sorted ascending")
@@ -109,10 +112,7 @@ class ExperimentConfig:
 
     def get_m(self, key="m", default=None):
         val = self._lookup(key, default)
-        if val is None:
-            return default
-        tok = val.strip().lower()
-        return math.inf if tok in ("inf", "infinity") else float(tok)
+        return default if val is None else _m_value(key, val)
 
     # -- composite builders --------------------------------------------------
 
@@ -121,9 +121,11 @@ class ExperimentConfig:
         out = []
         for part in val.split(";"):
             toks = [t for t in part.split(",") if t.strip()]
-            if len(toks) != 3:
-                raise ConfigError(f"key {key!r}: boxes are 'a,b,height' triples")
-            a, b, h = (float(t) for t in toks)
+            try:
+                a, b, h = (float(t) for t in toks)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"key {key!r}: boxes are 'a,b,height' triples") from exc
             out.append((a, b, h))
         return out
 
@@ -142,14 +144,12 @@ class ExperimentConfig:
     def potential(self):
         kind = self.get("potential.kind", "quadratic")
         params = {}
-        for key, val in self.raw.items():
+        for key in self.raw:
             if key.startswith("potential.") and key not in (
                     "potential.kind", "potential.domain"):
                 name = key.split(".", 1)[1]
-                if name == "coef":
-                    params["coef"] = [float(t) for t in val.split(",")]
-                else:
-                    params[name] = float(val)
+                params[name] = (self.get_floats(key) if name == "coef"
+                                else self.get_float(key))
         dom = self.get_floats("potential.domain", (-8.0, 8.0))
         if len(dom) != 2 or not dom[1] > dom[0]:
             raise ConfigError("potential.domain must be 'lo,hi' with lo < hi")

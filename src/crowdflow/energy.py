@@ -34,24 +34,24 @@ class EnergyReport:
         return self.internal + self.potential
 
 
-def internal_energy(rho, m, eps_feas: float = EPS_FEAS) -> float:
+def internal_energy(rho, m) -> float:
     """Power-law internal energy, or the 0/+inf congestion sentinel.
 
     Finite m: integral of ``rho^m / m``.  m = inf: 0 when the density
-    stays below ``1 + eps_feas``, +inf otherwise.
+    stays below ``1 + EPS_FEAS``, +inf otherwise.
     """
     if not m > 1:
         raise ValueError("internal energy requires m > 1")
     if isinstance(rho, QuantileRep):
         if math.isinf(m):
-            return 0.0 if rho.max_density <= 1.0 + eps_feas else math.inf
+            return 0.0 if rho.max_density <= 1.0 + EPS_FEAS else math.inf
         gaps = rho.gaps
         if np.any(gaps <= 0.0):
             return math.inf
         w = rho.w
         return float(np.sum(w * (w / gaps) ** (m - 1.0)) / m)
     if math.isinf(m):
-        return 0.0 if float(np.max(rho.values)) <= 1.0 + eps_feas else math.inf
+        return 0.0 if float(np.max(rho.values)) <= 1.0 + EPS_FEAS else math.inf
     meas = rho.grid.cell_measures
     return float(np.dot(rho.values ** m, meas) / m)
 

@@ -117,6 +117,17 @@ def _jko_options(cfg):
         max_iterations=cfg.get_int("jko.max_iterations", default.max_iterations))
 
 
+def _pme_options(cfg):
+    return PmeOptions(cfl=cfg.get_float("pme.cfl", PmeOptions().cfl))
+
+
+def _snapshot_count(cfg):
+    n = cfg.get_int("snapshots", 16)
+    if n < 1:
+        raise ConfigError(f"key 'snapshots': must be a positive integer, got {n}")
+    return n
+
+
 def _traj_states(args):
     q0, m, h, phi, T, opts = args
     states, _ = jko_trajectory(q0, m, h, phi, T, opts)
@@ -228,7 +239,7 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     T = cfg.get_float("run.T", 5.0)
     opts = _jko_options(cfg)
     eps_rate = cfg.get_float("eps.rate", 0.1)
-    n_eval = cfg.get_int("snapshots", 16)
+    n_eval = _snapshot_count(cfg)
     q0 = _quantile0(cfg, rho0)
     shift = cfg.get_float("longtime.shift", 1.0)
     if "init2.boxes" in cfg.raw:
@@ -345,7 +356,7 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     # and 0 outside, so any fixed level in (0, 1) converges; a mid level
     # avoids measuring the O(1/m) receding-front tail
     eps_supp = cfg.get_float("pme.eps_supp", 0.25)
-    opts = PmeOptions(cfl=cfg.get_float("pme.cfl", 0.4))
+    opts = _pme_options(cfg)
 
     patches = {}
     for t in times:
@@ -394,6 +405,7 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
     scheme = cfg.get("run.scheme", "jko")
     report = ExperimentReport("single-run", config_hash=cfg.hash())
     T = cfg.get_float("run.T", 1.0)
+    n_snap = _snapshot_count(cfg)
     phi, grid, rho0 = _setup(cfg)
     if scheme == "jko":
         m = cfg.get_m(default=math.inf)
@@ -408,14 +420,14 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
         if outdir:
             os.makedirs(outdir, exist_ok=True)
             ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-            stride = max(1, len(states) // cfg.get_int("snapshots", 16))
+            stride = max(1, len(states) // n_snap)
             for k in range(0, len(states), stride):
                 states[k].to_csv(os.path.join(outdir, f"state_{k:05d}.csv"))
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
-        opts = PmeOptions(cfl=cfg.get_float("pme.cfl", 0.4),
-                          n_snapshots=cfg.get_int("snapshots", 16))
-        snaps, ledger = pme_run(rho0, m, phi, T, opts)
+        snaps, ledger = pme_run(
+            rho0, m, phi, T, _pme_options(cfg),
+            snapshot_times=np.linspace(0, T, n_snap + 1)[1:])
         _ledger_criteria(report, ledger)
         if outdir:
             os.makedirs(outdir, exist_ok=True)
@@ -429,9 +441,9 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
         boxes = cfg.boxes()
         patch0 = Patch(tuple((a, b) for a, b, _h in boxes))
         dt_fb = cfg.get_float("heleshaw.dt", 1e-3)
-        traj, volumes = heleshaw_run(patch0, phi, T, dt_fb,
-                                     record_every=max(1, int(round(
-                                         T / dt_fb)) // cfg.get_int("snapshots", 16)))
+        traj, volumes = heleshaw_run(
+            patch0, phi, T, dt_fb,
+            record_every=max(1, int(round(T / dt_fb)) // n_snap))
         vols = np.array([v for _, v in volumes])
         drift = float(np.max(np.abs(vols - vols[0]))) / max(vols[0], 1e-300)
         report.add_criterion("single-run.volume-drift", drift, 1e-9 * (1.0 + T),

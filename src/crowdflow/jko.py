@@ -456,7 +456,6 @@ class ComparisonReport:
 
 def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
                       phi: Potential, n_quantile: int = 200,
-                      eps_cmp: float | None = None,
                       opts: JkoOptions | None = None) -> ComparisonReport:
     """Order preservation of one step from ordered grid densities.
 
@@ -505,8 +504,7 @@ def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
     g2 = to_grid(out2.state, recon)
     violation = float(np.max(g1.values - g2.values))
     violation = max(violation, 0.0)
-    if eps_cmp is None:
-        eps_cmp = 1e-6 * (1.0 + recon.dx / w)
+    eps_cmp = 1e-6 * (1.0 + recon.dx / w)
     return ComparisonReport(
         passed=violation <= eps_cmp,
         max_violation=violation,

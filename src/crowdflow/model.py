@@ -24,7 +24,8 @@ def _ball_volume(d):
 
 
 def _locked(a):
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only float copy of ``a``; the caller's array stays writable."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 

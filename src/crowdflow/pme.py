@@ -27,11 +27,13 @@ class PmeStabilityError(RuntimeError):
     """Raised when a run produces more than a round-off sliver of negative mass."""
 
 
+#: largest tolerated clipped mass, as a fraction of the mass, per step
+CLIP_ABORT = 1e-12
+
+
 @dataclass
 class PmeOptions:
     cfl: float = 0.4              # safety factor on the explicit stability bound
-    clip_abort: float = 1e-12     # max tolerated clipped mass fraction per run
-    n_snapshots: int = 16
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
@@ -55,8 +57,7 @@ def stable_dt(rho: GridDensity, m: float, phi: Potential,
               opts: PmeOptions | None = None) -> float:
     """CFL-limited explicit step: diffusion and drift bounds combined."""
     opts = opts or PmeOptions()
-    drift_dt = _drift_dt(phi.grad(rho.grid.edges), rho.dx)
-    return opts.cfl * _cfl_dt(rho.values, rho.dx, m, drift_dt)
+    return opts.cfl * _Stencil(rho.grid, phi).bound(rho.values, m)
 
 
 class _Stencil:
@@ -84,8 +85,8 @@ class _Stencil:
         """The CFL bound on ``dt`` for values ``v``, without the ``cfl`` factor."""
         return _cfl_dt(v, self.dx, m, self.drift_dt)
 
-    def advance(self, v: np.ndarray, m: float, dt: float, bound: float,
-                opts: PmeOptions) -> np.ndarray:
+    def advance(self, v: np.ndarray, m: float, dt: float,
+                bound: float) -> np.ndarray:
         """One conservative explicit update of ``v``.
 
         ``bound`` is ``self.bound(v, m)``; a ``dt`` above it is rejected.
@@ -102,16 +103,15 @@ class _Stencil:
         new = v + dt * (total[1:] - total[:-1]) / self.meas
         if new.min() >= 0.0:
             return new
-        return _clipped(v, new, self.meas, opts)
+        return _clipped(v, new, self.meas)
 
 
-def _clipped(v: np.ndarray, new: np.ndarray, meas: np.ndarray,
-             opts: PmeOptions) -> np.ndarray:
+def _clipped(v: np.ndarray, new: np.ndarray, meas: np.ndarray) -> np.ndarray:
     """``new`` with round-off negatives zeroed, rescaled to the mass of ``v``."""
     mass = float(np.dot(v, meas))
     neg = new < 0.0
     lost = -float(np.sum(new[neg] * meas[neg]))
-    if lost > opts.clip_abort * mass:
+    if lost > CLIP_ABORT * mass:
         raise PmeStabilityError(
             f"negative mass {lost:.3e} exceeds round-off budget; "
             "the step size is unstable for this state")
@@ -124,8 +124,8 @@ def _clipped(v: np.ndarray, new: np.ndarray, meas: np.ndarray,
     return new
 
 
-def pme_step(rho: GridDensity, m: float, phi: Potential, dt: float,
-             opts: PmeOptions | None = None) -> GridDensity:
+def pme_step(rho: GridDensity, m: float, phi: Potential,
+             dt: float) -> GridDensity:
     """One conservative explicit update; rejects over-CFL steps.
 
     ``dt`` may not exceed the CFL bound without the ``cfl`` factor.
@@ -134,8 +134,7 @@ def pme_step(rho: GridDensity, m: float, phi: Potential, dt: float,
     """
     stencil = _Stencil(rho.grid, phi)
     bound = stencil.bound(rho.values, m)
-    return rho.with_values(
-        stencil.advance(rho.values, m, dt, bound, opts or PmeOptions()))
+    return rho.with_values(stencil.advance(rho.values, m, dt, bound))
 
 
 def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
@@ -148,14 +147,15 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     at the snapshot times (the Wasserstein increment column holds the
     distance between consecutive snapshots in 1D, nan in radial mode).
     ``snapshot_times`` must be strictly increasing; times outside
-    ``(0, T]`` are dropped.  Between snapshots the run steps the value
-    array, with the same update as ``pme_step``.
+    ``(0, T]`` are dropped; the default is 16 even times up to ``T``.
+    Between snapshots the run steps the value array, with the same update
+    as ``pme_step``.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
     opts = opts or PmeOptions()
     if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, T, opts.n_snapshots + 1)[1:]
+        snapshot_times = np.linspace(0.0, T, 17)[1:]
     times = [float(s) for s in snapshot_times]
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError(f"snapshot_times must be strictly increasing, got {times}")
@@ -175,7 +175,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
         while t < t_snap - 1e-14:
             bound = stencil.bound(v, m)
             dt = min(opts.cfl * bound, t_snap - t)
-            v = stencil.advance(v, m, dt, bound, opts)
+            v = stencil.advance(v, m, dt, bound)
             t += dt
             step_count += 1
         t = t_snap

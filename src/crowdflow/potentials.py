@@ -35,12 +35,8 @@ class Potential:
 
     Attributes
     ----------
-    kind : str
-        Catalog tag.
-    params : dict
-        Raw parameters the entry was built from.
-    center : float
-        Well center (0.0 when not meaningful for the kind).
+    coef : ndarray
+        Polynomial coefficients, low order first.
     lam : float
         Greatest ``lam`` with ``Phi'' >= lam`` on the working domain
         (the semi-convexity modulus; exact for quadratic wells).
@@ -49,24 +45,16 @@ class Potential:
     bounded_below : bool
         ``inf Phi`` finite on all of R; when true the stored coefficients
         are shifted so the infimum is exactly zero.
-    bounded_laplacian : bool
-        ``sup |Laplacian|`` finite on the working domain (always true for
-        polynomials on a box; the value is in ``lap_sup``).
     domain : tuple
         Working domain the flags and scans refer to.
     dim : int
         Ambient dimension used for the (radial) Laplacian.
     """
 
-    kind: str
-    params: dict
-    center: float
     coef: np.ndarray
     lam: float
     positive_laplacian: bool
     bounded_below: bool
-    bounded_laplacian: bool
-    lap_sup: float
     domain: tuple = (-8.0, 8.0)
     dim: int = 1
     _dcoef: np.ndarray = field(init=False, repr=False)
@@ -88,20 +76,14 @@ class Potential:
     def d2(self, x):
         return npoly.polyval(np.asarray(x, dtype=float), self._d2coef)
 
-    def lap(self, x, dim=None):
+    def lap(self, x):
         """Laplacian of the radial profile: ``Phi'' + (d-1) Phi'/r``.
 
         For ``dim == 1`` this is the plain second derivative.  The radial
         form requires a profile centered at the origin and is regularized
         at ``r = 0`` by its even-profile limit ``d * Phi''(0)``.
         """
-        d = self.dim if dim is None else dim
-        x = np.asarray(x, dtype=float)
-        if d == 1:
-            return self.d2(x)
-        r = np.where(x == 0.0, 1.0, x)
-        out = self.d2(x) + (d - 1) * self.grad(x) / r
-        return np.where(x == 0.0, d * self.d2(0.0), out)
+        return _laplacian(x, self._dcoef, self._d2coef, self.dim)
 
     # -- interval data -------------------------------------------------------
 
@@ -129,12 +111,21 @@ class Potential:
         ta = t * la
         return _node_sum(ta * la), _node_sum(ta * lb), _node_sum(t * lb * lb)
 
-    def grad_sup(self, lo=None, hi=None):
-        """``max |Phi'|`` over ``[lo, hi]`` (defaults to the working domain)."""
-        lo = self.domain[0] if lo is None else lo
-        hi = self.domain[1] if hi is None else hi
-        xs = np.linspace(lo, hi, 2048)
+    def grad_sup(self):
+        """``max |Phi'|`` over the working domain."""
+        xs = np.linspace(self.domain[0], self.domain[1], 2048)
         return float(np.max(np.abs(self.grad(xs))))
+
+
+def _laplacian(x, dcoef, d2coef, d):
+    """Radial Laplacian of the polynomial with derivatives ``dcoef``, ``d2coef``."""
+    x = np.asarray(x, dtype=float)
+    d2 = npoly.polyval(x, d2coef)
+    if d == 1:
+        return d2
+    r = np.where(x == 0.0, 1.0, x)
+    out = d2 + (d - 1) * npoly.polyval(x, dcoef) / r
+    return np.where(x == 0.0, d * npoly.polyval(0.0, d2coef), out)
 
 
 def _gl_points(a, b):
@@ -219,7 +210,6 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
         b = float(params.get("b", 0.0)) if kind == "shifted-quadratic" else 0.0
         # q/2 (x-c)^2 + b, expanded in x
         coef = np.array([0.5 * q * c * c + b, -q * c, 0.5 * q])
-        center = c
     elif kind == "quartic-well":
         a = float(params.get("a", 1.0))
         b = float(params.get("b", 0.0))
@@ -229,16 +219,13 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
         # a/4 (x-c)^4 + b/2 (x-c)^2, expanded
         base = np.array([0.0, 0.0, 0.5 * b, 0.0, 0.25 * a])
         coef = base if c == 0.0 else _compose_shift(base, c)
-        center = c
     elif kind == "linear":
         g = float(params.get("g", 1.0))
         coef = np.array([0.0, g])
-        center = 0.0
     elif kind == "custom-polynomial":
         coef = np.asarray(params.get("coef", None), dtype=float)
         if coef is None or coef.ndim != 1 or coef.size < 1:
             raise ValueError("custom-polynomial needs a 1D 'coef' array")
-        center = float(params.get("c", 0.0))
     else:
         raise ValueError(f"unknown potential kind {kind!r}")
 
@@ -248,22 +235,15 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
         coef = coef.copy()
         coef[0] -= inf_phi
 
-    pot = Potential(kind=kind, params=params, center=center, coef=coef,
-                    lam=0.0, positive_laplacian=False,
-                    bounded_below=bounded_below, bounded_laplacian=True,
-                    lap_sup=0.0, domain=tuple(domain), dim=dim)
-
     xs = _scan(domain)
     if dim > 1:
         xs = xs[xs >= 0] if domain[0] < 0 else xs
-    d2 = pot.d2(xs)
-    lap = pot.lap(xs)
-    pot.lam = float(np.min(d2))
-    if kind in ("quadratic", "shifted-quadratic"):
-        pot.lam = float(params.get("q", 1.0))  # constant curvature, exact
-    pot.positive_laplacian = bool(np.min(lap) > 0.0)
-    pot.lap_sup = float(np.max(np.abs(lap)))
-    return pot
+    dcoef, d2coef = npoly.polyder(coef), npoly.polyder(coef, 2)
+    # a quadratic's constant curvature q comes out of the scan exactly
+    lam = float(np.min(npoly.polyval(xs, d2coef)))
+    positive_laplacian = bool(np.min(_laplacian(xs, dcoef, d2coef, dim)) > 0.0)
+    return Potential(coef=coef, lam=lam, positive_laplacian=positive_laplacian,
+                     bounded_below=bounded_below, domain=tuple(domain), dim=dim)
 
 
 def _compose_shift(coef, c):

@@ -17,17 +17,16 @@ from .model import GridSpec, QuantileRep, to_grid, to_quantile
 MASS_RTOL = 1e-12
 
 
-def _check_pair(a: QuantileRep, b: QuantileRep, resample: bool):
+#: grid cells per quantile node in the ``resample_quantile`` round trip
+RESAMPLE_CELLS_PER_NODE = 4
+
+
+def _check_pair(a: QuantileRep, b: QuantileRep):
     if abs(a.total_mass - b.total_mass) > MASS_RTOL * max(a.total_mass, b.total_mass):
         raise ValueError("transport distance needs equal total mass")
     if a.n != b.n:
-        if not resample:
-            raise ValueError("node counts differ; pass resample=True or "
-                             "resample explicitly")
-        n = max(a.n, b.n)
-        a = a if a.n == n else resample_quantile(a, n)
-        b = b if b.n == n else resample_quantile(b, n)
-    return a, b
+        raise ValueError("node counts differ; resample one side with "
+                         "resample_quantile")
 
 
 def w2_cost_squared(xa: np.ndarray, xb: np.ndarray, w: float) -> float:
@@ -42,9 +41,9 @@ def w2_cost_squared(xa: np.ndarray, xb: np.ndarray, w: float) -> float:
     return float(w / 3.0 * np.sum(d0 * d0 + d0 * d1 + d1 * d1))
 
 
-def w2_distance(a: QuantileRep, b: QuantileRep, resample: bool = False) -> float:
+def w2_distance(a: QuantileRep, b: QuantileRep) -> float:
     """Quadratic Wasserstein distance between equal-mass representations."""
-    a, b = _check_pair(a, b, resample)
+    _check_pair(a, b)
     return float(np.sqrt(max(w2_cost_squared(a.nodes, b.nodes, a.w), 0.0)))
 
 
@@ -60,8 +59,8 @@ def generalized_geodesic(base: QuantileRep, mu2: QuantileRep,
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("geodesic parameter must lie in [0, 1]")
-    _check_pair(base, mu2, resample=False)
-    _check_pair(base, mu3, resample=False)
+    _check_pair(base, mu2)
+    _check_pair(base, mu3)
     nodes = (1.0 - t) * mu2.nodes + t * mu3.nodes
     return QuantileRep(base.total_mass, nodes)
 
@@ -88,9 +87,9 @@ def atoms_from_quantile(q: QuantileRep) -> np.ndarray:
     return 0.5 * (q.nodes[:-1] + q.nodes[1:])
 
 
-def resample_quantile(q: QuantileRep, n: int, cells_per_node: int = 4) -> QuantileRep:
+def resample_quantile(q: QuantileRep, n: int) -> QuantileRep:
     """Re-sample to ``n`` cells through a grid reconstruction round trip."""
     lo, hi = float(q.nodes[0]), float(q.nodes[-1])
     pad = max(1e-9, 1e-9 * (hi - lo))
-    grid = GridSpec(lo - pad, hi + pad, cells_per_node * max(n, q.n))
+    grid = GridSpec(lo - pad, hi + pad, RESAMPLE_CELLS_PER_NODE * max(n, q.n))
     return to_quantile(to_grid(q, grid), n)

@@ -18,7 +18,7 @@ from crowdflow.jko import jko_step, jko_trajectory
 from crowdflow.model import (GridDensity, GridSpec, Patch, QuantileRep,
                              make_grid_density, to_grid, to_quantile)
 from crowdflow.oracles import barenblatt, quadratic_interval_flow
-from crowdflow.pme import PmeOptions, pme_run
+from crowdflow.pme import pme_run
 from crowdflow.potentials import potential_catalog
 from crowdflow.transport import (generalized_geodesic, w2_cost_squared,
                                  w2_distance)
@@ -45,7 +45,7 @@ def test_criterion_01_barenblatt_oracle():
         grid = GridSpec(-3.0, 3.0, n)
         _, dens0 = barenblatt(grid.centers, 0.0, tau, C, m)
         snaps, _ = pme_run(GridDensity(grid, dens0), m, ZERO, T,
-                           PmeOptions(n_snapshots=2))
+                           snapshot_times=np.linspace(0, T, 3)[1:])
         _, exact = barenblatt(grid.centers, T, tau, C, m)
         errs.append(float(np.sum(np.abs(snaps[-1][1].values - exact)) * grid.dx))
     order = math.log2(errs[0] / errs[-1]) / 2.0

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ class TestConfig:
         assert cfg.get_float("a.b") == 1.5
         assert cfg.get_m_list() == [4.0, 8.0, math.inf]
         assert cfg.get_bool("flag")
+        assert ExperimentConfig({"m": " Infinity "}).get_m() == math.inf
 
     def test_missing_key_raises(self):
         with pytest.raises(ConfigError):
@@ -59,6 +61,18 @@ class TestConfig:
         c2 = ExperimentConfig({"b": "2", "a": "1"})
         assert c1.hash() == c2.hash()
 
+    def test_bad_numbers_name_their_key(self, tmp_path, capsys):
+        for kind, key, extra in [
+                ("single-run", "m", "m = abc\n"),
+                ("converge-m", "m.list", "m.list = 4,x\n"),
+                ("single-run", "potential.q", "potential.q = abc\n"),
+                ("single-run", "init.boxes", "init.boxes = 1,x,1\n")]:
+            out = str(tmp_path / "never")
+            assert main([kind, "--config", cfg_file(tmp_path, extra),
+                         "--out", out]) == 2, extra
+            assert f"key {key!r}" in capsys.readouterr().err, extra
+            assert not os.path.exists(out)
+
     def test_unknown_experiment_kind(self):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig({}), kind="does-not-exist")
@@ -72,7 +86,7 @@ class TestCli:
         assert code == 0
         assert os.path.exists(os.path.join(out, "report.json"))
         assert os.path.exists(os.path.join(out, "ledger.csv"))
-        doc = json.load(open(os.path.join(out, "report.json")))
+        doc = json.loads(Path(out, "report.json").read_text())
         assert all(c["pass"] for c in doc["criteria"])
         assert {c["id"] for c in doc["criteria"]} >= {
             "single-run.energy-monotone", "single-run.mass-constant"}
@@ -85,9 +99,8 @@ class TestCli:
         assert main(["single-run", "--config", cfgp, "--out", out2]) == 0
         for name in sorted(os.listdir(out1)):
             if name.endswith(".csv"):
-                b1 = open(os.path.join(out1, name), "rb").read()
-                b2 = open(os.path.join(out2, name), "rb").read()
-                assert b1 == b2, name
+                assert Path(out1, name).read_bytes() \
+                    == Path(out2, name).read_bytes(), name
 
     def test_config_error_exit_2_no_partial_files(self, tmp_path):
         # a malformed file, then values the library rejects: none may leave
@@ -98,7 +111,10 @@ class TestCli:
                 BASE + "init.boxes = 5,6,1\n",
                 BASE + "grid.n = inf\n",
                 BASE + "grid.n = 600.5\n",
-                BASE + "jko.h = -0.1\n"]):
+                BASE + "jko.h = -0.1\n",
+                BASE + "snapshots = 0\n",
+                BASE + "run.scheme = pme\nsnapshots = 0\n",
+                BASE + "run.scheme = heleshaw\nsnapshots = 0\n"]):
             bad = tmp_path / f"bad{k}.txt"
             bad.write_text(text)
             out = str(tmp_path / f"never{k}")
@@ -128,7 +144,7 @@ class TestCli:
             "m.list = 4,8\nthreshold.final_ratio = 1e-9\nrun.T = 0.1\n")
         out = str(tmp_path / "fv")
         assert main(["converge-m", "--config", cfgp, "--out", out]) == 1
-        doc = json.load(open(os.path.join(out, "report.json")))
+        doc = json.loads(Path(out, "report.json").read_text())
         assert any(not c["pass"] for c in doc["criteria"])
 
     def test_plots_emitted(self, tmp_path):
@@ -138,7 +154,7 @@ class TestCli:
                      "--plots"]) in (0, 1)
         svgs = [f for f in os.listdir(out) if f.endswith(".svg")]
         assert svgs
-        body = open(os.path.join(out, svgs[0])).read()
+        body = Path(out, svgs[0]).read_text()
         assert body.startswith("<svg") and body.endswith("</svg>")
 
 
@@ -247,5 +263,5 @@ def test_svg_line_chart_self_contained(tmp_path):
     path = str(tmp_path / "chart.svg")
     line_chart(path, [("series", [(1, 1.0), (2, 0.5), (4, 0.27)])],
                title="demo", xlabel="x", ylabel="y", logx=True, logy=True)
-    body = open(path).read()
+    body = Path(path).read_text()
     assert "<svg" in body and "polyline" in body and "</svg>" in body

@@ -196,6 +196,15 @@ class TestTypes:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 g.n_cells = 8
 
+    def test_states_leave_the_callers_array_writable(self):
+        a, x = np.zeros(4), np.array([0.0, 0.5, 1.0])
+        rho, q = GridDensity(GridSpec(0, 1, 4), a), QuantileRep(1.0, x)
+        for mine, stored in ((a, rho.values), (x, q.nodes)):
+            mine[0] = -1.0  # the caller's array is not frozen
+            assert stored[0] == 0.0 and not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 1.0
+
     def test_radial_grid_measures(self):
         g = GridSpec(0.0, 1.0, 4, dim=3)
         total = g.cell_measures.sum()

@@ -6,8 +6,8 @@ import pytest
 from crowdflow.jko import jko_trajectory
 from crowdflow.model import GridDensity, GridSpec, to_quantile
 from crowdflow.oracles import barenblatt, barenblatt_halfwidth, stationary_profile
-from crowdflow.pme import (PmeOptions, PmeStabilityError, pme_run, pme_step,
-                           pressure, stable_dt, support_set)
+from crowdflow.pme import (CLIP_ABORT, PmeOptions, PmeStabilityError, _clipped,
+                           pme_run, pme_step, pressure, stable_dt, support_set)
 from crowdflow.potentials import potential_catalog
 from crowdflow.transport import w2_distance
 
@@ -106,7 +106,8 @@ class TestPmeStep:
         assert calls == {"grad": 1, "stable_dt": 0, "pme_step": 0}
         monkeypatch.setattr(pme, "pme_step", counted("pme_step", pme_step))
         calls["grad"] = 0
-        pme_run(rho, 2.0, quad_phi, 20 * dt, PmeOptions(n_snapshots=2))
+        pme_run(rho, 2.0, quad_phi, 20 * dt,
+                snapshot_times=np.linspace(0, 20 * dt, 3)[1:])
         # one drift evaluation per run; the run steps arrays, not states
         assert calls == {"grad": 1, "stable_dt": 0, "pme_step": 0}
 
@@ -123,16 +124,17 @@ class TestPmeRun:
         c = grid.centers
         rho0 = GridDensity(grid, np.where((c > 1.0) & (c < 2.0), 1.0, 0.0)
                            if grid.dim == 1 else np.where(c < 1.0, 0.8, 0.0))
-        opts = PmeOptions(n_snapshots=3)
+        cfl = PmeOptions().cfl
         T = 0.06
         for m in (2.0, 4.0, 64.0):
-            snaps, _ = pme_run(rho0, m, phi, T, opts)
+            snaps, _ = pme_run(rho0, m, phi, T,
+                               snapshot_times=np.linspace(0, T, 4)[1:])
             rho, t = rho0, 0.0
             for t_snap, snap in snaps[1:]:
                 while t < t_snap - 1e-14:
                     bound = stable_dt(rho, m, phi, PmeOptions(cfl=1.0))
-                    dt = min(opts.cfl * bound, t_snap - t)
-                    rho = pme_step(rho, m, phi, dt, opts)
+                    dt = min(cfl * bound, t_snap - t)
+                    rho = pme_step(rho, m, phi, dt)
                     t += dt
                 t = t_snap
                 assert np.array_equal(snap.values, rho.values), (m, t_snap)
@@ -149,7 +151,7 @@ class TestPmeRun:
         g = GridSpec(-3, 3, 300)
         rho = indicator(0.5, 1.5, g)
         snaps, ledger = pme_run(rho, 3.0, quad_phi, 0.4,
-                                PmeOptions(n_snapshots=8))
+                                snapshot_times=np.linspace(0, 0.4, 9)[1:])
         E = ledger.column("E")
         assert np.all(np.diff(E) <= 1e-8 * (1.0 + abs(E[0])))
         assert ledger.validate()
@@ -199,7 +201,8 @@ class TestPmeRun:
         g = GridSpec(-3, 3, 400)
         rho = indicator(0.5, 1.5, g)
         m = 4.0
-        snaps, _ = pme_run(rho, m, quad_phi, 0.2, PmeOptions(n_snapshots=4))
+        snaps, _ = pme_run(rho, m, quad_phi, 0.2,
+                           snapshot_times=np.linspace(0, 0.2, 5)[1:])
         vmax = float(np.max(np.abs(quad_phi.grad(g.edges))))
         for (t0, r0), (t1, r1) in zip(snaps, snaps[1:]):
             lo0, hi0 = r0.support_extent()
@@ -234,6 +237,29 @@ class TestPmeRun:
         with pytest.raises((PmeStabilityError, ValueError)):
             for _ in range(20):
                 r = pme_step(r, 2.0, quad_phi, 2.6 * dt)
+
+
+class TestClipped:
+    # an update that conserves mass but dips below zero in one cell; the
+    # dip loses the fraction ``frac * CLIP_ABORT`` of the mass
+    MEAS = np.full(4, 0.25)
+    V = np.array([0.0, 1.0, 1.0, 0.0])
+
+    def dipped(self, frac):
+        dip = frac * CLIP_ABORT * float(np.dot(self.V, self.MEAS)) / self.MEAS[0]
+        return np.array([-dip, 1.0 + dip, 1.0, 0.0])
+
+    def test_round_off_negatives_zeroed_and_mass_restored(self):
+        new = self.dipped(0.5)
+        out = _clipped(self.V, new, self.MEAS)
+        assert out[0] == 0.0 and out.min() >= 0.0
+        assert float(np.dot(new.clip(0.0), self.MEAS)) > 0.5  # rescaled down
+        assert float(np.dot(out, self.MEAS)) \
+            == pytest.approx(float(np.dot(self.V, self.MEAS)), rel=1e-15)
+
+    def test_loss_above_budget_raises(self):
+        with pytest.raises(PmeStabilityError, match="round-off budget"):
+            _clipped(self.V, self.dipped(2.0), self.MEAS)
 
 
 class TestPressureAndSupport:
@@ -273,7 +299,7 @@ class TestPressureAndSupport:
         g = GridSpec(-4, 4, 800)
         snaps, _ = pme_run(
             GridDensity(g, barenblatt(g.centers, 0.0, tau, C, m)[1]),
-            m, ZERO, t, PmeOptions(n_snapshots=2))
+            m, ZERO, t, snapshot_times=np.linspace(0, t, 3)[1:])
         (a, b), = support_set(snaps[-1][1], 1e-8).intervals
         hw = barenblatt_halfwidth(t, tau, C, m)
         assert abs(b - hw) <= 2.5 * g.dx
@@ -286,7 +312,8 @@ class TestRadial:
         g = GridSpec(0.0, 2.0, 200, dim=3)
         vals = np.where(g.centers < 1.0, 0.5, 0.0)
         rho = GridDensity(g, vals)
-        snaps, ledger = pme_run(rho, 3.0, phi, 0.05, PmeOptions(n_snapshots=4))
+        snaps, ledger = pme_run(rho, 3.0, phi, 0.05,
+                                snapshot_times=np.linspace(0, 0.05, 5)[1:])
         mass = ledger.column("mass")
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
         assert snaps[-1][1].values.min() >= 0.0

@@ -43,12 +43,13 @@ class TestW2Distance:
         with pytest.raises(ValueError):
             w2_distance(a, b)
 
-    def test_count_mismatch_needs_resample_flag(self, g6):
+    def test_count_mismatch_needs_explicit_resample(self, g6):
         a = indicator_quantile(0, 1, g6, n=50)
         b = indicator_quantile(2, 3, g6, n=100)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="resample_quantile"):
             w2_distance(a, b)
-        assert w2_distance(a, b, resample=True) == pytest.approx(2.0, abs=1e-3)
+        assert w2_distance(resample_quantile(a, b.n), b) \
+            == pytest.approx(2.0, abs=1e-3)
 
     def test_metric_axioms_random_triples(self, rng, g6):
         for _ in range(20):
@@ -215,4 +216,4 @@ def test_resample_preserves_shape(g6):
     q = indicator_quantile(0, 1, g6, n=64)
     r = resample_quantile(q, 128)
     assert r.n == 128
-    assert w2_distance(q, r, resample=True) < 5e-3
+    assert w2_distance(resample_quantile(q, r.n), r) < 5e-3
