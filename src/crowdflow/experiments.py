@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +139,7 @@ def _pmap(fn, items, workers):
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

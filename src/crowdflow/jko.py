@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .energy import EnergyReport, free_energy
 from .model import GridDensity, GridSpec, QuantileRep, RunLedger, to_grid, to_quantile
@@ -171,6 +170,10 @@ def _hessian(x, d, gaps, w, m, phi, h):
 
 
 def _solve_tridiag(hd, ho, rhs):
+    # imported here, the one place that needs it: scipy.linalg costs more to
+    # load than the rest of the package, and PME, front-tracking and crossval
+    # runs take no JKO step
+    import scipy.linalg
     if hd.size == 1:
         return rhs / hd
     ab = np.zeros((2, hd.size))

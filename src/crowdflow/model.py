@@ -103,6 +103,11 @@ class GridDensity:
             raise ValueError("density values must be nonnegative")
         self.values = _locked(v)
 
+    def __reduce__(self):
+        # rebuild through the constructor, as GridSpec does, so the values
+        # come back read-only
+        return GridDensity, (self.grid, self.values)
+
     @property
     def mass(self):
         return float(np.dot(self.values, self.grid.cell_measures))
@@ -153,6 +158,11 @@ class QuantileRep:
         if not np.all(np.diff(x) >= 0.0):
             raise ValueError("nodes must be nondecreasing")
         self.nodes = _locked(x)
+
+    def __reduce__(self):
+        # rebuild through the constructor, as GridSpec does, so the nodes
+        # come back read-only
+        return QuantileRep, (self.total_mass, self.nodes)
 
     @property
     def n(self):

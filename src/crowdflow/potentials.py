@@ -176,6 +176,16 @@ def _global_min_on_reals(coef):
     return float(np.min(npoly.polyval(crit, coef)))
 
 
+# the parameters each catalog kind reads; any other name is an error
+_KIND_PARAMS = {
+    "quadratic": ("q", "c"),
+    "shifted-quadratic": ("q", "c", "b"),
+    "quartic-well": ("a", "b", "c"),
+    "linear": ("g",),
+    "custom-polynomial": ("coef",),
+}
+
+
 def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
     """Build a catalog potential with derivatives, modulus and flags.
 
@@ -199,11 +209,19 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
     Raises
     ------
     ValueError
-        Unknown kind or malformed parameters.  A quadratic with ``q <= 0``
-        is *not* an error: it is returned with ``positive_laplacian=False``.
+        Unknown kind, a parameter the kind does not read, or malformed
+        parameters.  A quadratic with ``q <= 0`` is *not* an error: it is
+        returned with ``positive_laplacian=False``.
     """
     params = dict(params or {})
     params.update(kw)
+    if kind not in _KIND_PARAMS:
+        raise ValueError(f"unknown potential kind {kind!r}")
+    unread = sorted(set(params) - set(_KIND_PARAMS[kind]))
+    if unread:
+        raise ValueError(f"potential kind {kind!r} has no parameter "
+                         f"{', '.join(map(repr, unread))}; it reads "
+                         f"{', '.join(_KIND_PARAMS[kind])}")
     if kind in ("quadratic", "shifted-quadratic"):
         q = float(params.get("q", 1.0))
         c = float(params.get("c", 0.0))
@@ -222,12 +240,10 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
     elif kind == "linear":
         g = float(params.get("g", 1.0))
         coef = np.array([0.0, g])
-    elif kind == "custom-polynomial":
+    else:  # custom-polynomial
         coef = np.asarray(params.get("coef", None), dtype=float)
         if coef is None or coef.ndim != 1 or coef.size < 1:
             raise ValueError("custom-polynomial needs a 1D 'coef' array")
-    else:
-        raise ValueError(f"unknown potential kind {kind!r}")
 
     inf_phi = _global_min_on_reals(coef)
     bounded_below = math.isfinite(inf_phi)

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crowdflow
 from crowdflow.cli import build_parser, main
 from crowdflow.config import ConfigError, ExperimentConfig
 from crowdflow.experiments import run_experiment
@@ -73,6 +76,12 @@ class TestConfig:
             assert f"key {key!r}" in capsys.readouterr().err, extra
             assert not os.path.exists(out)
 
+    def test_misspelt_potential_key_rejected(self):
+        # not dropped in favour of the default q = 1
+        cfg = ExperimentConfig.from_text(BASE + "potential.qq = 5\n")
+        with pytest.raises(ConfigError, match="'qq'"):
+            cfg.potential()
+
     def test_unknown_experiment_kind(self):
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig({}), kind="does-not-exist")
@@ -112,6 +121,7 @@ class TestCli:
                 BASE + "grid.n = inf\n",
                 BASE + "grid.n = 600.5\n",
                 BASE + "jko.h = -0.1\n",
+                BASE + "potential.qq = 5\n",
                 BASE + "snapshots = 0\n",
                 BASE + "run.scheme = pme\nsnapshots = 0\n",
                 BASE + "run.scheme = heleshaw\nsnapshots = 0\n"]):
@@ -248,7 +258,7 @@ class TestDrivers:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("crowdflow.experiments.ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             SerialPool)
         text = BASE + "m.list = 4,8\nrun.T = 0.1\n"
         rep = run_experiment(ExperimentConfig.from_text(text),
@@ -257,6 +267,56 @@ class TestDrivers:
         serial = run_experiment(ExperimentConfig.from_text(text),
                                 kind="converge-m", workers=1)
         assert rep.tables == serial.tables
+
+
+CROSSVAL_SHORT = """
+potential.kind = quadratic
+potential.q = 1.0
+init.boxes = 1,2,1
+grid.lo = -0.5
+grid.hi = 2.5
+grid.n = 72
+m.list = 4,8
+crossval.times = 0.25
+heleshaw.dt = 0.001
+"""
+
+# imports the package as a run does, runs crossval and writes its report,
+# then takes one JKO step; prints which lazily loaded modules were present
+COLD_START = """\
+import json, math, sys
+import crowdflow, crowdflow.cli, crowdflow.experiments
+from crowdflow.config import ExperimentConfig
+LAZY = ("scipy.linalg", "concurrent.futures.process")
+cfg = ExperimentConfig.from_text(sys.argv[1])
+report = crowdflow.experiments.run_experiment(cfg, kind="crossval")
+report.write(sys.argv[2])
+before = [name for name in LAZY if name in sys.modules]
+q0 = crowdflow.to_quantile(
+    crowdflow.make_grid_density(cfg.shape_spec(), cfg.grid_spec()), 40)
+step = crowdflow.jko_step(q0, math.inf, 0.01, cfg.potential())
+print(json.dumps({"criteria": len(report.criteria), "before": before,
+                  "after": [name for name in LAZY if name in sys.modules],
+                  "iterations": step.iterations}))
+"""
+
+
+def test_cold_start_loads_neither_scipy_linalg_nor_the_pool(tmp_path):
+    # a fresh interpreter, so that no other test has loaded them already
+    src = str(Path(crowdflow.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, CROSSVAL_SHORT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["criteria"] > 0 and (tmp_path / "report.json").is_file()
+    assert got["before"] == []
+    # the first JKO step loads scipy.linalg and still solves
+    assert got["after"] == ["scipy.linalg"]
+    assert got["iterations"] >= 1
 
 
 def test_svg_line_chart_self_contained(tmp_path):

@@ -205,6 +205,18 @@ class TestTypes:
             with pytest.raises(ValueError):
                 stored[0] = 1.0
 
+    def test_unpickled_states_stay_read_only(self):
+        rho = GridDensity(GridSpec(0, 1, 4), np.ones(4))
+        q = QuantileRep(1.0, np.array([0.0, 0.5, 1.0]))
+        for state, name in ((rho, "values"), (q, "nodes")):
+            clone = pickle.loads(pickle.dumps(state))
+            stored = getattr(clone, name)
+            assert np.array_equal(stored, getattr(state, name))
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 2.0
+        assert pickle.loads(pickle.dumps(q)).total_mass == q.total_mass
+
     def test_radial_grid_measures(self):
         g = GridSpec(0.0, 1.0, 4, dim=3)
         total = g.cell_measures.sum()

@@ -205,3 +205,12 @@ def test_interval_data_shapes_match_pointwise_calls(rng):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         potential_catalog("cubic-nonsense", {})
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_parameter_the_kind_does_not_read_rejected(kind, params):
+    # a misspelt name must not fall back to the default silently
+    for bad in ({"qq": 5.0}, {"coef": [1.0]} if kind != "custom-polynomial"
+                else {"q": 1.0}):
+        with pytest.raises(ValueError, match=repr(next(iter(bad)))):
+            potential_catalog(kind, {**params, **bad})
