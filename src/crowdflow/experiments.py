@@ -133,6 +133,14 @@ def _traj_states(args):
     return [s.nodes for s in states]
 
 
+def _traj_samples(args):
+    """States of one trajectory at ``n_eval + 1`` even step indices."""
+    q0, m, h, phi, T, opts, n_eval = args
+    states, _ = jko_trajectory(q0, m, h, phi, T, opts)
+    idx = np.unique(np.linspace(0, len(states) - 1, n_eval + 1).astype(int))
+    return idx, [states[j] for j in idx]
+
+
 def _pmap(fn, items, workers):
     # no more workers than items: a fork-based pool starts every worker
     # at the first submit
@@ -249,21 +257,20 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         q02 = q0.translated(shift)
 
     report = ExperimentReport("longtime", config_hash=cfg.hash())
+    runs = _pmap(_traj_samples, [(q, m, h, phi, T, opts, n_eval)
+                                 for m in m_list for q in (q0, q02)], workers)
     rows = []
-    for m in m_list:
+    for m, (idx, states), (_, states2) in zip(m_list, runs[::2], runs[1::2]):
         rho_s = energy_minimizer_profile(m, phi, q0.total_mass, grid)
         q_s = to_quantile(rho_s, q0.n)
-        states, _ = jko_trajectory(q0, m, h, phi, T, opts)
-        states2, _ = jko_trajectory(q02, m, h, phi, T, opts)
         d0 = w2_distance(q0, q_s)
         c0 = w2_distance(q0, q02)
-        idx = np.unique(np.linspace(0, len(states) - 1, n_eval + 1).astype(int))
         decay_ok, contract_ok = True, True
-        for j in idx:
+        for j, state, state2 in zip(idx, states, states2):
             t = j * h
             bound = d0 * math.exp(-lam * t) * (1.0 + eps_rate)
-            dt_val = w2_distance(states[j], q_s)
-            ct_val = w2_distance(states[j], states2[j])
+            dt_val = w2_distance(state, q_s)
+            ct_val = w2_distance(state, state2)
             cbound = c0 * math.exp(-lam * t) * (1.0 + eps_rate)
             decay_ok &= dt_val <= bound + 1e-12
             contract_ok &= ct_val <= cbound + 1e-12
@@ -337,8 +344,7 @@ def _random_restriction(rng, big: GridDensity, grid):
 def _crossval_one(args):
     rho0_ind, m, phi, times, opts = args
     snaps, _ = pme_run(rho0_ind, m, phi, times[-1], opts, snapshot_times=times)
-    by_time = {round(t, 12): rho for t, rho in snaps}
-    return {t: by_time[round(t, 12)] for t in times}
+    return dict(snaps)
 
 
 def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
@@ -346,11 +352,13 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     phi = cfg.potential()
     grid = cfg.grid_spec()
     boxes = cfg.boxes()
-    patch0 = Patch(tuple((a, b) for a, b, _h in boxes))
+    patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
     rho0 = patch0.indicator(grid)
     m_list = [m for m in cfg.get_m_list(default=(4.0, 8.0, 16.0, 32.0, 64.0))
               if not math.isinf(m)]
     times = cfg.get_floats("crossval.times", (0.25, 0.5, 1.0))
+    if times[0] <= 0.0:
+        raise ConfigError(f"key 'crossval.times': must be positive, got {times[0]:g}")
     dt_fb = cfg.get_float("heleshaw.dt", 1e-3)
     # mid-level front extraction: the density tends to 1 inside the patch
     # and 0 outside, so any fixed level in (0, 1) converges; a mid level
@@ -358,10 +366,8 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     eps_supp = cfg.get_float("pme.eps_supp", 0.25)
     opts = _pme_options(cfg)
 
-    patches = {}
-    for t in times:
-        traj, _ = heleshaw_run(patch0, phi, t, dt_fb)
-        patches[t] = traj[-1][1]
+    traj, _ = heleshaw_run(patch0, phi, times[-1], dt_fb, snapshot_times=times)
+    patches = dict(traj)
 
     runs = _pmap(_crossval_one,
                  [(rho0, m, phi, tuple(times), opts) for m in m_list], workers)
@@ -406,6 +412,7 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
     report = ExperimentReport("single-run", config_hash=cfg.hash())
     T = cfg.get_float("run.T", 1.0)
     n_snap = _snapshot_count(cfg)
+    snapshot_times = np.linspace(0, T, n_snap + 1)[1:]
     phi, grid, rho0 = _setup(cfg)
     if scheme == "jko":
         m = cfg.get_m(default=math.inf)
@@ -425,9 +432,8 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
                 states[k].to_csv(os.path.join(outdir, f"state_{k:05d}.csv"))
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
-        snaps, ledger = pme_run(
-            rho0, m, phi, T, _pme_options(cfg),
-            snapshot_times=np.linspace(0, T, n_snap + 1)[1:])
+        snaps, ledger = pme_run(rho0, m, phi, T, _pme_options(cfg),
+                                snapshot_times=snapshot_times)
         _ledger_criteria(report, ledger)
         if outdir:
             os.makedirs(outdir, exist_ok=True)
@@ -439,11 +445,10 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
                                            pressure(rho, m)]))
     elif scheme == "heleshaw":
         boxes = cfg.boxes()
-        patch0 = Patch(tuple((a, b) for a, b, _h in boxes))
+        patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
         dt_fb = cfg.get_float("heleshaw.dt", 1e-3)
-        traj, volumes = heleshaw_run(
-            patch0, phi, T, dt_fb,
-            record_every=max(1, int(round(T / dt_fb)) // n_snap))
+        traj, volumes = heleshaw_run(patch0, phi, T, dt_fb,
+                                     snapshot_times=snapshot_times)
         vols = np.array([v for _, v in volumes])
         drift = float(np.max(np.abs(vols - vols[0]))) / max(vols[0], 1e-300)
         report.add_criterion("single-run.volume-drift", drift, 1e-9 * (1.0 + T),

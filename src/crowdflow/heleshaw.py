@@ -20,7 +20,7 @@ import numpy as np
 
 from numpy.polynomial import polynomial as npoly
 
-from .model import Patch, write_csv
+from .model import Patch, _snapshot_schedule, write_csv
 from .potentials import Potential
 
 
@@ -167,23 +167,29 @@ def interval_velocity(patch: Patch, phi: Potential) -> np.ndarray:
     return _raw_velocities(np.array(patch.intervals, dtype=float), patch.dim, phi)
 
 
-def _rk4(endpoints: np.ndarray, dim: int, phi: Potential, dt: float) -> np.ndarray:
-    k1 = _raw_velocities(endpoints, dim, phi)
-    k2 = _raw_velocities(endpoints + 0.5 * dt * k1, dim, phi)
-    k3 = _raw_velocities(endpoints + 0.5 * dt * k2, dim, phi)
-    k4 = _raw_velocities(endpoints + dt * k3, dim, phi)
-    return endpoints + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(endpoints: np.ndarray, dim: int, phi: Potential, dt: float):
+    """One classical RK4 step, or None if a radial stage point has its
+    inner boundary below the center, where it has no velocity."""
+    k = [_raw_velocities(endpoints, dim, phi)]
+    for c in (0.5, 0.5, 1.0):
+        stage = endpoints + c * dt * k[-1]
+        if dim > 1 and stage[0, 0] < 0.0:
+            return None
+        k.append(_raw_velocities(stage, dim, phi))
+    return endpoints + dt / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
 
 
 def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
-                 record_every: int = 1):
+                 snapshot_times=None):
     """Track the patch boundary to horizon ``T`` with classical RK4.
 
-    Intervals whose gap closes are merged into their union; the contact
-    instant is located by bisection on the step fraction so the volume is
-    continuous across the merge.  Returns ``(trajectory, volume_rows)``
-    where trajectory is a list of ``(t, Patch)`` and volume_rows a list
-    of ``(t, volume)``.
+    Steps are ``dt``, shortened to land on each time of
+    ``model._snapshot_schedule(T, snapshot_times)``.  Intervals whose gap
+    closes are merged into their union; the contact instant is located by
+    bisection on the step fraction so the volume is continuous across the
+    merge.  Returns ``(trajectory, volume_rows)``: ``(t, Patch)`` at
+    t = 0, at each merge and at each snapshot time, and one
+    ``(t, volume)`` per step.
     """
     if not patch0.intervals:
         raise ValueError("cannot evolve an empty patch")
@@ -200,46 +206,38 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
     patch = Patch(tuple(map(tuple, pts)), dim=dim)
     trajectory = [(0.0, patch)]
     volumes = [(0.0, patch.volume)]
-    step_idx = 0
-    while t < T - 1e-14:
-        step = min(dt, T - t)
-        cand = _rk4(pts, dim, phi, step)
-        merged = False
-        if not _admissible(cand, dim):
-            # land exactly on the contact instant, then change topology:
-            # touching intervals take their union; a radial hole whose
-            # inner boundary reaches the center closes into a ball
-            frac = _contact_fraction(pts, dim, phi, step)
-            cand = _rk4(pts, dim, phi, step * frac)
-            if dim > 1 and cand[0, 0] <= 1e-9 * cand[0, 1]:
-                cand[0, 0] = 0.0
-            cand = _merge_touching(cand)
-            t += step * frac
-            merged = True
-        else:
+    for t_snap in _snapshot_schedule(T, snapshot_times):
+        while t < t_snap - 1e-14:
+            step = min(dt, t_snap - t)
+            cand = _rk4(pts, dim, phi, step)
+            merged = not _admissible(cand, dim)
+            if merged:
+                # land exactly on the contact instant, then change topology:
+                # touching intervals take their union; a radial hole whose
+                # inner boundary reaches the center closes into a ball
+                frac = _contact_fraction(pts, dim, phi, step)
+                cand = _rk4(pts, dim, phi, step * frac)
+                if dim > 1 and cand[0, 0] <= 1e-9 * cand[0, 1]:
+                    cand[0, 0] = 0.0
+                cand = _merge_touching(cand)
+                step *= frac
             t += step
-            step_idx += 1
-        pts = cand
-        _assert_lengths(pts)
-        patch = Patch(tuple(map(tuple, pts)), dim=dim)
-        if merged or step_idx % record_every == 0 or t >= T - 1e-14:
-            trajectory.append((t, patch))
-        volumes.append((t, patch.volume))
+            pts = cand
+            _assert_lengths(pts)
+            patch = Patch(tuple(map(tuple, pts)), dim=dim)
+            if merged:
+                trajectory.append((t, patch))
+            volumes.append((t, patch.volume))
+        t = t_snap
+        trajectory.append((t, patch))
     return trajectory, volumes
 
 
-def _min_gap(pts: np.ndarray) -> float:
-    if pts.shape[0] < 2:
-        return math.inf
-    return float(np.min(pts[1:, 0] - pts[:-1, 1]))
-
-
-def _admissible(pts: np.ndarray, dim: int) -> bool:
-    if _min_gap(pts) < 0.0:
-        return False
-    if dim > 1 and pts[0, 0] < 0.0:
-        return False
-    return True
+def _admissible(pts, dim: int) -> bool:
+    """No overlapping intervals, no radial boundary below the center;
+    None (an inadmissible RK4 stage) is not admissible."""
+    return (pts is not None and not np.any(pts[1:, 0] < pts[:-1, 1])
+            and not (dim > 1 and pts[0, 0] < 0.0))
 
 
 def _contact_fraction(pts, dim, phi, step, iters=80):

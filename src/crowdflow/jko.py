@@ -23,7 +23,7 @@ sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -451,10 +451,6 @@ class ComparisonReport:
     passed: bool
     max_violation: float
     eps_cmp: float
-    w: float
-    n_lo: int
-    n_hi: int
-    details: dict = field(default_factory=dict)
 
 
 def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
@@ -508,13 +504,5 @@ def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
     violation = float(np.max(g1.values - g2.values))
     violation = max(violation, 0.0)
     eps_cmp = 1e-6 * (1.0 + recon.dx / w)
-    return ComparisonReport(
-        passed=violation <= eps_cmp,
-        max_violation=violation,
-        eps_cmp=eps_cmp,
-        w=w,
-        n_lo=n1,
-        n_hi=n_quantile,
-        details={"kkt_lo": out1.kkt_residual, "kkt_hi": out2.kkt_residual,
-                 "mass_scale_lo": scale1},
-    )
+    return ComparisonReport(passed=violation <= eps_cmp,
+                            max_violation=violation, eps_cmp=eps_cmp)

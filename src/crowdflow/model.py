@@ -23,6 +23,20 @@ def _ball_volume(d):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def _snapshot_schedule(T, snapshot_times):
+    """Output times of a run to ``T``: the requested floats in ``(0, T]``
+    (strictly increasing; 16 even times by default), then ``T`` if missing."""
+    if snapshot_times is None:
+        snapshot_times = np.linspace(0.0, T, 17)[1:]
+    times = [float(s) for s in snapshot_times]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"snapshot_times must be strictly increasing, got {times}")
+    kept = [s for s in times if 0.0 < s <= T]
+    if not kept or kept[-1] < T:
+        kept.append(T)
+    return kept
+
+
 def _locked(a):
     """A read-only float copy of ``a``; the caller's array stays writable."""
     a = np.array(a, dtype=float, order="C")

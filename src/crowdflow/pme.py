@@ -18,7 +18,7 @@ import numpy as np
 
 from .energy import excess_mass, free_energy
 from .model import (EPS_SUPP, GridDensity, GridSpec, Patch, RunLedger,
-                    to_quantile)
+                    _snapshot_schedule, to_quantile)
 from .potentials import Potential
 from .transport import w2_distance
 
@@ -146,23 +146,13 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     ledger carries the energy split, mass, support extent and excess mass
     at the snapshot times (the Wasserstein increment column holds the
     distance between consecutive snapshots in 1D, nan in radial mode).
-    ``snapshot_times`` must be strictly increasing; times outside
-    ``(0, T]`` are dropped; the default is 16 even times up to ``T``.
+    The snapshot times are ``model._snapshot_schedule(T, snapshot_times)``.
     Between snapshots the run steps the value array, with the same update
     as ``pme_step``.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
     opts = opts or PmeOptions()
-    if snapshot_times is None:
-        snapshot_times = np.linspace(0.0, T, 17)[1:]
-    times = [float(s) for s in snapshot_times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"snapshot_times must be strictly increasing, got {times}")
-    snap_iter = [s for s in times if 0.0 < s <= T]
-    if not snap_iter or snap_iter[-1] < T:
-        snap_iter.append(T)
-
     stencil = _Stencil(rho0.grid, phi)
     v = rho0.values
     t = 0.0
@@ -171,7 +161,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     _ledger_row(ledger, 0, 0.0, rho0, None, m, phi)
     step_count = 0
     prev_snap = rho0
-    for t_snap in snap_iter:
+    for t_snap in _snapshot_schedule(T, snapshot_times):
         while t < t_snap - 1e-14:
             bound = stencil.bound(v, m)
             dt = min(opts.cfl * bound, t_snap - t)

@@ -180,13 +180,14 @@ def test_criterion_08_patch_preservation():
     n, h, T = 400, 1e-3, 1.0
     q0 = to_quantile(make_grid_density({"boxes": [(1.0, 2.0, 1.0)]}, grid), n)
     states, _ = jko_trajectory(q0, math.inf, h, QUAD, T)
+    compared = range(0, len(states), 100)
     traj, _ = heleshaw_run(Patch(((1.0, 2.0),)), QUAD, T, 1e-3,
-                           record_every=50)
-    patch_at = dict((round(t, 9), p) for t, p in traj)
+                           snapshot_times=[k * h for k in compared])
+    patch_at = dict(traj)
     w = q0.w
     l1_budget = 3.0 * grid.dx + 3.0 * w
     worst_l1, worst_w2 = 0.0, 0.0
-    for k in range(0, len(states), 100):
+    for k in compared:
         state = states[k]
         rho = to_grid(state, grid)
         mask = rho.values > 0.5
@@ -195,11 +196,9 @@ def test_criterion_08_patch_preservation():
         indicator = Patch(((a, b),)).indicator(grid)
         l1 = float(np.sum(np.abs(rho.values - indicator.values)) * grid.dx)
         worst_l1 = max(worst_l1, l1)
-        t = round(k * h, 9)
-        if t in patch_at:
-            (pa, pb), = patch_at[t].intervals
-            q_patch = QuantileRep(1.0, np.linspace(pa, pb, n + 1))
-            worst_w2 = max(worst_w2, w2_distance(state, q_patch))
+        (pa, pb), = patch_at[k * h].intervals
+        q_patch = QuantileRep(1.0, np.linspace(pa, pb, n + 1))
+        worst_w2 = max(worst_w2, w2_distance(state, q_patch))
     ok = worst_l1 <= l1_budget and worst_w2 <= 0.05
     verdict(8, ok, f"L1 to nearest indicator {worst_l1:.4f} <= {l1_budget:.4f}; "
                    f"W2 to tracked patch {worst_w2:.4f} <= 0.05")

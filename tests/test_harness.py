@@ -229,15 +229,19 @@ class TestDrivers:
             run_experiment(cfg, kind="longtime")
 
     def test_workers_match_serial(self):
-        text = BASE + "m.list = 4,8\nrun.T = 0.1\n"
-        rep1 = run_experiment(ExperimentConfig.from_text(text),
-                              kind="converge-m", workers=1)
-        rep2 = run_experiment(ExperimentConfig.from_text(text),
-                              kind="converge-m", workers=2)
-        r1 = rep1.tables["converge_m"][1]
-        r2 = rep2.tables["converge_m"][1]
-        assert np.allclose(np.array(r1, dtype=float),
-                           np.array(r2, dtype=float), rtol=0, atol=0)
+        for kind, table, extra in (
+                ("converge-m", "converge_m", "m.list = 4,8\nrun.T = 0.1\n"),
+                ("longtime", "longtime", "m.list = 10,inf\nsnapshots = 4\n")):
+            text = BASE + extra
+            rep1 = run_experiment(ExperimentConfig.from_text(text),
+                                  kind=kind, workers=1)
+            rep2 = run_experiment(ExperimentConfig.from_text(text),
+                                  kind=kind, workers=2)
+            r1 = rep1.tables[table][1]
+            r2 = rep2.tables[table][1]
+            assert len(r1) > 1
+            assert np.allclose(np.array(r1, dtype=float),
+                               np.array(r2, dtype=float), rtol=0, atol=0)
 
     def test_worker_pool_never_larger_than_sweep(self, monkeypatch):
         # a fork-based pool starts all max_workers processes at once, so a
@@ -267,6 +271,39 @@ class TestDrivers:
         serial = run_experiment(ExperimentConfig.from_text(text),
                                 kind="converge-m", workers=1)
         assert rep.tables == serial.tables
+
+    def test_radial_heleshaw_single_run_closes_the_hole(self, tmp_path):
+        # on a radial grid the box is a shell, whose hole closes into a
+        # ball; a 1-D interval would translate rigidly instead
+        run_experiment(ExperimentConfig.from_text(RADIAL + (
+            "grid.dim = 3\ninit.boxes = 0.5,1.0,1\nrun.scheme = heleshaw\n"
+            "run.T = 0.5\n")), kind="single-run", outdir=str(tmp_path))
+        rows = (tmp_path / "patches.csv").read_text().splitlines()
+        t, a, b, _volume = map(float, rows[-1].split(","))
+        assert (t, a) == (0.5, 0.0)
+        assert b == pytest.approx((1.0 - 0.5**3) ** (1.0 / 3.0), abs=1e-4)
+
+    def test_radial_crossval_tracks_the_closing_hole(self):
+        # the hole of the shell closes before t = 0.1; the PME supports
+        # are compared with the tracked shell, not with a 1-D interval
+        for d in (2, 3):
+            rep = run_experiment(ExperimentConfig.from_text(RADIAL + (
+                f"grid.dim = {d}\ninit.boxes = 0.5,1.5,1\nm.list = 8,32\n"
+                "crossval.times = 0.1,0.3\npme.eps_supp = 0.25\n")),
+                kind="crossval")
+            hausdorff = [c for c in rep.criteria
+                         if c["id"].startswith("crossval.hausdorff")]
+            assert len(hausdorff) == 4
+            assert all(c["pass"] for c in hausdorff), (d, hausdorff)
+
+
+RADIAL = """
+potential.kind = quadratic
+potential.q = 1.0
+grid.lo = 0
+grid.hi = 2
+grid.n = 64
+"""
 
 
 CROSSVAL_SHORT = """
