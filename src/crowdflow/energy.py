@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GridDensity, GridSpec, QuantileRep
-from .potentials import Potential
+from .potentials import Potential, gl_points
 
 #: feasibility slack for the hard constraint on grid data; cell-averaging
 #: of feasible quantile data may overshoot one by a sliver and must not
@@ -66,7 +66,7 @@ def potential_energy(rho, phi: Potential) -> float:
     if isinstance(rho, QuantileRep):
         _check_domain(phi, rho.nodes[0], rho.nodes[-1])
         x = rho.nodes
-        return float(rho.w * np.sum(phi.avg(x[:-1], x[1:])))
+        return float(rho.w * np.sum(phi.avg(gl_points(x[:-1], x[1:]))))
     lo, hi = rho.support_extent()
     if not math.isnan(lo):
         _check_domain(phi, lo, hi)

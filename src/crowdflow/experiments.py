@@ -427,8 +427,11 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
         if outdir:
             os.makedirs(outdir, exist_ok=True)
             ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-            stride = max(1, len(states) // n_snap)
-            for k in range(0, len(states), stride):
+            # the start and the steps at the snapshot times, T included,
+            # that the pme and heleshaw branches write
+            steps = {0} | {min(round(t / h), len(states) - 1)
+                           for t in snapshot_times}
+            for k in sorted(steps):
                 states[k].to_csv(os.path.join(outdir, f"state_{k:05d}.csv"))
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .energy import EnergyReport, free_energy
 from .model import GridDensity, GridSpec, QuantileRep, RunLedger, to_grid, to_quantile
-from .potentials import Potential
+from .potentials import Potential, gl_points
 from .transport import w2_cost_squared
 
 
@@ -120,11 +120,19 @@ def _movement_grad(d, w):
     return g
 
 
-def _objective(x, d, gaps, w, m, phi, h):
-    """Step objective from the nodes, displacements ``d`` and gaps."""
+def _newton_state(x, d, gaps):
+    """An iterate: the nodes, displacements ``d``, gaps, and the
+    Gauss-Legendre points of the gaps, which the value, gradient and
+    Hessian terms below all read."""
+    return x, d, gaps, gl_points(x[:-1], x[1:])
+
+
+def _objective(state, w, m, phi, h):
+    """Step objective of an iterate from ``_newton_state``."""
+    _, d, gaps, pts = state
     if not math.isinf(m) and np.any(gaps <= 0.0):
         return math.inf
-    val = w * np.sum(phi.avg(x[:-1], x[1:]))
+    val = w * np.sum(phi.avg(pts))
     val += _movement_value(d, w) / (2.0 * h)
     if not math.isinf(m):
         with np.errstate(over="ignore"):
@@ -132,9 +140,10 @@ def _objective(x, d, gaps, w, m, phi, h):
     return float(val)
 
 
-def _gradient(x, d, gaps, w, m, phi, h):
-    g = np.zeros_like(x)
-    da, db = phi.avg_grad(x[:-1], x[1:])
+def _gradient(state, w, m, phi, h):
+    _, d, gaps, pts = state
+    g = np.zeros_like(d)
+    da, db = phi.avg_grad(pts)
     g[:-1] += w * da
     g[1:] += w * db
     g += _movement_grad(d, w) / (2.0 * h)
@@ -147,12 +156,13 @@ def _gradient(x, d, gaps, w, m, phi, h):
     return g
 
 
-def _hessian(x, d, gaps, w, m, phi, h):
+def _hessian(state, w, m, phi, h):
     """Tridiagonal Hessian of the step objective: (diag, offdiag)."""
-    n1 = x.size
+    _, d, gaps, pts = state
+    n1 = d.size
     hd = np.zeros(n1)
     ho = np.zeros(n1 - 1)
-    haa, hab, hbb = phi.avg_hess(x[:-1], x[1:])
+    haa, hab, hbb = phi.avg_hess(pts)
     hd[:-1] += w * haa
     hd[1:] += w * hbb
     ho += w * hab
@@ -170,21 +180,30 @@ def _hessian(x, d, gaps, w, m, phi, h):
 
 
 def _solve_tridiag(hd, ho, rhs):
+    """Solve the symmetric tridiagonal system (diag ``hd``, offdiag ``ho``).
+
+    LAPACK ``dptsv`` directly, the routine ``scipy.linalg.solveh_banded``
+    picks for a tridiagonal matrix, without that wrapper's per-call cost.
+    Non-finite input raises ``ValueError``.  A matrix that is not positive
+    definite gets one retry with a ridge of ``1e-12`` of its largest
+    diagonal entry, then raises ``LinAlgError``.
+    """
     # imported here, the one place that needs it: scipy.linalg costs more to
     # load than the rest of the package, and PME, front-tracking and crossval
     # runs take no JKO step
-    import scipy.linalg
+    from scipy.linalg.lapack import dptsv
     if hd.size == 1:
         return rhs / hd
-    ab = np.zeros((2, hd.size))
-    ab[0, 1:] = ho
-    ab[1, :] = hd
-    try:
-        return scipy.linalg.solveh_banded(ab, rhs, lower=False)
-    except scipy.linalg.LinAlgError:
+    if not (np.all(np.isfinite(hd)) and np.all(np.isfinite(ho))
+            and np.all(np.isfinite(rhs))):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, x, info = dptsv(hd, ho, rhs)
+    if info > 0:
         ridge = 1e-12 * np.max(np.abs(hd)) + 1e-300
-        ab[1, :] = hd + ridge
-        return scipy.linalg.solveh_banded(ab, rhs, lower=False)
+        _, _, x, info = dptsv(hd + ridge, ho, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +222,41 @@ def _step_guard(h, phi):
 def _line_search(state, step, f, slope, gnorm, args):
     """Backtrack along ``step`` (finite-m damped Newton).
 
-    ``state`` is ``(x, d, gaps)``; a trial point moves all three by the
-    same step.  The first trial is the full step, shortened to keep every
-    gap positive.  A trial is accepted on Armijo decrease of the objective
-    or, near the optimum where the objective is flat to round-off, on
-    decrease of the max-norm of its gradient.  ``args`` are the
-    objective's trailing arguments ``(w, m, phi, h)``.
+    ``state`` is an iterate from ``_newton_state``; a trial point moves
+    the nodes, displacements and gaps by the same step.  The first trial
+    is the full step, shortened to keep every gap positive.  A trial is
+    accepted on Armijo decrease of the objective or, near the optimum
+    where the objective is flat to round-off, on decrease of the max-norm
+    of its gradient.  ``args`` are the objective's trailing arguments
+    ``(w, m, phi, h)``.
 
     Returns ``(state_new, f_new, g_new)``: ``g_new`` is the trial
     gradient when the gradient test accepted the point, else None.  When
     backtracking runs out the tiny step is taken untested and ``f_new``
     is None too, left to the caller to evaluate if it steps again.
     """
-    x, d, gaps = state
+    x, d, gaps, _ = state
     dgap = np.diff(step)
     shrink = dgap < 0.0
     alpha = 1.0
     if np.any(shrink):
         alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
     while True:
-        trial = (x + alpha * step, d + alpha * step, gaps + alpha * dgap)
+        trial = _newton_state(x + alpha * step, d + alpha * step,
+                              gaps + alpha * dgap)
         if not alpha > 1e-16:
             return trial, None, None
-        f_new = _objective(*trial, *args)
+        f_new = _objective(trial, *args)
         if f_new <= f + ARMIJO * alpha * slope:
             return trial, f_new, None
-        g_new = _gradient(*trial, *args)
+        g_new = _gradient(trial, *args)
         if np.all(np.isfinite(g_new)) and \
                 float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
             return trial, f_new, g_new
         alpha *= BACKTRACK
 
 
-def _solve_finite_m(y, w, m, phi, h, opts):
+def _solve_finite_m(y, w, m, phi, h, opts, predictor):
     """Damped Newton; the gap powers act as an interior barrier.
 
     The iterate is the triple ``(x, d, gaps)``: the nodes, the
@@ -243,14 +264,21 @@ def _solve_finite_m(y, w, m, phi, h, opts):
     step.  The barrier reads the tracked gaps and the movement term reads
     ``d``, so neither inherits the ``eps * |x|`` rounding of differences
     of absolute positions, which the stiff barrier would amplify like
-    ``m * n**2`` into a residual floor above ``tol_grad``.  Returns at
-    ``kkt_residual <= tol_grad`` or raises after ``max_iterations``
-    Newton steps; the iteration count is the number of steps taken.
+    ``m * n**2`` into a residual floor above ``tol_grad``.  A
+    ``predictor`` displacement ``p`` starts the iterate at ``(y + p, p,
+    diff(y) + diff(p))`` when those gaps are all positive; otherwise, and
+    without one, Newton starts at ``y``.  Returns at ``kkt_residual <=
+    tol_grad`` or raises after ``max_iterations`` Newton steps; the
+    iteration count is the number of steps taken.
     """
     args = (w, m, phi, h)
-    state = (y.copy(), np.zeros_like(y), np.diff(y))
+    gaps0 = None if predictor is None else np.diff(y) + np.diff(predictor)
+    if gaps0 is not None and np.all(gaps0 > 0.0):
+        state = _newton_state(y + predictor, predictor, gaps0)
+    else:
+        state = _newton_state(y.copy(), np.zeros_like(y), np.diff(y))
     f = None  # objective at the iterate, evaluated when needed
-    g = _gradient(*state, *args)
+    g = _gradient(state, *args)
     res = float(np.max(np.abs(g))) / w
     it = 0
     while res > opts.tol_grad:
@@ -259,16 +287,16 @@ def _solve_finite_m(y, w, m, phi, h, opts):
                 f"step did not converge in {opts.max_iterations} iterations "
                 f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
         it += 1
-        hd, ho = _hessian(*state, *args)
+        hd, ho = _hessian(state, *args)
         step = _solve_tridiag(hd, ho, -g)
         if not np.all(np.isfinite(step)) or float(np.dot(step, g)) >= 0.0:
             step = -g / np.max(hd)  # gradient fallback, crudely scaled
         if f is None:
-            f = _objective(*state, *args)
+            f = _objective(state, *args)
         state, f, g = _line_search(state, step, f, float(np.dot(step, g)),
                                    float(np.max(np.abs(g))), args)
         if g is None:
-            g = _gradient(*state, *args)
+            g = _gradient(state, *args)
         res = float(np.max(np.abs(g))) / w
     return state[0], res, it
 
@@ -335,22 +363,26 @@ def _solve_congested(y, w, phi, h, opts):
     """
     args = (w, math.inf, phi, h)
     floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
-    x = project_spacing(y, w)
+    # a start that already keeps the spacing (every step of a trajectory
+    # after the first) needs no projection: its active set is read off its
+    # gaps, and the snap below moves it by round-off, as pooling would
+    x = y if np.all(np.diff(y) >= floor) else project_spacing(y, w)
     active = np.diff(x) <= w * (1.0 + 1e-12)
     x = _snap_active(x, active, w)
-    d, gaps = x - y, np.diff(x)
-    g = _gradient(x, d, gaps, *args)
+    state = _newton_state(x, x - y, np.diff(x))
+    g = _gradient(state, *args)
     for sweep in range(1, opts.max_iterations + 1):
         ids = _blocks_from_active(active)
         nblocks = ids[-1] + 1
-        hd, ho = _hessian(x, d, gaps, *args)
+        hd, ho = _hessian(state, *args)
         hd_red = np.bincount(ids, weights=hd, minlength=nblocks)
         hd_red += 2.0 * np.bincount(ids[:-1][active], weights=ho[active],
                                     minlength=nblocks)
         g_red = np.bincount(ids, weights=g, minlength=nblocks)
         x = x + _solve_tridiag(hd_red, ho[~active], -g_red)[ids]
-        d, gaps = x - y, np.diff(x)
-        g = _gradient(x, d, gaps, *args)
+        gaps = np.diff(x)
+        state = _newton_state(x, x - y, gaps)
+        g = _gradient(state, *args)
         mu = _multipliers(g, active)
         res = _kkt_residual(g, mu, w)
         violated = ~active & (gaps < floor)
@@ -364,8 +396,8 @@ def _solve_congested(y, w, phi, h, opts):
             # below w; adding them now keeps the sweep count independent of n
             violated = ~active & (np.diff(_snap_active(x, active, w)) < floor)
         x = _snap_active(x, active, w)
-        d, gaps = x - y, np.diff(x)
-        g = _gradient(x, d, gaps, *args)
+        state = _newton_state(x, x - y, np.diff(x))
+        g = _gradient(state, *args)
     raise JkoConvergenceError(
         f"congested step did not converge in {opts.max_iterations} sweeps "
         f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
@@ -376,15 +408,22 @@ def _solve_congested(y, w, phi, h, opts):
 # ---------------------------------------------------------------------------
 
 def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
-             opts: JkoOptions | None = None) -> JkoStepResult:
+             opts: JkoOptions | None = None,
+             predictor=None) -> JkoStepResult:
     """One minimizing-movement step of size ``h`` from ``rho0``.
+
+    ``predictor`` is an optional guess of the node displacement, such as
+    the previous step's in a trajectory.  Finite-m Newton starts from it
+    when it keeps every gap positive; it changes only where the solve
+    starts, never the tolerance it must meet.  The m = inf solver starts
+    from ``rho0`` and ignores it.
 
     Raises
     ------
     ValueError
-        Step size outside the admissible convexity range, or an
-        infeasible start (m = inf with density above one; finite m with
-        a collapsed gap).
+        Step size outside the admissible convexity range, an infeasible
+        start (m = inf with density above one; finite m with a collapsed
+        gap), or a predictor of the wrong shape or not finite.
     JkoConvergenceError
         The requested KKT residual was not reached; never silently
         accepted.
@@ -395,6 +434,11 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         raise ValueError("congestion exponent must satisfy m > 1")
     y = rho0.nodes.copy()
     w = rho0.w
+    if predictor is not None:
+        predictor = np.asarray(predictor, dtype=float)
+        if predictor.shape != y.shape or not np.all(np.isfinite(predictor)):
+            raise ValueError(f"predictor must be a finite array of the nodes' "
+                             f"shape {y.shape}")
     if math.isinf(m):
         if rho0.max_density > 1.0 + 1e-9:
             raise ValueError("infeasible start: density exceeds one")
@@ -402,7 +446,7 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     else:
         if np.any(np.diff(y) <= 0.0):
             raise ValueError("infeasible start: collapsed gap at finite m")
-        x, res, iters = _solve_finite_m(y, w, m, phi, h, opts)
+        x, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
     move = w2_cost_squared(x, y, w)
@@ -423,6 +467,8 @@ def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
     Returns the list of states (initial state included) and a ledger
     with one row per step recording the energy split, the movement per
     step, mass, support extent, and the excess mass above density one.
+    Each step after the first takes the previous step's displacement as
+    its ``predictor``.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
@@ -435,9 +481,10 @@ def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
     ledger.append(0, 0.0, rep.total, rep.internal, rep.potential, 0.0,
                   rho0.total_mass, rho0.nodes[0], rho0.nodes[-1],
                   rho0.excess_mass())
-    cur = rho0
+    cur, move = rho0, None
     for k in range(1, n_steps + 1):
-        out = jko_step(cur, m, h, phi, opts)
+        out = jko_step(cur, m, h, phi, opts, move)
+        move = out.state.nodes - cur.nodes
         cur, rep = out.state, out.energy
         states.append(cur)
         ledger.append(k, k * h, rep.total, rep.internal, rep.potential,

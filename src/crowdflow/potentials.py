@@ -57,24 +57,28 @@ class Potential:
     bounded_below: bool
     domain: tuple = (-8.0, 8.0)
     dim: int = 1
-    _dcoef: np.ndarray = field(init=False, repr=False)
-    _d2coef: np.ndarray = field(init=False, repr=False)
+    _ccoef: tuple = field(init=False, repr=False)
+    _dcoef: tuple = field(init=False, repr=False)
+    _d2coef: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coef = np.asarray(self.coef, dtype=float)
-        self._dcoef = npoly.polyder(self.coef)
-        self._d2coef = npoly.polyder(self.coef, 2)
+        # Python floats: the Horner kernel multiplies them into arrays
+        # without the per-coefficient cost of numpy scalars
+        self._ccoef = tuple(self.coef.tolist())
+        self._dcoef = tuple(npoly.polyder(self.coef).tolist())
+        self._d2coef = tuple(npoly.polyder(self.coef, 2).tolist())
 
     # -- pointwise evaluation ------------------------------------------------
 
     def value(self, x):
-        return npoly.polyval(np.asarray(x, dtype=float), self.coef)
+        return _horner(self._ccoef, np.asarray(x, dtype=float))
 
     def grad(self, x):
-        return npoly.polyval(np.asarray(x, dtype=float), self._dcoef)
+        return _horner(self._dcoef, np.asarray(x, dtype=float))
 
     def d2(self, x):
-        return npoly.polyval(np.asarray(x, dtype=float), self._d2coef)
+        return _horner(self._d2coef, np.asarray(x, dtype=float))
 
     def lap(self, x):
         """Laplacian of the radial profile: ``Phi'' + (d-1) Phi'/r``.
@@ -86,26 +90,30 @@ class Potential:
         return _laplacian(x, self._dcoef, self._d2coef, self.dim)
 
     # -- interval data -------------------------------------------------------
+    #
+    # The interval methods take the Gauss-Legendre point set
+    # ``gl_points(a, b)`` of the intervals ``[a, b]``, so a caller that
+    # needs several of them at one set of intervals builds the points once.
 
-    def avg(self, a, b):
-        """Exact average of the potential over ``[a, b]`` (vectorized).
+    def avg(self, pts):
+        """Exact average of the potential over each ``[a, b]`` (vectorized).
 
         Gauss-Legendre with 5 nodes; exact for the polynomial catalog.
         Degenerate intervals fall back to the point value.
         """
-        v = self.value(_gl_points(a, b))
+        v = self.value(pts)
         return 0.5 * _node_sum(_per_node(_GL_WEIGHTS, v) * v)
 
-    def avg_grad(self, a, b):
-        """Partial derivatives of ``avg(a, b)`` w.r.t. the endpoints."""
-        g = self.grad(_gl_points(a, b))
+    def avg_grad(self, pts):
+        """Partial derivatives of ``avg`` w.r.t. the endpoints ``a``, ``b``."""
+        g = self.grad(pts)
         t = _per_node(_GL_HALF_WEIGHTS, g) * g * 0.5
         return (_node_sum(t * _per_node(1.0 - _GL_NODES, g)),
                 _node_sum(t * _per_node(1.0 + _GL_NODES, g)))
 
-    def avg_hess(self, a, b):
-        """Second partials of ``avg(a, b)``: (d2_aa, d2_ab, d2_bb)."""
-        c = self.d2(_gl_points(a, b))
+    def avg_hess(self, pts):
+        """Second partials of ``avg``: (d2_aa, d2_ab, d2_bb)."""
+        c = self.d2(pts)
         la, lb = _per_node(_GL_LA, c), _per_node(_GL_LB, c)
         t = _per_node(_GL_HALF_WEIGHTS, c) * c
         ta = t * la
@@ -128,7 +136,22 @@ def _laplacian(x, dcoef, d2coef, d):
     return np.where(x == 0.0, d * npoly.polyval(0.0, d2coef), out)
 
 
-def _gl_points(a, b):
+def _horner(c, x):
+    """``numpy.polynomial.polynomial.polyval(x, c)`` without its set-up.
+
+    The same operations in the same order, so the result is bit-identical:
+    polyval starts from ``c[-1] + x * 0``, which times ``x`` is ``c[-1] * x``
+    for finite ``x``.  ``c`` is a sequence of floats, low order first.
+    """
+    if len(c) == 1:
+        return c[0] + x * 0
+    acc = c[-2] + c[-1] * x
+    for ci in c[-3::-1]:
+        acc = ci + acc * x
+    return acc
+
+
+def gl_points(a, b):
     """The 5 Gauss-Legendre points of every ``[a, b]``, stacked on axis 0.
 
     One array for all nodes lets each polynomial be evaluated by a single

@@ -101,6 +101,22 @@ class TestCli:
             "single-run.energy-monotone", "single-run.mass-constant"}
         assert doc["config_hash"]
 
+    def test_single_run_writes_jko_states_at_the_snapshot_times(self, tmp_path):
+        # 11 states and 3 snapshots: a stride of 3 wrote steps 0, 3, 6, 9
+        # and never the final state at T
+        out = tmp_path / "out"
+        assert main(["single-run", "--config",
+                     cfg_file(tmp_path, "m = inf\nsnapshots = 3\n"),
+                     "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.glob("state_*.csv"))
+        assert written == [f"state_{k:05d}.csv" for k in (0, 3, 7, 10)]
+        # the last file holds the final state: its support is the one in
+        # the ledger's last row
+        last = (out / "ledger.csv").read_text().splitlines()[-1].split(",")
+        nodes = [float(row.split(",")[1]) for row in
+                 (out / "state_00010.csv").read_text().splitlines()[1:]]
+        assert (nodes[0], nodes[-1]) == (float(last[7]), float(last[8]))
+
     def test_reproducible_byte_identical(self, tmp_path):
         cfgp = cfg_file(tmp_path, "m = inf\n")
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")

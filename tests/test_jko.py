@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.linalg
+from numpy.polynomial import polynomial as npoly
+
+from crowdflow import jko
 from crowdflow.energy import free_energy
 from crowdflow.jko import (JkoConvergenceError, JkoOptions, jko_step,
                            jko_trajectory, pav_nondecreasing, project_spacing,
                            verify_comparison)
-from crowdflow.model import GridSpec, QuantileRep, to_quantile
+from crowdflow.model import GridSpec, QuantileRep, make_grid_density, to_quantile
 from crowdflow.oracles import energy_minimizer_profile, stationary_profile
-from crowdflow.potentials import potential_catalog
+from crowdflow.potentials import Potential, potential_catalog
 from crowdflow.transport import w2_cost_squared
 
 from conftest import indicator, indicator_quantile, random_density
@@ -381,6 +385,145 @@ class TestJkoStep:
 
 
 # ---------------------------------------------------------------------------
+# tridiagonal solve
+# ---------------------------------------------------------------------------
+
+def _solve_tridiag_reference(hd, ho, rhs):
+    """The solve through ``scipy.linalg.solveh_banded``, ridge retry included."""
+    ab = np.zeros((2, hd.size))
+    ab[0, 1:] = ho
+    ab[1, :] = hd
+    try:
+        return scipy.linalg.solveh_banded(ab, rhs, lower=False)
+    except scipy.linalg.LinAlgError:
+        ab[1, :] = hd + (1e-12 * np.max(np.abs(hd)) + 1e-300)
+        return scipy.linalg.solveh_banded(ab, rhs, lower=False)
+
+
+class TestTridiagonalSolve:
+    def test_spd_bit_identical_to_solveh_banded(self, rng):
+        for n in (2, 3, 50, 801):
+            ho = rng.uniform(-1.0, 1.0, n - 1)
+            hd = rng.uniform(0.1, 2.0, n)
+            hd[:-1] += np.abs(ho)
+            hd[1:] += np.abs(ho)
+            rhs = rng.normal(size=n)
+            got = jko._solve_tridiag(hd, ho, rhs)
+            assert got.tobytes() == _solve_tridiag_reference(hd, ho, rhs).tobytes()
+
+    def test_singular_matrix_takes_the_ridge_retry(self):
+        # a path-graph Laplacian: positive semidefinite, last pivot exactly
+        # zero; one ridge retry solves it
+        hd, ho = np.array([1.0, 2.0, 1.0]), np.array([-1.0, -1.0])
+        rhs = np.array([1.0, -1.0, 0.5])
+        got = jko._solve_tridiag(hd, ho, rhs)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == _solve_tridiag_reference(hd, ho, rhs).tobytes()
+
+    def test_indefinite_matrix_raises_after_the_ridge(self):
+        hd, ho, rhs = np.array([1.0, -2.0, 1.0]), np.array([0.5, 0.5]), np.ones(3)
+        for solve in (jko._solve_tridiag, _solve_tridiag_reference):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(hd, ho, rhs)
+
+    def test_nonfinite_input_raises_value_error(self):
+        hd, ho, rhs = np.full(4, 3.0), np.ones(3), np.ones(4)
+        for bad in (np.nan, np.inf):
+            for args in ((np.r_[hd[:-1], bad], ho, rhs),
+                         (hd, np.r_[bad, ho[1:]], rhs),
+                         (hd, ho, np.r_[rhs[:2], bad, rhs[3:]])):
+                for solve in (jko._solve_tridiag, _solve_tridiag_reference):
+                    with pytest.raises(ValueError):
+                        solve(*args)
+
+
+# ---------------------------------------------------------------------------
+# solver starts: no predictor, warm start, spacing projection
+# ---------------------------------------------------------------------------
+
+def _congested_cases():
+    """The saturating box of the congested reproduction at five sizes."""
+    grid = GridSpec(-4.0, 4.0, 4000)
+    rho0 = make_grid_density({"boxes": [(-1.5, 1.5, 0.6)]}, grid)
+    return potential_catalog("quadratic", q=4.0), \
+        [to_quantile(rho0, n) for n in (100, 200, 400, 800, 1600)]
+
+
+class TestSolverStarts:
+    def test_cold_finite_m_steps_bit_identical_with_reference_kernels(
+            self, monkeypatch):
+        # Horner in place of polyval and dptsv in place of solveh_banded
+        # change no bit of a step taken without a predictor
+        phi, cases = _congested_cases()
+        fast = [jko_step(q0, m, 0.5, phi) for q0 in cases for m in (10.0, 50.0)]
+        for name, deriv in (("value", 0), ("grad", 1), ("d2", 2)):
+            monkeypatch.setattr(
+                Potential, name, lambda self, x, k=deriv: npoly.polyval(
+                    np.asarray(x, dtype=float), npoly.polyder(self.coef, k)))
+        monkeypatch.setattr(jko, "_solve_tridiag", _solve_tridiag_reference)
+        ref = [jko_step(q0, m, 0.5, phi) for q0 in cases for m in (10.0, 50.0)]
+        for a, b in zip(fast, ref):
+            assert a.state.nodes.tobytes() == b.state.nodes.tobytes()
+            assert (a.kkt_residual, a.iterations) == (b.kkt_residual, b.iterations)
+
+    def test_warm_start_meets_tolerance_and_tracks_the_cold_chain(self):
+        # configs/longtime.txt physics: the previous displacement predicts
+        # the next, so the warm chain takes fewer Newton steps, and its
+        # states stay within 5e-11 of the cold chain's (2.2e-11 measured
+        # over these 300 steps)
+        grid = GridSpec(-4.5, 4.5, 900)
+        phi = potential_catalog("quadratic", q=1.0)
+        q0 = to_quantile(make_grid_density({"boxes": [(2.0, 3.0, 1.0)]}, grid),
+                         200)
+        opts = JkoOptions()
+        for m in (3.0, 10.0, 50.0):
+            cold, warm, move = q0, q0, None
+            iters_cold = iters_warm = 0
+            for _ in range(300):
+                out_cold = jko_step(cold, m, 1e-3, phi, opts)
+                out_warm = jko_step(warm, m, 1e-3, phi, opts, move)
+                assert out_warm.kkt_residual <= opts.tol_grad
+                move = out_warm.state.nodes - warm.nodes
+                cold, warm = out_cold.state, out_warm.state
+                iters_cold += out_cold.iterations
+                iters_warm += out_warm.iterations
+                assert np.max(np.abs(cold.nodes - warm.nodes)) <= 5e-11, m
+            assert iters_warm < iters_cold, m
+
+    def test_predictor_collapsing_a_gap_starts_cold_malformed_raises(
+            self, g6, quad_phi):
+        q0 = indicator_quantile(1, 2, g6, n=40)
+        cold = jko_step(q0, 6.0, 0.02, quad_phi)
+        crossing = np.zeros_like(q0.nodes)
+        crossing[5] = -1.0  # moves node 5 below node 4
+        out = jko_step(q0, 6.0, 0.02, quad_phi, None, crossing)
+        assert out.state.nodes.tobytes() == cold.state.nodes.tobytes()
+        for bad in (crossing[:-1], np.full_like(crossing, np.nan)):
+            with pytest.raises(ValueError):
+                jko_step(q0, 6.0, 0.02, quad_phi, None, bad)
+
+    def test_spacing_projected_only_for_an_infeasible_start(
+            self, g6, quad_phi, monkeypatch):
+        calls = []
+
+        def counted(x, gap):
+            calls.append(gap)
+            return project_spacing(x, gap)
+
+        monkeypatch.setattr("crowdflow.jko.project_spacing", counted)
+        q0 = indicator_quantile(1, 2, g6, n=50)
+        jko_trajectory(q0, math.inf, 0.02, quad_phi, 0.2)
+        assert calls == []
+        # gaps 1e-10 below the spacing: density one within the admissible
+        # 1e-9, but below the solver's floor, so the start is projected
+        squeezed = QuantileRep(q0.total_mass,
+                               q0.nodes[0] + (q0.nodes - q0.nodes[0]) * (1 - 1e-10))
+        out = jko_step(squeezed, math.inf, 0.02, quad_phi)
+        assert calls == [q0.w]
+        assert out.kkt_residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
@@ -417,18 +560,20 @@ class TestTrajectory:
     def test_ledger_energies_and_states_match_chained_steps(self, g6, quad_phi):
         # the trajectory reuses each step's energy report instead of
         # recomputing it: the ledger must still hold free_energy exactly,
-        # and the states must be those of plain jko_step chaining
+        # and the states must be those of plain jko_step chaining, each
+        # step predicted by the previous step's displacement
         q0 = indicator_quantile(1, 2, g6, n=60)
         h = 0.02
         for m in (4.0, math.inf):
             states, ledger = jko_trajectory(q0, m, h, quad_phi, 0.1)
-            cur = q0
+            cur, move = q0, None
             for k, (state, row) in enumerate(zip(states, ledger.rows)):
                 if k:
-                    out = jko_step(cur, m, h, quad_phi)
+                    out = jko_step(cur, m, h, quad_phi, None, move)
                     # the reported energy is the new state's, exactly, so
                     # the step's dissipation is E(cur) - out.energy.total
                     assert out.energy == free_energy(out.state, m, quad_phi)
+                    move = out.state.nodes - cur.nodes
                     cur = out.state
                 assert state.nodes.tobytes() == cur.nodes.tobytes()
                 rep = free_energy(state, m, quad_phi)

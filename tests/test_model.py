@@ -36,6 +36,18 @@ class TestMakeGridDensity:
         assert rho.mass == pytest.approx(1.0, abs=1e-14)
         assert rho.values.max() == pytest.approx(0.5)
 
+    def test_box_edge_on_a_rounded_grid_edge_leaves_no_sliver(self):
+        # linspace puts the grid edge at -1.3 at -1.2999999999999998; the
+        # cell left of it must not get the 2.2e-16 between them, which put
+        # the quantile support one cell outside the density's
+        g = GridSpec(-4, 4, 800)
+        for box in ((-1.3, 1.0, 1.0), (-1.0, 1.3, 1.0), (-1.3, 1.3, 0.5)):
+            rho = make_grid_density({"boxes": [box]}, g)
+            nodes = to_quantile(rho, 100).nodes
+            assert (nodes[0], nodes[-1]) == rho.support_extent(), box
+            assert rho.mass == pytest.approx(box[2] * (box[1] - box[0]),
+                                             rel=1e-14)
+
     def test_empty_support_rejected(self):
         g = GridSpec(-2, 2, 100)
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from crowdflow.oracles import (barenblatt, barenblatt_halfwidth,
                                quadratic_interval_flow, stationary_patch,
                                stationary_profile, sublevel_intervals)
 from crowdflow.model import Patch
-from crowdflow.potentials import potential_catalog
+from crowdflow.potentials import gl_points, potential_catalog
 
 
 class TestBarenblatt:
@@ -110,13 +110,13 @@ class TestStationaryProfiles:
         # than any superlevel indicator of the same volume
         sub = stationary_patch(quad_phi, 1.0, (-3, 3))
         (a, b), = sub.intervals
-        e_sub = quad_phi.avg(a, b) * (b - a)
+        e_sub = quad_phi.avg(gl_points(a, b)) * (b - a)
         # superlevel candidate of the same volume: two outer slabs
         iv = sublevel_intervals(quad_phi, quad_phi.value(b), (-3, 3))
         (aa, bb), = iv
         outer = 0.5  # half-volume per side
-        e_sup = quad_phi.avg(bb, bb + outer) * outer \
-            + quad_phi.avg(aa - outer, aa) * outer
+        e_sup = quad_phi.avg(gl_points(bb, bb + outer)) * outer \
+            + quad_phi.avg(gl_points(aa - outer, aa)) * outer
         assert e_sub < e_sup
 
     def test_unattainable_mass_rejected(self, quad_phi):

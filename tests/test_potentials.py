@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from crowdflow.potentials import potential_catalog
+from crowdflow.potentials import gl_points, potential_catalog
 
 
 ALL_KINDS = [
@@ -15,6 +16,22 @@ ALL_KINDS = [
     ("linear", {"g": 1.0}),
     ("custom-polynomial", {"coef": [0.3, -0.1, 0.5, 0.0, 0.125]}),
 ]
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS + [
+    ("custom-polynomial", {"coef": [0.7, -1.2, 0.4, 2.0, -0.9, 0.3, 0.25]}),
+    ("custom-polynomial", {"coef": [0.5]}),
+])
+def test_pointwise_evaluation_bit_identical_to_polyval(kind, params, rng):
+    # the Horner kernel keeps numpy's operation order exactly
+    phi = potential_catalog(kind, params)
+    pts = rng.uniform(-4.0, 4.0, (5, 64))
+    pts[0, :3] = (0.0, -0.0, 1.0)
+    for method, order in ((phi.value, 0), (phi.grad, 1), (phi.d2, 2)):
+        coef = npoly.polyder(phi.coef, order)
+        for x in (pts, pts[1], -1.25, 0.0):
+            assert np.asarray(method(x)).tobytes() == \
+                np.asarray(npoly.polyval(x, coef)).tobytes(), (method, x)
 
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
@@ -95,10 +112,16 @@ def test_quartic_double_well_normalization():
 def test_interval_average_exact_for_polynomials():
     phi = potential_catalog("quadratic", q=1.0)
     # integral of x^2/2 over [0,1] is 1/6
-    assert phi.avg(0.0, 1.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert phi.avg(gl_points(0.0, 1.0)) == pytest.approx(1.0 / 6.0, abs=1e-15)
     quart = potential_catalog("quartic-well", a=4.0, b=0.0)
     # x^4 over [0,1] integrates to 1/5
-    assert quart.avg(0.0, 1.0) == pytest.approx(0.2, abs=1e-14)
+    assert quart.avg(gl_points(0.0, 1.0)) == pytest.approx(0.2, abs=1e-14)
+
+
+def _interval_data(phi, a, b):
+    """``avg``, ``avg_grad`` and ``avg_hess`` of ``phi`` on ``[a, b]``."""
+    pts = gl_points(a, b)
+    return (phi.avg(pts), *phi.avg_grad(pts), *phi.avg_hess(pts))
 
 
 def test_avg_gradients_match_finite_differences(rng):
@@ -106,17 +129,16 @@ def test_avg_gradients_match_finite_differences(rng):
     a = rng.uniform(-2, 1, 16)
     b = a + rng.uniform(0.2, 2.0, 16)
     h = 1e-6
-    da, db = phi.avg_grad(a, b)
-    assert np.allclose(da, (phi.avg(a + h, b) - phi.avg(a - h, b)) / (2 * h),
+    _, da, db, haa, hab, _ = _interval_data(phi, a, b)
+    assert np.allclose(da, (_interval_data(phi, a + h, b)[0]
+                            - _interval_data(phi, a - h, b)[0]) / (2 * h),
                        atol=1e-7)
-    assert np.allclose(db, (phi.avg(a, b + h) - phi.avg(a, b - h)) / (2 * h),
+    assert np.allclose(db, (_interval_data(phi, a, b + h)[0]
+                            - _interval_data(phi, a, b - h)[0]) / (2 * h),
                        atol=1e-7)
-    haa, hab, hbb = phi.avg_hess(a, b)
-    daa, _ = phi.avg_grad(a + h, b)
-    dab, _ = phi.avg_grad(a - h, b)
+    daa, dba = _interval_data(phi, a + h, b)[1:3]
+    dab, dbb = _interval_data(phi, a - h, b)[1:3]
     assert np.allclose(haa, (daa - dab) / (2 * h), atol=1e-6)
-    _, dba = phi.avg_grad(a + h, b)
-    _, dbb = phi.avg_grad(a - h, b)
     assert np.allclose(hab, (dba - dbb) / (2 * h), atol=1e-6)
 
 
@@ -171,7 +193,7 @@ def test_interval_data_exact_against_antiderivatives(kind, params, rng):
     a = rng.uniform(-2.0, 2.0, 24)
     b = a + rng.uniform(0.0, 2.0, 24)
     b[:4] = a[:4]  # degenerate intervals
-    got = np.array([phi.avg(a, b), *phi.avg_grad(a, b), *phi.avg_hess(a, b)])
+    got = np.array(_interval_data(phi, a, b))
     for j in range(a.size):
         exact = _exact_interval_data(phi.coef, a[j], b[j])
         # size of the terms that cancel, as a scale for round-off
@@ -186,14 +208,14 @@ def test_interval_data_shapes_match_pointwise_calls(rng):
     phi = potential_catalog("quartic-well", a=1.0, b=0.5, c=0.1)
     a = rng.uniform(-2.0, 1.0, (3, 4))
     b = a + rng.uniform(0.0, 2.0, (3, 4))
-    scalar = [[(phi.avg(ai, bi), *phi.avg_grad(ai, bi), *phi.avg_hess(ai, bi))
-               for ai, bi in zip(ra, rb)] for ra, rb in zip(a, b)]
+    scalar = [[_interval_data(phi, ai, bi) for ai, bi in zip(ra, rb)]
+              for ra, rb in zip(a, b)]
     scalar = np.moveaxis(np.array(scalar), -1, 0)
     for x0, x1, ref in ((a[0, 0], b[0, 0], scalar[:, 0, 0]),
                         (a[1], b[1], scalar[:, 1]),
                         (a, b, scalar),
                         (a[:, :1], b, None)):
-        got = (phi.avg(x0, x1), *phi.avg_grad(x0, x1), *phi.avg_hess(x0, x1))
+        got = _interval_data(phi, x0, x1)
         shape = np.broadcast_shapes(np.shape(x0), np.shape(x1))
         for value in got:
             assert np.shape(value) == shape
