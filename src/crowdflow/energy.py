@@ -64,14 +64,21 @@ def potential_energy(rho, phi: Potential) -> float:
     agrees with the minimizing-movement objective exactly.
     """
     if isinstance(rho, QuantileRep):
-        _check_domain(phi, rho.nodes[0], rho.nodes[-1])
         x = rho.nodes
-        return float(rho.w * np.sum(phi.avg(gl_points(x[:-1], x[1:]))))
+        return _quantile_potential(rho, phi, gl_points(x[:-1], x[1:]))
     lo, hi = rho.support_extent()
     if not math.isnan(lo):
         _check_domain(phi, lo, hi)
     vals = phi.value(rho.grid.centers)
     return float(np.dot(rho.values * vals, rho.grid.cell_measures))
+
+
+def _quantile_potential(rho: QuantileRep, phi: Potential, pts) -> float:
+    """Potential energy of quantile data from the Gauss-Legendre points
+    ``pts = gl_points(nodes[:-1], nodes[1:])`` of its gaps, for a caller
+    that already holds them."""
+    _check_domain(phi, rho.nodes[0], rho.nodes[-1])
+    return float(rho.w * phi.avg(pts).sum())
 
 
 def free_energy(rho, m, phi: Potential) -> EnergyReport:

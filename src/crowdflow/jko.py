@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyReport, free_energy
+from .energy import EnergyReport, _quantile_potential, free_energy, internal_energy
 from .model import GridDensity, GridSpec, QuantileRep, RunLedger, to_grid, to_quantile
 from .potentials import Potential, gl_points
 from .transport import w2_cost_squared
@@ -111,7 +111,7 @@ def project_spacing(x, gap):
 
 def _movement_value(d, w):
     d0, d1 = d[:-1], d[1:]
-    return w / 3.0 * np.sum(d0 * d0 + d0 * d1 + d1 * d1)
+    return w / 3.0 * (d0 * d0 + d0 * d1 + d1 * d1).sum()
 
 def _movement_grad(d, w):
     g = np.zeros_like(d)
@@ -130,13 +130,13 @@ def _newton_state(x, d, gaps):
 def _objective(state, w, m, phi, h):
     """Step objective of an iterate from ``_newton_state``."""
     _, d, gaps, pts = state
-    if not math.isinf(m) and np.any(gaps <= 0.0):
+    if not math.isinf(m) and (gaps <= 0.0).any():
         return math.inf
-    val = w * np.sum(phi.avg(pts))
+    val = w * phi.avg(pts).sum()
     val += _movement_value(d, w) / (2.0 * h)
     if not math.isinf(m):
         with np.errstate(over="ignore"):
-            val += (w / m) * np.sum((w / gaps) ** (m - 1.0))
+            val += (w / m) * ((w / gaps) ** (m - 1.0)).sum()
     return float(val)
 
 
@@ -186,24 +186,32 @@ def _solve_tridiag(hd, ho, rhs):
     picks for a tridiagonal matrix, without that wrapper's per-call cost.
     Non-finite input raises ``ValueError``.  A matrix that is not positive
     definite gets one retry with a ridge of ``1e-12`` of its largest
-    diagonal entry, then raises ``LinAlgError``.
+    diagonal entry, then raises ``LinAlgError``; a 1x1 matrix too.
     """
     # imported here, the one place that needs it: scipy.linalg costs more to
     # load than the rest of the package, and PME, front-tracking and crossval
     # runs take no JKO step
     from scipy.linalg.lapack import dptsv
-    if hd.size == 1:
-        return rhs / hd
-    if not (np.all(np.isfinite(hd)) and np.all(np.isfinite(ho))
-            and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(hd).all() and np.isfinite(ho).all()
+            and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, x, info = dptsv(hd, ho, rhs)
+    solve = _solve_1x1 if hd.size == 1 else dptsv
+    _, _, x, info = solve(hd, ho, rhs)
     if info > 0:
-        ridge = 1e-12 * np.max(np.abs(hd)) + 1e-300
-        _, _, x, info = dptsv(hd + ridge, ho, rhs)
+        ridge = 1e-12 * np.abs(hd).max() + 1e-300
+        _, _, x, info = solve(hd + ridge, ho, rhs)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
     return x
+
+
+def _solve_1x1(hd, ho, rhs):
+    """``dptsv``'s contract for one unknown, which it rejects (its
+    off-diagonal would be empty): ``(d, e, x, info)``, ``info = 1`` when
+    the entry is not positive."""
+    if hd[0] > 0.0:
+        return hd, ho, rhs / hd, 0
+    return hd, ho, rhs, 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,40 +227,44 @@ def _step_guard(h, phi):
                          f"(need h < {1.0 / (2.0 * lam_neg):.6g} for this potential)")
 
 
-def _line_search(state, step, f, slope, gnorm, args):
+def _line_search(state, step, slope, gnorm, args):
     """Backtrack along ``step`` (finite-m damped Newton).
 
     ``state`` is an iterate from ``_newton_state``; a trial point moves
     the nodes, displacements and gaps by the same step.  The first trial
     is the full step, shortened to keep every gap positive.  A trial is
-    accepted on Armijo decrease of the objective or, near the optimum
-    where the objective is flat to round-off, on decrease of the max-norm
-    of its gradient.  ``args`` are the objective's trailing arguments
-    ``(w, m, phi, h)``.
+    accepted on decrease of the max-norm of its gradient, the test that
+    holds near the optimum where the objective is flat to round-off, or
+    on Armijo decrease of the objective.  The first step length that
+    passes either test does not depend on which runs first, so the
+    gradient, which the caller needs anyway, runs first; the objective
+    (at ``state`` and at the trial) is evaluated only when that test
+    fails.  ``args`` are the objective's trailing arguments ``(w, m, phi,
+    h)``.
 
-    Returns ``(state_new, f_new, g_new)``: ``g_new`` is the trial
-    gradient when the gradient test accepted the point, else None.  When
-    backtracking runs out the tiny step is taken untested and ``f_new``
-    is None too, left to the caller to evaluate if it steps again.
+    Returns ``(state_new, g_new)``, the trial and its gradient.  When
+    backtracking runs out the tiny step is taken untested.
     """
     x, d, gaps, _ = state
-    dgap = np.diff(step)
+    dgap = step[1:] - step[:-1]
     shrink = dgap < 0.0
     alpha = 1.0
-    if np.any(shrink):
-        alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
+    if shrink.any():
+        alpha = min(1.0, 0.95 * float((gaps[shrink] / -dgap[shrink]).min()))
+    f = None  # objective at ``state``, evaluated when needed
     while True:
         trial = _newton_state(x + alpha * step, d + alpha * step,
                               gaps + alpha * dgap)
-        if not alpha > 1e-16:
-            return trial, None, None
-        f_new = _objective(trial, *args)
-        if f_new <= f + ARMIJO * alpha * slope:
-            return trial, f_new, None
         g_new = _gradient(trial, *args)
-        if np.all(np.isfinite(g_new)) and \
-                float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
-            return trial, f_new, g_new
+        if not alpha > 1e-16:
+            return trial, g_new
+        if np.isfinite(g_new).all() and \
+                float(np.abs(g_new).max()) <= (1.0 - 0.5 * alpha) * gnorm:
+            return trial, g_new
+        if f is None:
+            f = _objective(state, *args)
+        if _objective(trial, *args) <= f + ARMIJO * alpha * slope:
+            return trial, g_new
         alpha *= BACKTRACK
 
 
@@ -268,37 +280,36 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
     ``predictor`` displacement ``p`` starts the iterate at ``(y + p, p,
     diff(y) + diff(p))`` when those gaps are all positive; otherwise, and
     without one, Newton starts at ``y``.  Returns at ``kkt_residual <=
-    tol_grad`` or raises after ``max_iterations`` Newton steps; the
-    iteration count is the number of steps taken.
+    tol_grad`` or raises after ``max_iterations`` Newton steps: the nodes,
+    the Gauss-Legendre points of their gaps, the KKT residual, and the
+    number of steps taken as the iteration count.
     """
     args = (w, m, phi, h)
-    gaps0 = None if predictor is None else np.diff(y) + np.diff(predictor)
-    if gaps0 is not None and np.all(gaps0 > 0.0):
+    gaps_y = y[1:] - y[:-1]
+    gaps0 = None if predictor is None \
+        else gaps_y + (predictor[1:] - predictor[:-1])
+    if gaps0 is not None and (gaps0 > 0.0).all():
         state = _newton_state(y + predictor, predictor, gaps0)
     else:
-        state = _newton_state(y.copy(), np.zeros_like(y), np.diff(y))
-    f = None  # objective at the iterate, evaluated when needed
+        state = _newton_state(y.copy(), np.zeros_like(y), gaps_y)
     g = _gradient(state, *args)
-    res = float(np.max(np.abs(g))) / w
+    gnorm = float(np.abs(g).max())
     it = 0
-    while res > opts.tol_grad:
+    while gnorm / w > opts.tol_grad:
         if it == opts.max_iterations:
             raise JkoConvergenceError(
                 f"step did not converge in {opts.max_iterations} iterations "
-                f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
+                f"(KKT residual {gnorm / w:.3e}, tol {opts.tol_grad:.1e})")
         it += 1
         hd, ho = _hessian(state, *args)
         step = _solve_tridiag(hd, ho, -g)
-        if not np.all(np.isfinite(step)) or float(np.dot(step, g)) >= 0.0:
-            step = -g / np.max(hd)  # gradient fallback, crudely scaled
-        if f is None:
-            f = _objective(state, *args)
-        state, f, g = _line_search(state, step, f, float(np.dot(step, g)),
-                                   float(np.max(np.abs(g))), args)
-        if g is None:
-            g = _gradient(state, *args)
-        res = float(np.max(np.abs(g))) / w
-    return state[0], res, it
+        if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0.0:
+            step = -g / hd.max()  # gradient fallback, crudely scaled
+        state, g = _line_search(state, step, float(np.dot(step, g)), gnorm,
+                                args)
+        gnorm = float(np.abs(g).max())
+    x, _, _, pts = state
+    return x, pts, gnorm / w, it
 
 
 def _blocks_from_active(active):
@@ -310,7 +321,7 @@ def _blocks_from_active(active):
 
 def _snap_active(x, active, w):
     """Rebuild rigid blocks at exact spacing ``w``, preserving block means."""
-    if not np.any(active):
+    if not active.any():
         return x
     ids = _blocks_from_active(active)
     nblocks = ids[-1] + 1
@@ -341,8 +352,8 @@ def _kkt_residual(g, mu, w):
     dt_mu = np.zeros(g.size)
     dt_mu[1:] += mu
     dt_mu[:-1] -= mu
-    stat = float(np.max(np.abs(g - dt_mu)))
-    neg = float(max(0.0, -np.min(mu))) if mu.size else 0.0
+    stat = float(np.abs(g - dt_mu).max())
+    neg = float(max(0.0, -mu.min())) if mu.size else 0.0
     return max(stat, neg) / w
 
 
@@ -359,17 +370,19 @@ def _solve_congested(y, w, phi, h, opts):
     Adding before releasing matters: a release next to a violated gap
     sees a spurious negative multiplier.  The objective is convex for
     admissible h, so the final KKT point is the global step minimizer.
-    Returns the number of sweeps as the iteration count.
+    Returns the nodes, the Gauss-Legendre points of their gaps, the KKT
+    residual, the active count, and the number of sweeps as the iteration
+    count.
     """
     args = (w, math.inf, phi, h)
     floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
     # a start that already keeps the spacing (every step of a trajectory
     # after the first) needs no projection: its active set is read off its
     # gaps, and the snap below moves it by round-off, as pooling would
-    x = y if np.all(np.diff(y) >= floor) else project_spacing(y, w)
-    active = np.diff(x) <= w * (1.0 + 1e-12)
+    x = y if (y[1:] - y[:-1] >= floor).all() else project_spacing(y, w)
+    active = x[1:] - x[:-1] <= w * (1.0 + 1e-12)
     x = _snap_active(x, active, w)
-    state = _newton_state(x, x - y, np.diff(x))
+    state = _newton_state(x, x - y, x[1:] - x[:-1])
     g = _gradient(state, *args)
     for sweep in range(1, opts.max_iterations + 1):
         ids = _blocks_from_active(active)
@@ -380,23 +393,24 @@ def _solve_congested(y, w, phi, h, opts):
                                     minlength=nblocks)
         g_red = np.bincount(ids, weights=g, minlength=nblocks)
         x = x + _solve_tridiag(hd_red, ho[~active], -g_red)[ids]
-        gaps = np.diff(x)
+        gaps = x[1:] - x[:-1]
         state = _newton_state(x, x - y, gaps)
         g = _gradient(state, *args)
         mu = _multipliers(g, active)
         res = _kkt_residual(g, mu, w)
         violated = ~active & (gaps < floor)
-        if not np.any(violated):
+        if not violated.any():
             if res <= opts.tol_grad:
-                return x, res, int(np.sum(active)), sweep
+                return x, state[3], res, int(active.sum()), sweep
             active = active & (mu >= 0.0)
-        while np.any(violated):
+        while violated.any():
             active = active | violated
             # snapping a grown block to spacing w can push its neighbours
             # below w; adding them now keeps the sweep count independent of n
-            violated = ~active & (np.diff(_snap_active(x, active, w)) < floor)
+            snapped = _snap_active(x, active, w)
+            violated = ~active & (snapped[1:] - snapped[:-1] < floor)
         x = _snap_active(x, active, w)
-        state = _newton_state(x, x - y, np.diff(x))
+        state = _newton_state(x, x - y, x[1:] - x[:-1])
         g = _gradient(state, *args)
     raise JkoConvergenceError(
         f"congested step did not converge in {opts.max_iterations} sweeps "
@@ -436,17 +450,17 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     w = rho0.w
     if predictor is not None:
         predictor = np.asarray(predictor, dtype=float)
-        if predictor.shape != y.shape or not np.all(np.isfinite(predictor)):
+        if predictor.shape != y.shape or not np.isfinite(predictor).all():
             raise ValueError(f"predictor must be a finite array of the nodes' "
                              f"shape {y.shape}")
     if math.isinf(m):
         if rho0.max_density > 1.0 + 1e-9:
             raise ValueError("infeasible start: density exceeds one")
-        x, res, nact, iters = _solve_congested(y, w, phi, h, opts)
+        x, pts, res, nact, iters = _solve_congested(y, w, phi, h, opts)
     else:
-        if np.any(np.diff(y) <= 0.0):
+        if (y[1:] - y[:-1] <= 0.0).any():
             raise ValueError("infeasible start: collapsed gap at finite m")
-        x, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
+        x, pts, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
     move = w2_cost_squared(x, y, w)
@@ -456,7 +470,10 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         kkt_residual=res,
         active_count=nact,
         iterations=iters,
-        energy=free_energy(state, m, phi),
+        # what free_energy(state, m, phi) returns, from the points of the
+        # final iterate instead of rebuilt ones
+        energy=EnergyReport(m, internal_energy(state, m),
+                            _quantile_potential(state, phi, pts)),
     )
 
 

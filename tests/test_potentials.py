@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from crowdflow.potentials import gl_points, potential_catalog
+from crowdflow.potentials import (_GL_WEIGHTS, _node_sum, gl_points,
+                                  potential_catalog)
 
 
 ALL_KINDS = [
@@ -222,6 +223,46 @@ def test_interval_data_shapes_match_pointwise_calls(rng):
         if ref is not None:
             # same per-point arithmetic whatever the input shape
             assert np.array_equal(np.array(got), ref)
+
+
+def _node_sum_loop(terms):
+    """The per-node loop that ``_node_sum`` must reproduce bit for bit."""
+    acc = 0.0
+    for row in terms:
+        acc = acc + row
+    return acc
+
+
+def test_node_sum_bit_identical_to_per_node_loop(rng):
+    # terms shaped like the point sets of a scalar, a 1-D and a 2-D interval
+    # argument, of a broadcast pair, and a stride-0 broadcast view; mixed
+    # magnitudes and signs make the rounding depend on the order, and signed
+    # zeros (whole columns of -0.0 among them) the sign of a zero sum
+    a, b = rng.uniform(-2.0, 1.0, (3, 4)), rng.uniform(1.0, 2.0, (1, 4))
+    assert gl_points(a[:, :1], b).shape == (5, 3, 4)
+    for shape in ((5,), (5, 64), (5, 3, 4), (5, 1)):
+        for _ in range(100):
+            terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+            terms[rng.random(shape) < 0.1] = 0.0
+            terms[rng.random(shape) < 0.1] = -0.0
+            if len(shape) > 1:
+                terms[:, 0] = -0.0
+            assert np.asarray(_node_sum(terms)).tobytes() == \
+                np.asarray(_node_sum_loop(terms)).tobytes(), shape
+        zeros = np.full(shape, -0.0)
+        assert np.asarray(_node_sum(zeros)).tobytes() == \
+            np.asarray(_node_sum_loop(zeros)).tobytes(), shape
+    column = rng.normal(size=(5, 1)) * 10.0 ** rng.integers(-8, 9, (5, 1))
+    view = np.broadcast_to(column, (5, 7))
+    assert _node_sum(view).tobytes() == _node_sum_loop(view).tobytes()
+    # and through the interval data, on the point sets themselves
+    phi = potential_catalog("quartic-well", a=1.0, b=-1.0, c=0.3)
+    for x0, x1 in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b), (a[:, :1], b)):
+        pts = gl_points(x0, x1)
+        v = phi.value(pts)
+        w = _GL_WEIGHTS.reshape((-1,) + (1,) * (pts.ndim - 1))
+        assert np.asarray(phi.avg(pts)).tobytes() == \
+            np.asarray(0.5 * _node_sum_loop(w * v)).tobytes()
 
 
 def test_unknown_kind_rejected():
