@@ -46,10 +46,10 @@ def internal_energy(rho, m) -> float:
         if math.isinf(m):
             return 0.0 if rho.max_density <= 1.0 + EPS_FEAS else math.inf
         gaps = rho.gaps
-        if np.any(gaps <= 0.0):
+        if (gaps <= 0.0).any():
             return math.inf
         w = rho.w
-        return float(np.sum(w * (w / gaps) ** (m - 1.0)) / m)
+        return float((w * (w / gaps) ** (m - 1.0)).sum() / m)
     if math.isinf(m):
         return 0.0 if float(np.max(rho.values)) <= 1.0 + EPS_FEAS else math.inf
     meas = rho.grid.cell_measures
@@ -65,6 +65,7 @@ def potential_energy(rho, phi: Potential) -> float:
     """
     if isinstance(rho, QuantileRep):
         x = rho.nodes
+        _check_domain(phi, x[0], x[-1])
         return _quantile_potential(rho, phi, gl_points(x[:-1], x[1:]))
     lo, hi = rho.support_extent()
     if not math.isnan(lo):
@@ -76,8 +77,8 @@ def potential_energy(rho, phi: Potential) -> float:
 def _quantile_potential(rho: QuantileRep, phi: Potential, pts) -> float:
     """Potential energy of quantile data from the Gauss-Legendre points
     ``pts = gl_points(nodes[:-1], nodes[1:])`` of its gaps, for a caller
-    that already holds them."""
-    _check_domain(phi, rho.nodes[0], rho.nodes[-1])
+    that already holds them and has checked the nodes against the
+    potential's domain (``_check_domain``)."""
     return float(rho.w * phi.avg(pts).sum())
 
 

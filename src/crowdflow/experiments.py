@@ -22,7 +22,8 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .energy import free_energy
 from .heleshaw import hausdorff_distance, heleshaw_run, write_patch_csv
-from .jko import JkoOptions, jko_trajectory, verify_comparison
+from .jko import (JkoOptions, _step_count, _trajectory_steps, jko_trajectory,
+                  verify_comparison)
 from .model import GridDensity, Patch, make_grid_density, to_quantile, write_csv
 from .oracles import energy_minimizer_profile
 from .pme import PmeOptions, pme_run, pressure, support_set
@@ -128,17 +129,22 @@ def _snapshot_count(cfg):
 
 
 def _traj_states(args):
+    """Nodes of every state of one trajectory, the start included."""
     q0, m, h, phi, T, opts = args
-    states, _ = jko_trajectory(q0, m, h, phi, T, opts)
-    return [s.nodes for s in states]
+    steps = _trajectory_steps(q0, m, h, phi, _step_count(T, h, phi), opts)
+    return [q0.nodes] + [out.state.nodes for out in steps]
 
 
 def _traj_samples(args):
-    """States of one trajectory at ``n_eval + 1`` even step indices."""
+    """States of one trajectory at ``n_eval + 1`` even step indices, the
+    start (index 0) first; the others are dropped as the run goes."""
     q0, m, h, phi, T, opts, n_eval = args
-    states, _ = jko_trajectory(q0, m, h, phi, T, opts)
-    idx = np.unique(np.linspace(0, len(states) - 1, n_eval + 1).astype(int))
-    return idx, [states[j] for j in idx]
+    n_steps = _step_count(T, h, phi)
+    idx = np.unique(np.linspace(0, n_steps, n_eval + 1).astype(int))
+    keep = set(idx.tolist())
+    steps = _trajectory_steps(q0, m, h, phi, n_steps, opts)
+    return idx, [q0] + [out.state for k, out in enumerate(steps, 1)
+                        if k in keep]
 
 
 def _pmap(fn, items, workers):

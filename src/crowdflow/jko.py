@@ -23,11 +23,13 @@ sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .energy import EnergyReport, _quantile_potential, free_energy, internal_energy
+from .energy import (EnergyReport, _check_domain, _quantile_potential,
+                     free_energy, internal_energy)
 from .model import GridDensity, GridSpec, QuantileRep, RunLedger, to_grid, to_quantile
 from .potentials import Potential, gl_points
 from .transport import w2_cost_squared
@@ -55,12 +57,33 @@ class JkoOptions:
 
 @dataclass
 class JkoStepResult:
+    """An accepted step.  ``w2_increment`` and ``energy`` are computed on
+    first read, from what the step keeps for them: its start nodes, and
+    ``m``, ``phi`` and the Gauss-Legendre points of the final iterate."""
+
     state: QuantileRep
-    w2_increment: float
     kkt_residual: float
     active_count: int
     iterations: int
-    energy: EnergyReport  # free energy of ``state``
+    _start: np.ndarray = field(repr=False)
+    _m: float = field(repr=False)
+    _phi: Potential = field(repr=False)
+    _pts: np.ndarray = field(repr=False)
+
+    @cached_property
+    def w2_increment(self) -> float:
+        """Wasserstein distance from the start to ``state``."""
+        move = w2_cost_squared(self.state.nodes, self._start, self.state.w)
+        return float(np.sqrt(max(move, 0.0)))
+
+    @cached_property
+    def energy(self) -> EnergyReport:
+        """Free energy of ``state``: what ``free_energy(state, m, phi)``
+        returns, from the points of the final iterate instead of rebuilt
+        ones."""
+        return EnergyReport(self._m, internal_energy(self.state, self._m),
+                            _quantile_potential(self.state, self._phi,
+                                                self._pts))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +250,7 @@ def _step_guard(h, phi):
                          f"(need h < {1.0 / (2.0 * lam_neg):.6g} for this potential)")
 
 
-def _line_search(state, step, slope, gnorm, args):
+def _line_search(state, step, slope, gnorm, args, f=None):
     """Backtrack along ``step`` (finite-m damped Newton).
 
     ``state`` is an iterate from ``_newton_state``; a trial point moves
@@ -240,10 +263,12 @@ def _line_search(state, step, slope, gnorm, args):
     gradient, which the caller needs anyway, runs first; the objective
     (at ``state`` and at the trial) is evaluated only when that test
     fails.  ``args`` are the objective's trailing arguments ``(w, m, phi,
-    h)``.
+    h)``; ``f`` is the objective at ``state`` when the caller has it.
 
-    Returns ``(state_new, g_new)``, the trial and its gradient.  When
-    backtracking runs out the tiny step is taken untested.
+    Returns ``(state_new, g_new, f_new)``: the trial, its gradient, and
+    its objective when the Armijo test accepted it (else None, as nothing
+    evaluated it).  When backtracking runs out the tiny step is taken
+    untested.
     """
     x, d, gaps, _ = state
     dgap = step[1:] - step[:-1]
@@ -251,20 +276,20 @@ def _line_search(state, step, slope, gnorm, args):
     alpha = 1.0
     if shrink.any():
         alpha = min(1.0, 0.95 * float((gaps[shrink] / -dgap[shrink]).min()))
-    f = None  # objective at ``state``, evaluated when needed
     while True:
         trial = _newton_state(x + alpha * step, d + alpha * step,
                               gaps + alpha * dgap)
         g_new = _gradient(trial, *args)
         if not alpha > 1e-16:
-            return trial, g_new
+            return trial, g_new, None
         if np.isfinite(g_new).all() and \
                 float(np.abs(g_new).max()) <= (1.0 - 0.5 * alpha) * gnorm:
-            return trial, g_new
+            return trial, g_new, None
         if f is None:
             f = _objective(state, *args)
-        if _objective(trial, *args) <= f + ARMIJO * alpha * slope:
-            return trial, g_new
+        f_new = _objective(trial, *args)
+        if f_new <= f + ARMIJO * alpha * slope:
+            return trial, g_new, f_new
         alpha *= BACKTRACK
 
 
@@ -294,6 +319,7 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
         state = _newton_state(y.copy(), np.zeros_like(y), gaps_y)
     g = _gradient(state, *args)
     gnorm = float(np.abs(g).max())
+    f = None  # objective at ``state``, when a line search evaluated it
     it = 0
     while gnorm / w > opts.tol_grad:
         if it == opts.max_iterations:
@@ -305,8 +331,8 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
         step = _solve_tridiag(hd, ho, -g)
         if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0.0:
             step = -g / hd.max()  # gradient fallback, crudely scaled
-        state, g = _line_search(state, step, float(np.dot(step, g)), gnorm,
-                                args)
+        state, g, f = _line_search(state, step, float(np.dot(step, g)),
+                                   gnorm, args, f)
         gnorm = float(np.abs(g).max())
     x, _, _, pts = state
     return x, pts, gnorm / w, it
@@ -437,7 +463,8 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     ValueError
         Step size outside the admissible convexity range, an infeasible
         start (m = inf with density above one; finite m with a collapsed
-        gap), or a predictor of the wrong shape or not finite.
+        gap), a predictor of the wrong shape or not finite, or a result
+        whose support leaves the potential's working domain.
     JkoConvergenceError
         The requested KKT residual was not reached; never silently
         accepted.
@@ -446,7 +473,7 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     _step_guard(h, phi)
     if not (math.isinf(m) or m > 1):
         raise ValueError("congestion exponent must satisfy m > 1")
-    y = rho0.nodes.copy()
+    y = rho0.nodes  # read-only; no solver writes to its start
     w = rho0.w
     if predictor is not None:
         predictor = np.asarray(predictor, dtype=float)
@@ -463,18 +490,32 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         x, pts, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
-    move = w2_cost_squared(x, y, w)
-    return JkoStepResult(
-        state=state,
-        w2_increment=float(np.sqrt(max(move, 0.0))),
-        kkt_residual=res,
-        active_count=nact,
-        iterations=iters,
-        # what free_energy(state, m, phi) returns, from the points of the
-        # final iterate instead of rebuilt ones
-        energy=EnergyReport(m, internal_energy(state, m),
-                            _quantile_potential(state, phi, pts)),
-    )
+    _check_domain(phi, state.nodes[0], state.nodes[-1])
+    return JkoStepResult(state, res, nact, iters, y, m, phi, pts)
+
+
+def _step_count(T, h, phi):
+    """Number of steps of size ``h`` to horizon ``T``, after checking both."""
+    if not T > 0:
+        raise ValueError("horizon must be positive")
+    _step_guard(h, phi)
+    return int(math.ceil(T / h - 1e-12))
+
+
+def _trajectory_steps(rho0, m, h, phi, n_steps, opts=None):
+    """The ``n_steps`` steps of a trajectory from ``rho0``, yielded one
+    ``JkoStepResult`` at a time, so a caller keeps only what it reads.
+
+    Each step after the first takes the previous step's displacement as
+    its ``predictor``.  Steps go through the module's public ``jko_step``.
+    """
+    opts = opts or JkoOptions()
+    cur, move = rho0, None
+    for _ in range(n_steps):
+        out = jko_step(cur, m, h, phi, opts, move)
+        move = out.state.nodes - cur.nodes
+        cur = out.state
+        yield out
 
 
 def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
@@ -487,21 +528,15 @@ def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
     Each step after the first takes the previous step's displacement as
     its ``predictor``.
     """
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    _step_guard(h, phi)
-    opts = opts or JkoOptions()
-    n_steps = int(math.ceil(T / h - 1e-12))
+    n_steps = _step_count(T, h, phi)
     states = [rho0]
     ledger = RunLedger()
     rep = free_energy(rho0, m, phi)
     ledger.append(0, 0.0, rep.total, rep.internal, rep.potential, 0.0,
                   rho0.total_mass, rho0.nodes[0], rho0.nodes[-1],
                   rho0.excess_mass())
-    cur, move = rho0, None
-    for k in range(1, n_steps + 1):
-        out = jko_step(cur, m, h, phi, opts, move)
-        move = out.state.nodes - cur.nodes
+    steps = _trajectory_steps(rho0, m, h, phi, n_steps, opts)
+    for k, out in enumerate(steps, 1):
         cur, rep = out.state, out.energy
         states.append(cur)
         ledger.append(k, k * h, rep.total, rep.internal, rep.potential,

@@ -164,14 +164,14 @@ class QuantileRep:
     nodes: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.nodes, dtype=float)
+        x = _locked(self.nodes)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("need at least two nodes")
         if not self.total_mass > 0.0:  # NaN fails too
             raise ValueError("total mass must be positive")
-        if not np.all(np.diff(x) >= 0.0):
+        if not (x[1:] - x[:-1] >= 0.0).all():  # NaN gaps fail too
             raise ValueError("nodes must be nondecreasing")
-        self.nodes = _locked(x)
+        self.nodes = x
 
     def __reduce__(self):
         # rebuild through the constructor, as GridSpec does, so the nodes
@@ -188,19 +188,18 @@ class QuantileRep:
 
     @property
     def gaps(self):
-        return np.diff(self.nodes)
+        x = self.nodes
+        return x[1:] - x[:-1]
 
     @property
     def max_density(self):
-        g = self.gaps
-        pos = g[g > 0]
-        if pos.size < g.size:
-            return math.inf
-        return float(self.w / np.min(pos))
+        """``w / min(gap)``; inf when a gap is zero."""
+        g = self.gaps.min()
+        return float(self.w / g) if g > 0.0 else math.inf
 
     def excess_mass(self):
         """Mass sitting above density one: sum of (w - gap)+ over gaps."""
-        return float(np.sum(np.maximum(self.w - self.gaps, 0.0)))
+        return float(np.maximum(self.w - self.gaps, 0.0).sum())
 
     def translated(self, s):
         return QuantileRep(self.total_mass, self.nodes + s)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -18,10 +19,27 @@ from numpy.polynomial import polynomial as npoly
 # 5-point Gauss-Legendre on [-1, 1]: exact for polynomials up to degree 9,
 # which covers every catalog entry (max degree 4) with room for custom ones.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-# per-node factors of the endpoint derivatives: the weight share 0.5 * w_i
-# and the endpoint weights la = (1 - xi) / 2, lb = (1 + xi) / 2
-_GL_HALF_WEIGHTS = 0.5 * _GL_WEIGHTS
-_GL_LA, _GL_LB = 0.5 * (1.0 - _GL_NODES), 0.5 * (1.0 + _GL_NODES)
+
+
+class _NodeConstants(NamedTuple):
+    """The per-node constants of the rule, each shaped ``(5, 1, ...)`` to
+    broadcast against a point set ``gl_points(a, b)``."""
+
+    nodes: np.ndarray         # xi
+    weights: np.ndarray       # w_i
+    half_weights: np.ndarray  # 0.5 * w_i, the weight share of a derivative
+    one_minus: np.ndarray     # 1 - xi
+    one_plus: np.ndarray      # 1 + xi
+    la: np.ndarray            # (1 - xi) / 2, the weight of endpoint a
+    lb: np.ndarray            # (1 + xi) / 2, the weight of endpoint b
+
+
+_GL_CONSTANTS = _NodeConstants(
+    _GL_NODES, _GL_WEIGHTS, 0.5 * _GL_WEIGHTS, 1.0 - _GL_NODES,
+    1.0 + _GL_NODES, 0.5 * (1.0 - _GL_NODES), 0.5 * (1.0 + _GL_NODES))
+# the same as (5, 1) columns, built once for the (5, n) point sets of the
+# solver, which evaluates thousands of them per run
+_GL_COLUMNS = _NodeConstants(*(c[:, None] for c in _GL_CONSTANTS))
 
 _SCAN_POINTS = 10_000
 
@@ -102,20 +120,21 @@ class Potential:
         Degenerate intervals fall back to the point value.
         """
         v = self.value(pts)
-        return 0.5 * _node_sum(_per_node(_GL_WEIGHTS, v) * v)
+        return 0.5 * _node_sum(_per_node(v.ndim).weights * v)
 
     def avg_grad(self, pts):
         """Partial derivatives of ``avg`` w.r.t. the endpoints ``a``, ``b``."""
         g = self.grad(pts)
-        t = _per_node(_GL_HALF_WEIGHTS, g) * g * 0.5
-        return (_node_sum(t * _per_node(1.0 - _GL_NODES, g)),
-                _node_sum(t * _per_node(1.0 + _GL_NODES, g)))
+        k = _per_node(g.ndim)
+        t = k.half_weights * g * 0.5
+        return _node_sum(t * k.one_minus), _node_sum(t * k.one_plus)
 
     def avg_hess(self, pts):
         """Second partials of ``avg``: (d2_aa, d2_ab, d2_bb)."""
         c = self.d2(pts)
-        la, lb = _per_node(_GL_LA, c), _per_node(_GL_LB, c)
-        t = _per_node(_GL_HALF_WEIGHTS, c) * c
+        k = _per_node(c.ndim)
+        la, lb = k.la, k.lb
+        t = k.half_weights * c
         ta = t * la
         return _node_sum(ta * la), _node_sum(ta * lb), _node_sum(t * lb * lb)
 
@@ -160,12 +179,16 @@ def gl_points(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _GL_NODES.reshape((-1,) + (1,) * mid.ndim)
+    return mid + half * _per_node(mid.ndim + 1).nodes
 
 
-def _per_node(const, pts):
-    """Per-node constants shaped to broadcast against a node-stacked array."""
-    return const.reshape((-1,) + (1,) * (pts.ndim - 1))
+def _per_node(ndim):
+    """The per-node constants shaped for a node-stacked array of ``ndim``
+    dimensions."""
+    if ndim == 2:
+        return _GL_COLUMNS
+    shape = (-1,) + (1,) * (ndim - 1)
+    return _NodeConstants(*(c.reshape(shape) for c in _GL_CONSTANTS))
 
 
 def _node_sum(terms):

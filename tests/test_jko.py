@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
-from crowdflow import jko
+from crowdflow import experiments, jko
 from crowdflow.energy import free_energy
 from crowdflow.jko import (JkoConvergenceError, JkoOptions, jko_step,
                            jko_trajectory, pav_nondecreasing, project_spacing,
@@ -386,19 +386,51 @@ class TestJkoStep:
                        counted("free_energy", free_energy))
             mp.setattr("crowdflow.energy.gl_points",
                        counted("gl_points", gl_points))
-            outs = {m: jko_step(q0, m, 0.02, quad_phi) for m in (6.0, math.inf)}
+            # read inside the patches: the energy is computed on first read
+            reps = {m: (out, out.energy) for m in (6.0, math.inf)
+                    for out in [jko_step(q0, m, 0.02, quad_phi)]}
         assert calls == []
-        for m, out in outs.items():
+        for m, (out, rep) in reps.items():
             ref = free_energy(out.state, m, quad_phi)
-            assert (out.energy.m, out.energy.internal, out.energy.potential) \
+            assert (rep.m, rep.internal, rep.potential) \
                 == (ref.m, ref.internal, ref.potential)
 
     def test_step_energy_checks_the_potential_domain(self, g6):
-        # the report still rejects a state outside the potential's domain
+        # the step rejects a state outside the potential's domain, whether
+        # or not its energy is read
         narrow = potential_catalog("quadratic", q=1.0, domain=(-1.0, 1.0))
         q0 = indicator_quantile(0.5, 1.5, g6, n=40)
         with pytest.raises(ValueError, match="working domain"):
             jko_step(q0, 6.0, 0.02, narrow)
+
+    def test_energy_and_movement_read_on_demand(self, g6, quad_phi,
+                                                monkeypatch):
+        # a step that is never asked for its energy or movement computes
+        # neither; read, they are the free energy and the W2 distance of
+        # the new state, exactly, and are computed once
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for name in ("w2_cost_squared", "internal_energy",
+                     "_quantile_potential"):
+            monkeypatch.setattr(jko, name, counted(name, getattr(jko, name)))
+        q0 = indicator_quantile(1, 2, g6, n=40)
+        for m in (6.0, math.inf):
+            out = jko_step(q0, m, 0.02, quad_phi)
+            assert calls == []
+            rep, move = out.energy, out.w2_increment
+            assert out.energy is rep and out.w2_increment == move
+            assert sorted(calls) == ["_quantile_potential", "internal_energy",
+                                     "w2_cost_squared"]
+            calls.clear()
+            assert rep == free_energy(out.state, m, quad_phi)
+            assert move == float(np.sqrt(w2_cost_squared(
+                out.state.nodes, q0.nodes, q0.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +610,10 @@ class TestSolverStarts:
 # line search: gradient test first
 # ---------------------------------------------------------------------------
 
-def _armijo_first_line_search(state, step, slope, gnorm, args):
+def _armijo_first_line_search(state, step, slope, gnorm, args, f=None):
     """The line search with the Armijo test first: the objective at the
-    start and at every trial, the gradient only where Armijo fails."""
+    start and at every trial, the gradient only where Armijo fails.  It
+    takes no objective value from the caller and returns none."""
     x, d, gaps, _ = state
     dgap = np.diff(step)
     shrink = dgap < 0.0
@@ -592,13 +625,13 @@ def _armijo_first_line_search(state, step, slope, gnorm, args):
         trial = jko._newton_state(x + alpha * step, d + alpha * step,
                                   gaps + alpha * dgap)
         if not alpha > 1e-16:
-            return trial, jko._gradient(trial, *args)
+            return trial, jko._gradient(trial, *args), None
         if jko._objective(trial, *args) <= f + jko.ARMIJO * alpha * slope:
-            return trial, jko._gradient(trial, *args)
+            return trial, jko._gradient(trial, *args), None
         g_new = jko._gradient(trial, *args)
         if np.all(np.isfinite(g_new)) and \
                 float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
-            return trial, g_new
+            return trial, g_new, None
         alpha *= jko.BACKTRACK
 
 
@@ -652,6 +685,34 @@ class TestLineSearch:
         fast = chain()
         monkeypatch.setattr(jko, "_line_search", _armijo_first_line_search)
         self._assert_same_steps(fast, chain())
+
+    def test_accepted_objective_carried_to_the_next_search(self, monkeypatch):
+        # a trial accepted on the Armijo test hands its objective value to
+        # the next line search, which then does not evaluate it again: the
+        # same steps, one objective evaluation fewer per step at m = 50
+        phi, cases = _congested_cases()
+
+        def run():
+            outs, counts = [], []
+            with monkeypatch.context() as mp:
+                calls = _counting_objective(mp)
+                for q0 in cases:
+                    for m in (10.0, 50.0):
+                        before = len(calls)
+                        outs.append(jko_step(q0, m, 0.5, phi))
+                        counts.append(len(calls) - before)
+            return outs, counts
+
+        fast, counts = run()
+        search = jko._line_search
+        monkeypatch.setattr(
+            jko, "_line_search",
+            lambda state, step, slope, gnorm, args, f=None:
+                search(state, step, slope, gnorm, args))
+        ref, ref_counts = run()
+        self._assert_same_steps(fast, ref)
+        assert counts == [4, 7] * len(cases)
+        assert ref_counts == [4, 8] * len(cases)
 
     def test_full_newton_steps_evaluate_no_objective(self, monkeypatch):
         # every Newton step of this cold step passes the gradient test at
@@ -763,6 +824,63 @@ class TestTrajectory:
         q0 = indicator_quantile(1, 2, g6, n=20)
         states, ledger = jko_trajectory(q0, math.inf, 0.03, quad_phi, 0.1)
         assert len(states) == 5  # ceil(0.1/0.03) = 4 steps plus the start
+
+    def test_sampled_runs_keep_the_trajectory_states(self, monkeypatch):
+        # the drivers' runs step through the same warm-started loop as
+        # jko_trajectory, keep the states they use, and compute no energy,
+        # movement or ledger
+        phi, q0 = _longtime_case()
+        h, T = 1e-3, 0.05
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapper
+
+        for m in (10.0, math.inf):
+            states, _ = jko_trajectory(q0, m, h, phi, T)
+            with monkeypatch.context() as mp:
+                for name in ("free_energy", "w2_cost_squared",
+                             "internal_energy", "_quantile_potential"):
+                    mp.setattr(jko, name, counted(name, getattr(jko, name)))
+                idx, sampled = experiments._traj_samples(
+                    (q0, m, h, phi, T, None, 16))
+                nodes = experiments._traj_states((q0, m, h, phi, T, None))
+            assert calls == []
+            assert idx.tolist() == np.unique(
+                np.linspace(0, 50, 17).astype(int)).tolist()
+            assert len(sampled) == idx.size and sampled[0] is q0
+            for j, state in zip(idx, sampled):
+                assert state.nodes.tobytes() == states[j].nodes.tobytes()
+            assert len(nodes) == len(states) == 51
+            for x, state in zip(nodes, states):
+                assert x.tobytes() == state.nodes.tobytes()
+
+    def test_leaving_the_domain_raises_at_the_same_step(self, g6, monkeypatch):
+        # a linear drift carries the state out of a narrow working domain;
+        # every path through the step loop raises at the same step
+        phi = potential_catalog("linear", g=1.0, domain=(-1.0, 1.0))
+        q0 = indicator_quantile(-0.6, -0.1, g6, n=40)
+        steps = []
+
+        def counted(*args):
+            steps.append(1)
+            return jko_step(*args)
+
+        monkeypatch.setattr(jko, "jko_step", counted)
+        runs = (lambda m: jko_trajectory(q0, m, 0.02, phi, 1.0),
+                lambda m: experiments._traj_samples(
+                    (q0, m, 0.02, phi, 1.0, None, 16)),
+                lambda m: experiments._traj_states(
+                    (q0, m, 0.02, phi, 1.0, None)))
+        for m, at in ((10.0, 13), (math.inf, 21)):
+            for run in runs:
+                steps.clear()
+                with pytest.raises(ValueError, match="working domain"):
+                    run(m)
+                assert len(steps) == at, m
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdflow.energy import internal_energy
 from crowdflow.model import (GridDensity, GridSpec, Patch, QuantileRep,
                              RunLedger, make_grid_density, to_grid,
                              to_quantile)
@@ -157,6 +158,34 @@ class TestTypes:
                             (math.nan, [0.0, 0.5, 1.0])):
             with pytest.raises(ValueError):
                 QuantileRep(mass, np.array(nodes))
+
+    def test_gap_readings_on_edge_cases(self, rng):
+        # the ordering check and the gap readings, pinned on the edge cases:
+        # NaN nodes and inf - inf gaps are rejected like a negative gap, an
+        # infinite gap is kept, and a zero gap reads as infinite density
+        for nodes in ([math.nan] * 3, [0.0, math.inf, math.inf],
+                      [-math.inf, -math.inf, 0.0], [0.0, 0.5, 0.25]):
+            # inf - inf warns before the check rejects it
+            with pytest.raises(ValueError, match="nondecreasing"), \
+                    np.errstate(invalid="ignore"):
+                QuantileRep(1.0, np.array(nodes))
+        q = QuantileRep(1.0, np.array([0.0, 1.0, math.inf]))
+        assert q.max_density == 0.5 and q.excess_mass() == 0.0
+        q = QuantileRep(1.0, np.array([0.0, 0.5, 0.5]))
+        assert q.max_density == math.inf
+        assert q.excess_mass() == 0.5
+        assert internal_energy(q, 3.0) == math.inf
+        assert internal_energy(q, math.inf) == math.inf
+        # on ordinary nodes, the same bits as the np.diff formulas
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(0.0, 0.1, 50))
+            q = QuantileRep(2.0, x)
+            gaps = np.diff(x)
+            assert q.gaps.tobytes() == gaps.tobytes()
+            assert q.max_density == float(q.w / np.min(gaps))
+            assert q.excess_mass() == float(np.sum(np.maximum(q.w - gaps, 0.0)))
+            assert internal_energy(q, 3.0) == \
+                float(np.sum(q.w * (q.w / gaps) ** 2.0) / 3.0)
 
     def test_quantile_feasibility_reading(self):
         q = QuantileRep(1.0, np.linspace(0, 1, 11))  # gaps exactly w

@@ -265,6 +265,38 @@ def test_node_sum_bit_identical_to_per_node_loop(rng):
             np.asarray(0.5 * _node_sum_loop(w * v)).tobytes()
 
 
+def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
+    # the per-node constants are built once, not per call; the point sets
+    # and the interval data keep the bits of the formulas that built them
+    # on every call, for scalar, 1-D and 2-D interval arguments
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+
+    def per_node(const, pts):
+        return const.reshape((-1,) + (1,) * (pts.ndim - 1))
+
+    a, b = rng.uniform(-2.0, 1.0, (3, 4)), rng.uniform(1.0, 2.0, (3, 4))
+    for kind, params in ALL_KINDS:
+        phi = potential_catalog(kind, params)
+        for x0, x1 in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b)):
+            mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+            ref_pts = mid + half * nodes.reshape((-1,) + (1,) * np.ndim(mid))
+            pts = gl_points(x0, x1)
+            assert pts.tobytes() == ref_pts.tobytes()
+            v, g, c = phi.value(pts), phi.grad(pts), phi.d2(pts)
+            t = per_node(0.5 * weights, g) * g * 0.5
+            la = per_node(0.5 * (1.0 - nodes), c)
+            lb = per_node(0.5 * (1.0 + nodes), c)
+            tc = per_node(0.5 * weights, c) * c
+            ref = (0.5 * _node_sum(per_node(weights, v) * v),
+                   _node_sum(t * per_node(1.0 - nodes, g)),
+                   _node_sum(t * per_node(1.0 + nodes, g)),
+                   _node_sum(tc * la * la), _node_sum(tc * la * lb),
+                   _node_sum(tc * lb * lb))
+            got = (phi.avg(pts), *phi.avg_grad(pts), *phi.avg_hess(pts))
+            for r, y in zip(ref, got, strict=True):
+                assert np.asarray(y).tobytes() == np.asarray(r).tobytes(), kind
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         potential_catalog("cubic-nonsense", {})
