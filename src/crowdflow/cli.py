@@ -44,9 +44,7 @@ def main(argv=None) -> int:
             cfg.raw["seed"] = str(args.seed)
         workers = args.workers if args.workers is not None \
             else cfg.get_int("workers", 1)
-        outdir = args.out or cfg.get("out", "out")
-        report = run_experiment(cfg, kind=args.kind, workers=workers,
-                                outdir=outdir)
+        report = run_experiment(cfg, kind=args.kind, workers=workers)
     except (JkoConvergenceError, PmeStabilityError, FloatingPointError,
             ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -54,7 +52,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and rejected arguments alike
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report.write(outdir, plots=args.plots)
+    report.write(args.out or cfg.get("out", "out"), plots=args.plots)
     for crit in report.criteria:
         mark = "PASS" if crit["pass"] else "FAIL"
         print(f"{mark} {crit['id']}: value={crit['value']:.6g} "

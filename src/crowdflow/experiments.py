@@ -3,9 +3,10 @@
 Each driver consumes an ExperimentConfig and produces an
 ExperimentReport whose criteria rows carry stable ids, measured values
 and thresholds, so every verdict in an emitted report traces back to a
-named acceptance check.  All drivers are deterministic for a fixed
-config and seed; sweep entries are independent and may run in worker
-processes.
+named acceptance check.  A driver writes no file: its tables and
+verdicts go out through ``ExperimentReport.write``, the one writer of
+run outputs.  All drivers are deterministic for a fixed config and
+seed; sweep entries are independent and may run in worker processes.
 """
 
 from __future__ import annotations
@@ -21,13 +22,29 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig
 from .energy import free_energy
-from .heleshaw import hausdorff_distance, heleshaw_run, write_patch_csv
+from .heleshaw import hausdorff_distance, heleshaw_run
 from .jko import (JkoOptions, _step_count, _trajectory_steps, jko_trajectory,
                   verify_comparison)
-from .model import GridDensity, Patch, make_grid_density, to_quantile, write_csv
+from .model import GridDensity, Patch, make_grid_density, to_quantile
 from .oracles import energy_minimizer_profile
 from .pme import PmeOptions, pme_run, pressure, support_set
 from .transport import w2_cost_squared, w2_distance
+
+
+def write_csv(path, header, rows):
+    """Deterministic CSV writer (repr-exact floats, atomic replace)."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
+    os.replace(tmp, path)
+
+
+def _fmt(v):
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
 
 
 @dataclass
@@ -412,46 +429,44 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     return report
 
 
-def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentReport:
-    """One trajectory of the selected scheme, with ledger and snapshots."""
+def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
+    """One trajectory of the selected scheme; its ledger and snapshots
+    become report tables."""
     scheme = cfg.get("run.scheme", "jko")
     report = ExperimentReport("single-run", config_hash=cfg.hash())
     T = cfg.get_float("run.T", 1.0)
     n_snap = _snapshot_count(cfg)
     snapshot_times = np.linspace(0, T, n_snap + 1)[1:]
     phi, grid, rho0 = _setup(cfg)
+    tables = report.tables
     if scheme == "jko":
         m = cfg.get_m(default=math.inf)
         h = cfg.get_float("jko.h", 0.01)
         q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
         states, ledger = jko_trajectory(q0, m, h, phi, T, _jko_options(cfg))
-        _ledger_criteria(report, ledger)
+        _report_ledger(report, ledger)
         e0 = free_energy(q0, m, phi).total
         diss = -np.diff(ledger.column("E"))
         report.add_criterion("single-run.dissipation-sum", float(np.sum(diss)),
                              e0 + 1e-9, float(np.sum(diss)) <= e0 + 1e-9)
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
-            ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-            # the start and the steps at the snapshot times, T included,
-            # that the pme and heleshaw branches write
-            steps = {0} | {min(round(t / h), len(states) - 1)
-                           for t in snapshot_times}
-            for k in sorted(steps):
-                states[k].to_csv(os.path.join(outdir, f"state_{k:05d}.csv"))
+        # the start and the steps at the snapshot times, T included, as
+        # the pme and heleshaw branches record them
+        steps = {0} | {min(round(t / h), len(states) - 1)
+                       for t in snapshot_times}
+        for k in sorted(steps):
+            q = states[k]
+            levels = np.linspace(0.0, q.total_mass, q.n + 1)
+            tables[f"state_{k:05d}"] = (["mass_level", "node"],
+                                        list(zip(levels, q.nodes)))
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
         snaps, ledger = pme_run(rho0, m, phi, T, _pme_options(cfg),
                                 snapshot_times=snapshot_times)
-        _ledger_criteria(report, ledger)
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
-            ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-            for k, (t, rho) in enumerate(snaps):
-                write_csv(os.path.join(outdir, f"snapshot_{k:05d}.csv"),
-                          ["x_center", "rho", "pressure"],
-                          np.column_stack([rho.centers, rho.values,
-                                           pressure(rho, m)]))
+        _report_ledger(report, ledger)
+        for k, (t, rho) in enumerate(snaps):
+            tables[f"snapshot_{k:05d}"] = (
+                ["x_center", "rho", "pressure"],
+                list(zip(rho.centers, rho.values, pressure(rho, m))))
     elif scheme == "heleshaw":
         boxes = cfg.boxes()
         patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
@@ -462,15 +477,30 @@ def single_run(cfg: ExperimentConfig, workers=1, outdir=None) -> ExperimentRepor
         drift = float(np.max(np.abs(vols - vols[0]))) / max(vols[0], 1e-300)
         report.add_criterion("single-run.volume-drift", drift, 1e-9 * (1.0 + T),
                              drift <= 1e-9 * (1.0 + T))
-        if outdir:
-            os.makedirs(outdir, exist_ok=True)
-            write_patch_csv(os.path.join(outdir, "patches.csv"), traj)
+        tables["patches"] = _patch_table(traj)
     else:
         raise ConfigError(f"unknown run.scheme {scheme!r}")
     return report
 
 
-def _ledger_criteria(report: ExperimentReport, ledger):
+def _patch_table(trajectory):
+    """t, interleaved endpoints, volume; rows of fewer intervals padded with nan."""
+    width = max(len(p.intervals) for _, p in trajectory)
+    header = ["t"]
+    for i in range(1, width + 1):
+        header += [f"a{i}", f"b{i}"]
+    header.append("volume")
+    rows = []
+    for t, p in trajectory:
+        ends = [e for ab in p.intervals for e in ab]
+        rows.append([t] + ends + [math.nan] * (2 * width - len(ends))
+                    + [p.volume])
+    return header, rows
+
+
+def _report_ledger(report: ExperimentReport, ledger):
+    """The ledger's verdicts, and the ledger as the report's table."""
+    report.tables["ledger"] = (list(ledger.COLUMNS), ledger.rows)
     E = ledger.column("E")
     mass = ledger.column("mass")
     scale = 1.0 + abs(float(E[0]))
@@ -493,12 +523,10 @@ DRIVERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, kind=None, workers=1,
-                   outdir=None) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig, kind=None,
+                   workers=1) -> ExperimentReport:
     kind = kind or cfg.get("experiment")
     if kind not in DRIVERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; "
                           f"choose one of {', '.join(DRIVERS)}")
-    if kind == "single-run":
-        return single_run(cfg, workers=workers, outdir=outdir)
     return DRIVERS[kind](cfg, workers=workers)

@@ -20,7 +20,7 @@ import numpy as np
 
 from numpy.polynomial import polynomial as npoly
 
-from .model import Patch, _snapshot_schedule, write_csv
+from .model import Patch, _snapshot_schedule
 from .potentials import Potential
 
 
@@ -306,20 +306,3 @@ def _one_sided(pa: Patch, pb: Patch) -> float:
                 candidates.append(min(max(0.5 * (g1 + g2), a), b))
     return max(_point_to_patch(x, pb) for x in candidates)
 
-
-def write_patch_csv(path, trajectory):
-    """Patch trajectory CSV: t, interleaved endpoints, volume (ragged rows padded)."""
-    width = max(len(p.intervals) for _, p in trajectory)
-    header = ["t"]
-    for i in range(1, width + 1):
-        header += [f"a{i}", f"b{i}"]
-    header.append("volume")
-    rows = []
-    for t, p in trajectory:
-        flat = [t]
-        for a, b in p.intervals:
-            flat += [a, b]
-        flat += [math.nan] * (2 * (width - len(p.intervals)))
-        flat.append(p.volume)
-        rows.append(flat)
-    write_csv(path, header, rows)

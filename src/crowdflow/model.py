@@ -145,10 +145,6 @@ class GridDensity:
     def with_values(self, values):
         return GridDensity(self.grid, values)
 
-    def to_csv(self, path):
-        write_csv(path, ["x_center", "value"],
-                  np.column_stack([self.centers, self.values]))
-
 
 @dataclass
 class QuantileRep:
@@ -169,7 +165,11 @@ class QuantileRep:
             raise ValueError("need at least two nodes")
         if not self.total_mass > 0.0:  # NaN fails too
             raise ValueError("total mass must be positive")
-        if not (x[1:] - x[:-1] >= 0.0).all():  # NaN gaps fail too
+        # compared, not subtracted, so no warning: NaN fails the comparison,
+        # and a repeated infinite node (an inf - inf gap), which ordered
+        # nodes can hold only at an end, fails the end checks
+        if not ((x[1:] >= x[:-1]).all() and x[1] > -math.inf
+                and x[-2] < math.inf):
             raise ValueError("nodes must be nondecreasing")
         self.nodes = x
 
@@ -203,11 +203,6 @@ class QuantileRep:
 
     def translated(self, s):
         return QuantileRep(self.total_mass, self.nodes + s)
-
-    def to_csv(self, path):
-        levels = np.linspace(0.0, self.total_mass, self.n + 1)
-        write_csv(path, ["mass_level", "node"],
-                  np.column_stack([levels, self.nodes]))
 
 
 @dataclass
@@ -283,36 +278,6 @@ class RunLedger:
     def column(self, name):
         j = self.COLUMNS.index(name)
         return np.array([r[j] for r in self.rows])
-
-    def validate(self, mass_rtol=1e-10):
-        t = self.column("t")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("ledger times not strictly increasing")
-        m = self.column("mass")
-        if m.size and np.max(np.abs(m - m[0])) > mass_rtol * abs(m[0]):
-            raise ValueError("ledger mass drifts beyond tolerance")
-        return True
-
-    def to_csv(self, path):
-        write_csv(path, list(self.COLUMNS), self.rows)
-
-
-def write_csv(path, header, rows):
-    """Deterministic CSV writer (repr-exact floats, atomic replace)."""
-    import os
-
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
-    os.replace(tmp, path)
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------

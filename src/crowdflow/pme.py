@@ -45,10 +45,16 @@ def _drift_dt(vel, dx) -> float:
     return dx / (float(np.max(np.abs(vel))) + 1e-30)
 
 
+def _check_exponent(m):
+    if not 1 < m < math.inf:  # NaN fails too
+        raise ValueError(f"diffusion exponent must satisfy 1 < m < inf, got "
+                         f"m = {m}; m = inf is the hard constraint of the "
+                         "jko scheme")
+
+
 def _cfl_dt(values, dx, m, drift_dt):
     """The smaller of the diffusion and drift bounds on the explicit step."""
-    if not m > 1:
-        raise ValueError("diffusion exponent must satisfy m > 1")
+    _check_exponent(m)
     rho_max = max(float(values.max()), 1e-12)
     return min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), drift_dt)
 
@@ -191,8 +197,7 @@ def _ledger_row(ledger: RunLedger, step: int, t: float, rho: GridDensity,
 
 def pressure(rho: GridDensity, m: float) -> np.ndarray:
     """Pressure transform ``m/(m-1) rho^(m-1)`` as a grid field."""
-    if not m > 1:
-        raise ValueError("pressure transform requires m > 1")
+    _check_exponent(m)
     return m / (m - 1.0) * rho.values ** (m - 1.0)
 
 

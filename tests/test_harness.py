@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import crowdflow
 from crowdflow.cli import build_parser, main
 from crowdflow.config import ConfigError, ExperimentConfig
-from crowdflow.experiments import run_experiment
+from crowdflow.experiments import run_experiment, write_csv
 from crowdflow.jko import JkoConvergenceError
 from crowdflow.svgplot import line_chart
 
@@ -116,6 +117,46 @@ class TestCli:
         nodes = [float(row.split(",")[1]) for row in
                  (out / "state_00010.csv").read_text().splitlines()[1:]]
         assert (nodes[0], nodes[-1]) == (float(last[7]), float(last[8]))
+
+    @pytest.mark.parametrize("extra", ["m = inf\n", "run.scheme = pme\nm = 3\n",
+                                       "run.scheme = heleshaw\n"],
+                             ids=["jko", "pme", "heleshaw"])
+    def test_single_run_writes_its_report_tables_and_nothing_else(
+            self, tmp_path, extra):
+        # every file a run leaves is report.json or one of its report's
+        # tables, and --plots charts each table
+        cfgp = cfg_file(tmp_path, "grid.n = 120\nsnapshots = 3\n" + extra)
+        tables = run_experiment(ExperimentConfig.from_file(cfgp),
+                                kind="single-run").tables
+        assert tables
+        for flags, suffixes in (([], (".csv",)), (["--plots"], (".csv", ".svg"))):
+            out = tmp_path / f"out{len(flags)}"
+            assert main(["single-run", "--config", cfgp,
+                         "--out", str(out)] + flags) == 0
+            assert {p.name for p in out.iterdir()} == {"report.json"} | {
+                name + suffix for name in tables for suffix in suffixes}
+
+    def test_pme_single_run_rejects_m_inf(self, tmp_path, capsys):
+        # m = inf, the configs' value, is the jko scheme's hard constraint:
+        # the pme scheme names it as a config error before any step warns
+        out = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["single-run", "--config",
+                         cfg_file(tmp_path, "run.scheme = pme\nm = inf\n"),
+                         "--out", str(out)]) == 2
+        assert "m = inf is the hard constraint of the jko scheme" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_serialization(self, tmp_path):
+        # header first, integers as integers, floats repr-exact
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ["k", "x"],
+                  [(0, 0.1), (np.int64(2), 1.0 / 3.0), (3, math.nan)])
+        assert path.read_text().splitlines() == [
+            "k,x", "0,0.10000000000000001", "2,0.33333333333333331", "3,nan"]
+        assert not (tmp_path / "t.csv.tmp").exists()
 
     def test_reproducible_byte_identical(self, tmp_path):
         cfgp = cfg_file(tmp_path, "m = inf\n")
@@ -288,14 +329,13 @@ class TestDrivers:
                                 kind="converge-m", workers=1)
         assert rep.tables == serial.tables
 
-    def test_radial_heleshaw_single_run_closes_the_hole(self, tmp_path):
+    def test_radial_heleshaw_single_run_closes_the_hole(self):
         # on a radial grid the box is a shell, whose hole closes into a
         # ball; a 1-D interval would translate rigidly instead
-        run_experiment(ExperimentConfig.from_text(RADIAL + (
+        rep = run_experiment(ExperimentConfig.from_text(RADIAL + (
             "grid.dim = 3\ninit.boxes = 0.5,1.0,1\nrun.scheme = heleshaw\n"
-            "run.T = 0.5\n")), kind="single-run", outdir=str(tmp_path))
-        rows = (tmp_path / "patches.csv").read_text().splitlines()
-        t, a, b, _volume = map(float, rows[-1].split(","))
+            "run.T = 0.5\n")), kind="single-run")
+        t, a, b, _volume = rep.tables["patches"][1][-1]
         assert (t, a) == (0.5, 0.0)
         assert b == pytest.approx((1.0 - 0.5**3) ** (1.0 / 3.0), abs=1e-4)
 

@@ -122,6 +122,44 @@ class TestRun:
                                    snapshot_times=times[:k + 1])
             assert dict(traj)[t] == head[-1][1]
 
+    def test_run_commutes_with_mirroring_through_a_merge(self):
+        # x -> -x with the intervals reversed, under Phi(-x): the odd
+        # coefficients negated.  Every velocity is a negated chord slope and
+        # every RK4 stage a negated sum, so the runs mirror exactly, the
+        # merge instant included
+        coef = [0.0, 0.3, 0.5, 0.05]
+        phi = potential_catalog("custom-polynomial", coef=coef,
+                                domain=(-3.0, 3.0))
+        phi_m = potential_catalog("custom-polynomial", domain=(-3.0, 3.0),
+                                  coef=[0.0, -0.3, 0.5, -0.05])
+        traj, _ = heleshaw_run(Patch(((0.2, 0.8), (1.2, 2.0))), phi, 1.0, 1e-2)
+        traj_m, _ = heleshaw_run(Patch(((-2.0, -1.2), (-0.8, -0.2))), phi_m,
+                                 1.0, 1e-2)
+        assert (len(traj[0][1].intervals), len(traj[-1][1].intervals)) == (2, 1)
+        assert [t for t, _ in traj_m] == [t for t, _ in traj]
+        for (_, p), (_, p_m) in zip(traj, traj_m, strict=True):
+            assert tuple((-b, -a) for a, b in reversed(p_m.intervals)) \
+                == p.intervals
+
+    @pytest.mark.parametrize("s", [0.25, -0.375, 0.7])
+    def test_run_commutes_with_translation_through_a_merge(self, quad_phi, s):
+        # patch and well center moved by s: the chord slopes agree up to
+        # rounding, so times and endpoints agree to a few ulps (4 and 7
+        # times eps measured over 50 random shifts)
+        phi_s = potential_catalog("shifted-quadratic", q=1.0, c=s)
+        patch = ((0.2, 0.8), (1.2, 2.0))
+        traj, _ = heleshaw_run(Patch(patch), quad_phi, 1.0, 1e-2)
+        traj_s, _ = heleshaw_run(Patch(tuple((a + s, b + s) for a, b in patch)),
+                                 phi_s, 1.0, 1e-2)
+        assert len(traj[-1][1].intervals) == 1
+        eps = np.finfo(float).eps
+        for (t, p), (t_s, p_s) in zip(traj, traj_s, strict=True):
+            assert abs(t_s - t) <= 16 * eps
+            ends, ends_s = np.array(p.intervals), np.array(p_s.intervals)
+            assert ends_s.shape == ends.shape
+            assert np.abs(ends_s - s - ends).max() \
+                <= 16 * eps * np.abs(ends).max()
+
     def test_decreasing_snapshot_times_rejected(self, quad_phi):
         with pytest.raises(ValueError, match="snapshot_times must be strictly"):
             heleshaw_run(Patch(((1.0, 2.0),)), quad_phi, 1.0, 1e-2,

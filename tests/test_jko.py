@@ -784,7 +784,8 @@ class TestTrajectory:
             assert np.all(np.diff(E) <= 1e-9)
             # telescoping dissipation stays within the initial budget
             assert E[0] - E[-1] <= E[0] + 1e-9
-            assert ledger.validate()
+            mass = ledger.column("mass")
+            assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
             assert len(states) == len(E)
 
     def test_confinement_inside_dominating_stationary_support(self, g6, quad_phi):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -161,13 +162,17 @@ class TestTypes:
 
     def test_gap_readings_on_edge_cases(self, rng):
         # the ordering check and the gap readings, pinned on the edge cases:
-        # NaN nodes and inf - inf gaps are rejected like a negative gap, an
-        # infinite gap is kept, and a zero gap reads as infinite density
-        for nodes in ([math.nan] * 3, [0.0, math.inf, math.inf],
-                      [-math.inf, -math.inf, 0.0], [0.0, 0.5, 0.25]):
-            # inf - inf warns before the check rejects it
-            with pytest.raises(ValueError, match="nondecreasing"), \
-                    np.errstate(invalid="ignore"):
+        # NaN nodes and inf - inf gaps are rejected like a negative gap, with
+        # no warning first; an infinite gap is kept, and a zero gap reads as
+        # infinite density
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nodes in ([math.nan] * 3, [0.0, math.inf, math.inf],
+                          [-math.inf, -math.inf, 0.0], [0.0, 0.5, 0.25],
+                          [math.inf, math.inf]):
+                with pytest.raises(ValueError, match="nondecreasing"):
+                    QuantileRep(1.0, np.array(nodes))
+            for nodes in ([0.0, 1.0, math.inf], [-math.inf, 0.0, math.inf]):
                 QuantileRep(1.0, np.array(nodes))
         q = QuantileRep(1.0, np.array([0.0, 1.0, math.inf]))
         assert q.max_density == 0.5 and q.excess_mass() == 0.0
@@ -267,28 +272,7 @@ class TestTypes:
         led = RunLedger()
         led.append(0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
         led.append(1, 0.1, 0.9, 0.0, 0.9, 0.1, 1.0, 0.0, 1.0, 0.0)
-        assert led.validate()
+        mass = led.column("mass")
+        assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
         with pytest.raises(ValueError):
             led.append(2, 0.1, 0.8, 0.0, 0.8, 0.1, 1.0, 0.0, 1.0, 0.0)
-
-    def test_csv_serialization(self, tmp_path):
-        g = GridSpec(-1, 1, 8)
-        rho = GridDensity(g, np.linspace(0, 1, 8))
-        p1 = tmp_path / "rho.csv"
-        rho.to_csv(str(p1))
-        lines = p1.read_text().splitlines()
-        assert lines[0] == "x_center,value"
-        assert len(lines) == 9
-        q = QuantileRep(1.0, np.array([0.0, 0.5, 1.0]))
-        p2 = tmp_path / "q.csv"
-        q.to_csv(str(p2))
-        lines = p2.read_text().splitlines()
-        assert lines[0] == "mass_level,node"
-        assert len(lines) == 4
-
-    def test_ledger_mass_drift_detected(self):
-        led = RunLedger()
-        led.append(0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
-        led.append(1, 0.1, 0.9, 0.0, 0.9, 0.1, 1.01, 0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            led.validate()
