@@ -18,8 +18,8 @@ from .model import (GridDensity, GridSpec, Patch, QuantileRep, RunLedger,
 from .oracles import (barenblatt, barenblatt_halfwidth,
                       energy_minimizer_profile, quadratic_interval_flow,
                       stationary_patch, stationary_profile)
-from .pme import (PmeOptions, PmeStabilityError, pme_run, pme_step, pressure,
-                  stable_dt, support_set)
+from .pme import (PmeStabilityError, pme_run, pme_step, pressure, stable_dt,
+                  support_set)
 from .potentials import Potential, potential_catalog
 from .transport import brute_force_w2, generalized_geodesic, w2_distance
 
@@ -35,7 +35,7 @@ __all__ = [
     "make_grid_density", "to_grid", "to_quantile",
     "barenblatt", "barenblatt_halfwidth", "energy_minimizer_profile",
     "quadratic_interval_flow", "stationary_patch", "stationary_profile",
-    "PmeOptions", "PmeStabilityError", "pme_run", "pme_step", "pressure",
+    "PmeStabilityError", "pme_run", "pme_step", "pressure",
     "stable_dt", "support_set",
     "Potential", "potential_catalog",
     "brute_force_w2", "generalized_geodesic", "w2_distance",

@@ -157,7 +157,9 @@ class ExperimentConfig:
             return potential_catalog(kind, params, domain=tuple(dom),
                                      dim=self.get_int("grid.dim", 1))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            keys = ", ".join(f"'potential.{name}'" for name in params)
+            prefix = f"key{'s' * (len(params) > 1)} {keys}: " if keys else ""
+            raise ConfigError(prefix + str(exc)) from exc
 
     def hash(self) -> str:
         canon = "\n".join(f"{k} = {self.raw[k]}" for k in sorted(self.raw))

@@ -27,7 +27,7 @@ from .jko import (JkoOptions, _step_count, _trajectory_steps, jko_trajectory,
                   verify_comparison)
 from .model import GridDensity, Patch, make_grid_density, to_quantile
 from .oracles import energy_minimizer_profile
-from .pme import PmeOptions, pme_run, pressure, support_set
+from .pme import pme_run, pressure, support_set
 from .transport import w2_cost_squared, w2_distance
 
 
@@ -134,8 +134,13 @@ def _jko_options(cfg):
         max_iterations=cfg.get_int("jko.max_iterations", default.max_iterations))
 
 
-def _pme_options(cfg):
-    return PmeOptions(cfl=cfg.get_float("pme.cfl", PmeOptions().cfl))
+def _pme_dt(cfg):
+    """The PME step size; the default lands on 0.25, 0.5 and 1."""
+    dt = cfg.get_float("pme.dt", 5e-3)
+    if not 0.0 < dt < math.inf:  # NaN fails too
+        raise ConfigError(
+            f"key 'pme.dt': must be positive and finite, got {dt}")
+    return dt
 
 
 def _snapshot_count(cfg):
@@ -365,8 +370,8 @@ def _random_restriction(rng, big: GridDensity, grid):
 
 
 def _crossval_one(args):
-    rho0_ind, m, phi, times, opts = args
-    snaps, _ = pme_run(rho0_ind, m, phi, times[-1], opts, snapshot_times=times)
+    rho0_ind, m, phi, times, dt = args
+    snaps, _ = pme_run(rho0_ind, m, phi, times[-1], dt, snapshot_times=times)
     return dict(snaps)
 
 
@@ -387,13 +392,13 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     # and 0 outside, so any fixed level in (0, 1) converges; a mid level
     # avoids measuring the O(1/m) receding-front tail
     eps_supp = cfg.get_float("pme.eps_supp", 0.25)
-    opts = _pme_options(cfg)
+    dt = _pme_dt(cfg)
 
     traj, _ = heleshaw_run(patch0, phi, times[-1], dt_fb, snapshot_times=times)
     patches = dict(traj)
 
     runs = _pmap(_crossval_one,
-                 [(rho0, m, phi, tuple(times), opts) for m in m_list], workers)
+                 [(rho0, m, phi, tuple(times), dt) for m in m_list], workers)
     rows = []
     for m, snap in zip(m_list, runs):
         for t in times:
@@ -460,7 +465,7 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
                                         list(zip(levels, q.nodes)))
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
-        snaps, ledger = pme_run(rho0, m, phi, T, _pme_options(cfg),
+        snaps, ledger = pme_run(rho0, m, phi, T, _pme_dt(cfg),
                                 snapshot_times=snapshot_times)
         _report_ledger(report, ledger)
         for k, (t, rho) in enumerate(snaps):

@@ -1,18 +1,26 @@
-"""Conservative explicit finite-volume solver for degenerate diffusion with drift.
+"""Conservative backward-Euler finite-volume solver for degenerate diffusion
+with drift.
 
 Density form ``rho_t = div(grad(rho^m) + rho grad(Phi))`` on a box with
 no-flux walls.  The diffusive flux takes centered differences of
 ``rho^m`` across edges (conservative, degenerate-friendly); the drift
-flux is first-order upwind
-on the edge velocity ``-Phi'``, which keeps the scheme monotone so
-ordered data stay ordered.  Radial mode weights fluxes by surface area
-with a reflecting center.
+flux is first-order upwind on the edge velocity ``-Phi'``, which keeps
+the scheme monotone so ordered data stay ordered.  Radial mode weights
+fluxes by surface area with a reflecting center.
+
+Each step is backward Euler on these fluxes (Bessemoulin-Chatard and
+Filbet, SIAM J. Sci. Comput. 34, 2012), so no CFL bound limits it.  The
+implicit system is solved by Newton's method from the previous state.
+Every Newton and Picard matrix is a tridiagonal M-matrix whose columns
+sum to the cell measures, because the fluxes telescope: every iterate
+keeps the mass, and the Picard iterate, taken with secant coefficients
+``(u_{j+1}^m - u_j^m) / (u_{j+1} - u_j) >= 0`` whenever a Newton iterate
+goes negative, is nonnegative by construction.  Nothing is clipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,25 +32,15 @@ from .transport import w2_distance
 
 
 class PmeStabilityError(RuntimeError):
-    """Raised when a run produces more than a round-off sliver of negative mass."""
+    """Raised when a step does not converge even after repeated halving."""
 
 
-#: largest tolerated clipped mass, as a fraction of the mass, per step
-CLIP_ABORT = 1e-12
-
-
-@dataclass
-class PmeOptions:
-    cfl: float = 0.4              # safety factor on the explicit stability bound
-
-    def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl safety factor must lie in (0, 1]")
-
-
-def _drift_dt(vel, dx) -> float:
-    """Drift bound of the explicit step: ``dx`` over the largest ``|vel|``."""
-    return dx / (float(np.max(np.abs(vel))) + 1e-30)
+#: Newton stops once its step is this small against the iterate's maximum
+TOL_STEP = 1e-12
+#: iterations one implicit solve may take before its step is halved
+MAX_ITERATIONS = 40
+#: halvings of one requested step before the run gives up
+MAX_HALVINGS = 30
 
 
 def _check_exponent(m):
@@ -52,113 +50,168 @@ def _check_exponent(m):
                          "jko scheme")
 
 
-def _cfl_dt(values, dx, m, drift_dt):
-    """The smaller of the diffusion and drift bounds on the explicit step."""
+def _check_step(dt):
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"time step must be positive and finite, got "
+                         f"dt = {dt}")
+
+
+def stable_dt(rho: GridDensity, m: float, phi: Potential) -> float:
+    """Step bound of an explicit update of ``rho``, with a 0.4 safety factor.
+
+    The smaller of the diffusion bound ``dx^2 / (2 m rho_max^(m-1))`` and
+    the drift bound ``dx / max|Phi'|``.  The implicit step needs neither;
+    this is the reference scale of an explicit step.
+    """
     _check_exponent(m)
-    rho_max = max(float(values.max()), 1e-12)
-    return min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)), drift_dt)
+    grid = rho.grid
+    dx = grid.dx
+    rho_max = max(float(rho.values.max()), 1e-12)
+    vmax = float(np.max(np.abs(phi.grad(grid.edges))))
+    return 0.4 * min(dx * dx / (2.0 * m * rho_max ** (m - 1.0)),
+                     dx / (vmax + 1e-30))
 
 
-def stable_dt(rho: GridDensity, m: float, phi: Potential,
-              opts: PmeOptions | None = None) -> float:
-    """CFL-limited explicit step: diffusion and drift bounds combined."""
-    opts = opts or PmeOptions()
-    return opts.cfl * _Stencil(rho.grid, phi).bound(rho.values, m)
+def _solve_balanced(meas, fwd, bwd, rhs):
+    """Solve the tridiagonal system whose columns sum to ``meas``.
+
+    The matrix has diagonal ``meas[i] + fwd[i] + bwd[i-1]``, subdiagonal
+    ``-fwd[i]`` and superdiagonal ``-bwd[i]``, with ``fwd, bwd >= 0``
+    (``fwd`` carries a trailing 0): an M-matrix, so elimination needs no
+    pivoting.  Each pivot is rebuilt from nonnegative terms, the column
+    sum left after elimination plus ``fwd[i]``, so no cancellation
+    enters; for ``rhs >= 0`` the solution is ``>= 0`` in floating point.
+    Plain lists in and out: numpy has no banded solver, and scipy's would
+    load ``scipy.linalg``, which no PME run otherwise needs.
+    """
+    n = len(rhs)
+    piv = [0.0] * n
+    y = [0.0] * n
+    col = meas[0]  # what is left of the column sum after elimination
+    p = piv[0] = col + fwd[0]
+    yi = y[0] = rhs[0]
+    for i in range(1, n):
+        r = 1.0 / p
+        col = meas[i] + bwd[i - 1] * col * r
+        yi = y[i] = rhs[i] + fwd[i - 1] * yi * r
+        p = piv[i] = col + fwd[i]
+    x = yi / p
+    out = [0.0] * n
+    out[-1] = x
+    for i in range(n - 2, -1, -1):
+        x = out[i] = (y[i] + bwd[i] * x) / piv[i]
+    return out
 
 
 class _Stencil:
-    """What the explicit update needs of one grid under one potential.
+    """What the implicit update needs of one grid under one potential.
 
-    The edge velocity ``-Phi'`` is evaluated once, here: its maximum gives
-    the drift bound, its interior values drive the upwind flux.  A run
-    builds one stencil and steps raw value arrays through it.
+    The edge velocity ``-Phi'`` is evaluated once, here: its positive part
+    carries mass rightward out of the cell left of each interior edge, its
+    negative part leftward out of the cell on the right.  A run builds one
+    stencil and steps raw value arrays through it.
     """
 
     def __init__(self, grid: GridSpec, phi: Potential):
-        vel = -phi.grad(grid.edges)
-        self.dx = grid.dx
-        self.drift_dt = _drift_dt(vel, self.dx)
-        self.vel = vel[1:-1]
-        # the advected density is taken upwind of the transport speed -Phi'
-        n = grid.n_cells
-        self.upwind = np.where(self.vel > 0.0, np.arange(n - 1),
-                               np.arange(1, n))
-        self.areas = grid.edge_areas[1:-1]
+        vel = -phi.grad(grid.edges)[1:-1]
+        areas = grid.edge_areas[1:-1]
         self.meas = grid.cell_measures
-        self.total = np.zeros(n + 1)  # edge fluxes; the walls stay zero
+        self.meas_list = self.meas.tolist()
+        self.diff = areas / grid.dx
+        self.right = areas * np.maximum(vel, 0.0)
+        self.left = areas * np.maximum(-vel, 0.0)
 
-    def bound(self, v: np.ndarray, m: float) -> float:
-        """The CFL bound on ``dt`` for values ``v``, without the ``cfl`` factor."""
-        return _cfl_dt(v, self.dx, m, self.drift_dt)
+    def step(self, v: np.ndarray, m: float, dt: float,
+             depth: int = 0) -> np.ndarray:
+        """One backward-Euler step of ``dt`` from ``v``.
 
-    def advance(self, v: np.ndarray, m: float, dt: float,
-                bound: float) -> np.ndarray:
-        """One conservative explicit update of ``v``.
-
-        ``bound`` is ``self.bound(v, m)``; a ``dt`` above it is rejected.
-        Negative values beyond round-off abort; round-off negatives are
-        zeroed and the mass restored by rescaling.
+        A step whose solve fails is split into two half steps, down to
+        ``MAX_HALVINGS`` halvings; below that it raises.
         """
-        if dt > bound * (1.0 + 1e-9):
-            raise ValueError(f"dt = {dt:.3e} exceeds the stability bound {bound:.3e}")
-        rhom = v ** m
-        # interior edges: flux F = d(rho^m)/dx + rho * Phi' (so rho_t = dF/dx)
-        flux = (rhom[1:] - rhom[:-1]) / self.dx - self.vel * v[self.upwind]
-        total = self.total
-        np.multiply(self.areas, flux, out=total[1:-1])
-        new = v + dt * (total[1:] - total[:-1]) / self.meas
-        if new.min() >= 0.0:
-            return new
-        return _clipped(v, new, self.meas)
+        u = self._solve(v, m, dt)
+        if u is not None:
+            return u
+        if depth == MAX_HALVINGS:
+            raise PmeStabilityError(
+                f"backward-Euler step did not converge at dt = {dt:.3e}, "
+                f"{depth} halvings below the requested step")
+        half = 0.5 * dt
+        return self.step(self.step(v, m, half, depth + 1), m, half, depth + 1)
 
+    def _solve(self, v: np.ndarray, m: float, dt: float):
+        """The implicit state after ``dt``, or None if the solve fails.
 
-def _clipped(v: np.ndarray, new: np.ndarray, meas: np.ndarray) -> np.ndarray:
-    """``new`` with round-off negatives zeroed, rescaled to the mass of ``v``."""
-    mass = float(np.dot(v, meas))
-    neg = new < 0.0
-    lost = -float(np.sum(new[neg] * meas[neg]))
-    if lost > CLIP_ABORT * mass:
-        raise PmeStabilityError(
-            f"negative mass {lost:.3e} exceeds round-off budget; "
-            "the step size is unstable for this state")
-    new = np.maximum(new, 0.0)
-    pos_mass = float(np.dot(new, meas))
-    if pos_mass > 0.0:
-        new = new * (mass / pos_mass)
-    if not new.min() >= 0.0:  # NaN passes through the clip
-        raise ValueError("density values must be nonnegative")
-    return new
+        Newton on the residual ``meas (u - v) - dt div F(u)``, started at
+        ``v``.  A Newton iterate with a negative value is replaced by the
+        Picard iterate from the same point; a non-finite iterate, or no
+        convergence within ``MAX_ITERATIONS``, fails the solve.
+        """
+        meas, meas_list, fwd_end = self.meas, self.meas_list, [0.0]
+        c_diff = dt * self.diff
+        c_right, c_left = dt * self.right, dt * self.left
+        rhs_picard = None
+        u = v
+        # u ** m may overflow for a wild iterate; it is rejected by value
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(MAX_ITERATIONS):
+                um1 = u ** (m - 1.0)
+                deriv = m * um1
+                w = um1 * u
+                dw = w[1:] - w[:-1]
+                flux = c_diff * dw - c_right * u[:-1] + c_left * u[1:]
+                res = meas * (v - u)
+                res[:-1] += flux
+                res[1:] -= flux
+                fwd = (c_diff * deriv[:-1] + c_right).tolist() + fwd_end
+                bwd = (c_diff * deriv[1:] + c_left).tolist()
+                delta = np.array(_solve_balanced(meas_list, fwd, bwd,
+                                                 res.tolist()))
+                new = u + delta
+                if not new.min() >= 0.0:
+                    du = u[1:] - u[:-1]
+                    coef = c_diff * np.where(du != 0.0, dw / du, deriv[:-1])
+                    if rhs_picard is None:
+                        rhs_picard = (meas * v).tolist()
+                    fwd = (coef + c_right).tolist() + fwd_end
+                    bwd = (coef + c_left).tolist()
+                    new = np.array(_solve_balanced(meas_list, fwd, bwd,
+                                                   rhs_picard))
+                    delta = new - u
+                size = float(np.max(np.abs(delta)))
+                if not size < math.inf:  # NaN fails too
+                    return None
+                u = new
+                if size <= TOL_STEP * float(u.max()):
+                    return u
+        return None
 
 
 def pme_step(rho: GridDensity, m: float, phi: Potential,
              dt: float) -> GridDensity:
-    """One conservative explicit update; rejects over-CFL steps.
-
-    ``dt`` may not exceed the CFL bound without the ``cfl`` factor.
-    Negative values beyond round-off abort; round-off negatives are
-    zeroed and the mass restored by rescaling.
-    """
-    stencil = _Stencil(rho.grid, phi)
-    bound = stencil.bound(rho.values, m)
-    return rho.with_values(stencil.advance(rho.values, m, dt, bound))
+    """One backward-Euler step of ``dt``, halved as often as it must be."""
+    _check_exponent(m)
+    _check_step(dt)
+    return rho.with_values(_Stencil(rho.grid, phi).step(rho.values, m, dt))
 
 
 def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
-            opts: PmeOptions | None = None, snapshot_times=None):
-    """Advance to time ``T`` with the step size re-limited every step.
+            dt: float, snapshot_times=None):
+    """Advance to time ``T`` in backward-Euler steps of ``dt``.
 
     Returns ``(snapshots, ledger)`` where snapshots is a list of
     ``(t, GridDensity)`` including the initial and final states, and the
     ledger carries the energy split, mass, support extent and excess mass
     at the snapshot times (the Wasserstein increment column holds the
     distance between consecutive snapshots in 1D, nan in radial mode).
-    The snapshot times are ``model._snapshot_schedule(T, snapshot_times)``.
-    Between snapshots the run steps the value array, with the same update
-    as ``pme_step``.
+    The snapshot times are ``model._snapshot_schedule(T, snapshot_times)``;
+    the step that would pass one, or stop within ``1e-9 dt`` of it, is
+    fitted to land on it exactly.  Between snapshots the run steps the
+    value array, with the same update as ``pme_step``.
     """
+    _check_exponent(m)
+    _check_step(dt)
     if not T > 0:
         raise ValueError("horizon must be positive")
-    opts = opts or PmeOptions()
     stencil = _Stencil(rho0.grid, phi)
     v = rho0.values
     t = 0.0
@@ -168,13 +221,11 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     step_count = 0
     prev_snap = rho0
     for t_snap in _snapshot_schedule(T, snapshot_times):
-        while t < t_snap - 1e-14:
-            bound = stencil.bound(v, m)
-            dt = min(opts.cfl * bound, t_snap - t)
-            v = stencil.advance(v, m, dt, bound)
-            t += dt
+        while t < t_snap:
+            last = t_snap - t <= dt * (1.0 + 1e-9)
+            v = stencil.step(v, m, t_snap - t if last else dt)
+            t = t_snap if last else t + dt
             step_count += 1
-        t = t_snap
         rho = rho0.with_values(v)
         snapshots.append((t, rho))
         _ledger_row(ledger, step_count, t, rho, prev_snap, m, phi)

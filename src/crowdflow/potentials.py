@@ -215,7 +215,16 @@ def _global_min_on_reals(coef):
     deg = coef.size - 1
     if deg % 2 == 1 or coef[-1] <= 0:
         return -math.inf
-    crit = npoly.polyroots(npoly.polyder(coef))
+    dcoef = npoly.polyder(coef)
+    # the derivative's companion matrix divides by its leading coefficient;
+    # one at round-off of the others overflows it, or leaves roots of no
+    # meaning
+    rest = float(np.max(np.abs(dcoef[:-1])))
+    if dcoef[-1] <= np.finfo(float).eps * rest:
+        raise ValueError(f"potential 'coef' = {coef.tolist()}: the leading "
+                         f"coefficient {coef[-1]:g} is negligible against "
+                         "the others; drop it")
+    crit = npoly.polyroots(dcoef)
     crit = crit[np.abs(crit.imag) < 1e-10].real
     if crit.size == 0:
         return -math.inf

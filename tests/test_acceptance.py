@@ -44,7 +44,7 @@ def test_criterion_01_barenblatt_oracle():
     for n in (750, 1500, 3000):          # dx: 8e-3, 4e-3, 2e-3
         grid = GridSpec(-3.0, 3.0, n)
         _, dens0 = barenblatt(grid.centers, 0.0, tau, C, m)
-        snaps, _ = pme_run(GridDensity(grid, dens0), m, ZERO, T,
+        snaps, _ = pme_run(GridDensity(grid, dens0), m, ZERO, T, grid.dx / 2,
                            snapshot_times=np.linspace(0, T, 3)[1:])
         _, exact = barenblatt(grid.centers, T, tau, C, m)
         errs.append(float(np.sum(np.abs(snaps[-1][1].values - exact)) * grid.dx))
@@ -230,7 +230,7 @@ def test_criterion_10_longtime_decay_and_contraction():
         "grid.lo = -4.5\ngrid.hi = 4.5\ngrid.n = 900\nquantile.n = 200\n"
         "m.list = 10,inf\njko.h = 0.001\nrun.T = 5.0\neps.rate = 0.1\n"
         "snapshots = 16\n")
-    rep = longtime_decay(cfg)
+    rep = longtime_decay(cfg, workers=2)
     vals = {c["id"]: c["value"] for c in rep.criteria}
     verdict(10, rep.all_passed,
             "decay and contraction within e^{-t}(1.1) at all snapshots; "

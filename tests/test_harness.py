@@ -77,6 +77,39 @@ class TestConfig:
             assert f"key {key!r}" in capsys.readouterr().err, extra
             assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("single-run", "run.scheme = pme\nm = 3\n"),
+        ("crossval", "m.list = 4,8\n")], ids=["single-run", "crossval"])
+    def test_pme_step_size_names_its_key(self, tmp_path, capsys, kind, extra):
+        for bad in ("0", "-0.01", "nan", "inf"):
+            out = str(tmp_path / "never")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([kind, "--config", cfg_file(
+                    tmp_path, f"{extra}pme.dt = {bad}\n"), "--out", out]) == 2
+            assert "key 'pme.dt': must be positive and finite" \
+                in capsys.readouterr().err, bad
+            assert not os.path.exists(out)
+
+    def test_negligible_leading_coefficient_names_its_key(self, tmp_path,
+                                                          capsys):
+        # a subnormal leading coefficient once overflowed the companion
+        # matrix: a RuntimeWarning, then LinAlgError "Array must not
+        # contain infs or NaNs", which named neither key nor cause
+        cfgp = tmp_path / "cfg.txt"
+        cfgp.write_text(BASE.replace(
+            "potential.kind = quadratic\npotential.q = 1.0\n",
+            "potential.kind = custom-polynomial\npotential.domain = -3,3\n"
+            "potential.coef = 0,-0.26,1.15,8.5e-203,5e-324\n"))
+        out = str(tmp_path / "never")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["single-run", "--config", str(cfgp),
+                         "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "key 'potential.coef'" in err and "negligible" in err
+        assert not os.path.exists(out)
+
     def test_misspelt_potential_key_rejected(self):
         # not dropped in favour of the default q = 1
         cfg = ExperimentConfig.from_text(BASE + "potential.qq = 5\n")

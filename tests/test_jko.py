@@ -764,6 +764,32 @@ def test_step_commutes_with_mirroring(c1, c2, c3, c4, degree, a, width,
         assert err <= 16 * np.finfo(float).eps * scale, m
 
 
+@given(s=st.floats(-1.5, 1.5), q=st.floats(0.5, 2.0), c=st.floats(-0.5, 0.5),
+       a=st.floats(-1.5, 1.0), width=st.floats(0.3, 1.0),
+       height=st.floats(0.3, 1.0), n=st.integers(20, 120),
+       h=st.floats(1e-3, 0.02))
+@settings(max_examples=20, deadline=None, derandomize=True,
+          phases=(Phase.generate,))
+def test_step_commutes_with_translation(s, q, c, a, width, height, n, h):
+    # nodes and the well's center c both moved by s: the result moves by s,
+    # up to the roundings of the moved data, with the same iteration count
+    # (4.5 ulps of the data scale measured over 200 random draws)
+    grid = GridSpec(-3.0, 3.0, 600)
+    opts = JkoOptions(max_iterations=50)
+    phi, phi_s = (potential_catalog("shifted-quadratic", q=q, c=center,
+                                    domain=(-6.0, 6.0))
+                  for center in (c, c + s))
+    q0 = indicator_quantile(a, a + width, grid, n=n, height=height)
+    q0_s = QuantileRep(q0.total_mass, q0.nodes + s)
+    for m in (10.0, math.inf):
+        out = jko_step(q0, m, h, phi, opts)
+        out_s = jko_step(q0_s, m, h, phi_s, opts)
+        assert out_s.iterations == out.iterations, m
+        scale = max(np.abs(q0_s.nodes).max(), np.abs(out_s.state.nodes).max())
+        err = np.abs(out_s.state.nodes - s - out.state.nodes).max()
+        assert err <= 16 * np.finfo(float).eps * scale, m
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -309,3 +310,19 @@ def test_parameter_the_kind_does_not_read_rejected(kind, params):
                 else {"q": 1.0}):
         with pytest.raises(ValueError, match=repr(next(iter(bad)))):
             potential_catalog(kind, {**params, **bad})
+
+
+@pytest.mark.parametrize("lead", [5e-324, 1e-300, 1e-17])
+def test_negligible_leading_coefficient_rejected_without_warning(lead):
+    # the companion matrix of the derivative divides by the leading
+    # coefficient; at round-off of the others it overflowed ("Array must
+    # not contain infs or NaNs") instead of naming the parameter
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'coef'.*negligible"):
+            potential_catalog("custom-polynomial", domain=(-3, 3),
+                              coef=[0.0, -0.26, 1.15, 8.5e-203, lead])
+        # a small but resolvable leading coefficient is kept
+        phi = potential_catalog("custom-polynomial", domain=(-3, 3),
+                                coef=[0.0, -0.26, 1.15, 0.0, 1e-12])
+    assert phi.bounded_below and phi.coef[-1] == 1e-12
