@@ -20,6 +20,15 @@ class ConfigError(ValueError):
     """Malformed or missing configuration (CLI exit code 2)."""
 
 
+def _positive(key, val):
+    """``val`` if it is a positive, finite float, else a ConfigError naming
+    ``key``: the check of every step size, horizon and output time."""
+    if not 0.0 < val < math.inf:  # NaN fails too
+        raise ConfigError(f"key {key!r}: must be positive and finite, "
+                          f"got {val}")
+    return val
+
+
 def _m_value(key, tok):
     """One congestion exponent: a number, or ``inf`` for the hard constraint."""
     try:
@@ -98,6 +107,21 @@ class ExperimentConfig:
             return [float(tok) for tok in val.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: bad list: {val!r}") from exc
+
+    def get_positive(self, key, default=None):
+        """A step size or horizon: ``get_float``, positive and finite."""
+        return _positive(key, self.get_float(key, default))
+
+    def get_positive_floats(self, key, default=None):
+        """Output times: ``get_floats``, at least one, each positive and
+        finite, strictly increasing."""
+        vals = [_positive(key, v) for v in self.get_floats(key, default)]
+        if not vals:
+            raise ConfigError(f"key {key!r}: needs at least one value")
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ConfigError(f"key {key!r}: must be strictly increasing, "
+                              f"got {vals}")
+        return vals
 
     def get_m_list(self, key="m.list", default=None):
         val = self._lookup(key, default)

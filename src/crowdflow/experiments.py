@@ -134,13 +134,18 @@ def _jko_options(cfg):
         max_iterations=cfg.get_int("jko.max_iterations", default.max_iterations))
 
 
-def _pme_dt(cfg):
-    """The PME step size; the default lands on 0.25, 0.5 and 1."""
-    dt = cfg.get_float("pme.dt", 5e-3)
-    if not 0.0 < dt < math.inf:  # NaN fails too
-        raise ConfigError(
-            f"key 'pme.dt': must be positive and finite, got {dt}")
-    return dt
+#: the default ``pme.dt``; it lands on crossval's times 0.25, 0.5 and 1
+_PME_DT = 5e-3
+
+
+def _finite_m_list(cfg, kind):
+    """The finite entries of ``m.list``; a sweep over m needs two."""
+    m_list = [m for m in cfg.get_m_list(default=(4.0, 8.0, 16.0, 32.0, 64.0))
+              if not math.isinf(m)]
+    if len(m_list) < 2:
+        raise ConfigError(f"key 'm.list': {kind} needs at least two finite "
+                          f"m values, got {len(m_list)}")
+    return m_list
 
 
 def _snapshot_count(cfg):
@@ -192,12 +197,9 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     dependence on m.
     """
     phi, _, rho0 = _setup(cfg)
-    m_list = cfg.get_m_list(default=(4.0, 8.0, 16.0, 32.0, 64.0))
-    m_list = [m for m in m_list if not math.isinf(m)]
-    if len(m_list) < 2:
-        raise ConfigError("converge-m needs at least two finite m values")
-    h = cfg.get_float("jko.h", 0.01)
-    T = cfg.get_float("run.T", 1.0)
+    m_list = _finite_m_list(cfg, "converge-m")
+    h = cfg.get_positive("jko.h", 0.01)
+    T = cfg.get_positive("run.T", 1.0)
     opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0)
     ref = _traj_states((q0, math.inf, h, phi, T, opts))
@@ -229,11 +231,11 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Self-convergence rate in the step size (consecutive-h distances)."""
     phi, _, rho0 = _setup(cfg)
     m = cfg.get_m(default=math.inf)
-    h0 = cfg.get_float("jko.h", 0.04)
+    h0 = cfg.get_positive("jko.h", 0.04)
     halvings = cfg.get_int("h.halvings", 4)
     if halvings < 2:
         raise ConfigError("converge-h needs at least two halvings")
-    T = cfg.get_float("run.T", 1.0)
+    T = cfg.get_positive("run.T", 1.0)
     opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
@@ -271,8 +273,8 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         raise ConfigError("longtime decay needs a uniformly convex potential "
                           "(set longtime.force = true to run anyway)")
     m_list = cfg.get_m_list(default=(10.0, math.inf))
-    h = cfg.get_float("jko.h", 1e-3)
-    T = cfg.get_float("run.T", 5.0)
+    h = cfg.get_positive("jko.h", 1e-3)
+    T = cfg.get_positive("run.T", 5.0)
     opts = _jko_options(cfg)
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = _snapshot_count(cfg)
@@ -322,7 +324,7 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     grid = cfg.grid_spec()
     trials = cfg.get_int("trials", 20)
     m_list = cfg.get_m_list(default=(5.0, 50.0, math.inf))
-    h = cfg.get_float("jko.h", 0.01)
+    h = cfg.get_positive("jko.h", 0.01)
     n_q = cfg.get_int("quantile.n", 200)
     seed = cfg.get_int("seed", 0)
     opts = _jko_options(cfg)
@@ -382,17 +384,14 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     boxes = cfg.boxes()
     patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
     rho0 = patch0.indicator(grid)
-    m_list = [m for m in cfg.get_m_list(default=(4.0, 8.0, 16.0, 32.0, 64.0))
-              if not math.isinf(m)]
-    times = cfg.get_floats("crossval.times", (0.25, 0.5, 1.0))
-    if times[0] <= 0.0:
-        raise ConfigError(f"key 'crossval.times': must be positive, got {times[0]:g}")
-    dt_fb = cfg.get_float("heleshaw.dt", 1e-3)
+    m_list = _finite_m_list(cfg, "crossval")
+    times = cfg.get_positive_floats("crossval.times", (0.25, 0.5, 1.0))
+    dt_fb = cfg.get_positive("heleshaw.dt", 1e-3)
     # mid-level front extraction: the density tends to 1 inside the patch
     # and 0 outside, so any fixed level in (0, 1) converges; a mid level
     # avoids measuring the O(1/m) receding-front tail
     eps_supp = cfg.get_float("pme.eps_supp", 0.25)
-    dt = _pme_dt(cfg)
+    dt = cfg.get_positive("pme.dt", _PME_DT)
 
     traj, _ = heleshaw_run(patch0, phi, times[-1], dt_fb, snapshot_times=times)
     patches = dict(traj)
@@ -439,14 +438,14 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     become report tables."""
     scheme = cfg.get("run.scheme", "jko")
     report = ExperimentReport("single-run", config_hash=cfg.hash())
-    T = cfg.get_float("run.T", 1.0)
+    T = cfg.get_positive("run.T", 1.0)
     n_snap = _snapshot_count(cfg)
     snapshot_times = np.linspace(0, T, n_snap + 1)[1:]
     phi, grid, rho0 = _setup(cfg)
     tables = report.tables
     if scheme == "jko":
         m = cfg.get_m(default=math.inf)
-        h = cfg.get_float("jko.h", 0.01)
+        h = cfg.get_positive("jko.h", 0.01)
         q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
         states, ledger = jko_trajectory(q0, m, h, phi, T, _jko_options(cfg))
         _report_ledger(report, ledger)
@@ -465,7 +464,8 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
                                         list(zip(levels, q.nodes)))
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
-        snaps, ledger = pme_run(rho0, m, phi, T, _pme_dt(cfg),
+        dt = cfg.get_positive("pme.dt", _PME_DT)
+        snaps, ledger = pme_run(rho0, m, phi, T, dt,
                                 snapshot_times=snapshot_times)
         _report_ledger(report, ledger)
         for k, (t, rho) in enumerate(snaps):
@@ -475,7 +475,7 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     elif scheme == "heleshaw":
         boxes = cfg.boxes()
         patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
-        dt_fb = cfg.get_float("heleshaw.dt", 1e-3)
+        dt_fb = cfg.get_positive("heleshaw.dt", 1e-3)
         traj, volumes = heleshaw_run(patch0, phi, T, dt_fb,
                                      snapshot_times=snapshot_times)
         vols = np.array([v for _, v in volumes])

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .model import Patch, _snapshot_schedule
-from .potentials import Potential
+from .potentials import Potential, _horner
 
 
 def _shifted_poly_integral(coef, shift, a, b):
@@ -31,7 +31,7 @@ def _shifted_poly_integral(coef, shift, a, b):
     integrates to a logarithm.  Requires ``a > 0`` when shift < 0.
     """
     total = 0.0
-    for k, c in enumerate(np.asarray(coef, dtype=float)):
+    for k, c in enumerate(coef):
         if c == 0.0:
             continue
         p = k + shift
@@ -42,8 +42,9 @@ def _shifted_poly_integral(coef, shift, a, b):
     return total
 
 
-def _radial_cumulative_poly(phi: Potential, d: int):
-    """Antiderivative polynomial of ``s^(d-1) * Laplacian(Phi)(s)``.
+def _radial_cumulative_poly(phi: Potential, d: int) -> tuple:
+    """Antiderivative of ``s^(d-1) * Laplacian(Phi)(s)``, as a tuple of
+    floats, low order first.
 
     For a polynomial radial profile, ``s^(d-1) Phi'' + (d-1) s^(d-2) Phi'``
     is itself a polynomial (the gradient vanishes at the center), so the
@@ -59,7 +60,7 @@ def _radial_cumulative_poly(phi: Potential, d: int):
             raise ValueError("radial profiles need a vanishing gradient "
                              "at the center")
         j[d - 2:d - 2 + d1.size] += (d - 1) * d1
-    return npoly.polyint(j)
+    return tuple(npoly.polyint(j).tolist())
 
 
 @dataclass
@@ -81,11 +82,12 @@ class PatchPressure:
                         * (xi - a) / (b - a)
                     out[inside] = chord - self.phi.value(xi)
             return out
+        P = _radial_cumulative_poly(self.phi, self.patch.dim)
         for a, b in self.patch.intervals:
             inside = (x >= a) & (x <= b)
             for i in np.flatnonzero(inside):
-                out[i] = _radial_pressure_value(self.phi, a, b,
-                                                self.patch.dim, float(x[i]))
+                out[i] = _radial_pressure_value(P, a, b, self.patch.dim,
+                                                float(x[i]))
         return out
 
 
@@ -99,60 +101,62 @@ def patch_pressure(patch: Patch, phi: Potential) -> PatchPressure:
     return PatchPressure(patch, phi)
 
 
-def _radial_flux_const(phi: Potential, r1: float, r2: float, d: int) -> float:
-    """Integration constant A in ``u'(r) = (A - I(r)) / r^(d-1)``.
+def _radial_flux_const(P: tuple, r1: float, r2: float, d: int) -> float:
+    """Integration constant A in ``u'(r) = (A - I(r)) / r^(d-1)``, where
+    ``I`` is the antiderivative ``P`` taken from ``r1``.
 
     Ball (r1 == 0): regularity at the center forces A = 0.  Annulus: A is
     fixed by matching the two zero boundary values.
     """
     if r1 == 0.0:
         return 0.0
-    P = _radial_cumulative_poly(phi, d)
-    p_r1 = float(npoly.polyval(r1, P))
-    denom = _shifted_poly_integral([1.0], 1 - d, r1, r2)
-    numer = _shifted_poly_integral(P, 1 - d, r1, r2) - p_r1 * denom
+    denom = _shifted_poly_integral((1.0,), 1 - d, r1, r2)
+    numer = _shifted_poly_integral(P, 1 - d, r1, r2) - _horner(P, r1) * denom
     return numer / denom
 
 
-def _radial_pressure_value(phi: Potential, r1: float, r2: float, d: int,
+def _radial_pressure_value(P: tuple, r1: float, r2: float, d: int,
                            r: float) -> float:
     """Exact radial pressure: ``u(r) = -int_r^{r2} (A - I(s)) s^(1-d) ds``."""
-    P = _radial_cumulative_poly(phi, d)
-    A = _radial_flux_const(phi, r1, r2, d)
+    A = _radial_flux_const(P, r1, r2, d)
     lo = max(r, 1e-300) if d > 1 and r1 > 0.0 else r
-    p_r1 = float(npoly.polyval(r1, P))
     val = _shifted_poly_integral(P, 1 - d, lo, r2) \
-        - p_r1 * (_shifted_poly_integral([1.0], 1 - d, lo, r2) if r1 > 0.0
-                  else 0.0)
+        - _horner(P, r1) * (_shifted_poly_integral((1.0,), 1 - d, lo, r2)
+                            if r1 > 0.0 else 0.0)
     if A != 0.0:
-        val -= A * _shifted_poly_integral([1.0], 1 - d, lo, r2)
+        val -= A * _shifted_poly_integral((1.0,), 1 - d, lo, r2)
     return val
 
 
-def _raw_velocities(pts: np.ndarray, dim: int, phi: Potential) -> np.ndarray:
-    """Per-interval endpoint rates on a raw (k, 2) array; no cross checks.
+def _rate_function(phi: Potential, dim: int):
+    """The endpoint rates ``rate(a, b) -> (da/dt, db/dt)`` of one interval,
+    on Python floats.
 
-    Wandering Runge-Kutta stage points may overlap a neighbor; the
-    velocity law is purely per-interval, so that is harmless here.
+    In 1D both endpoints move with the negated chord slope, evaluated by
+    the Horner kernel of ``Potential.value``.  In radial mode the rates
+    are the exact flux integrals of the antiderivative ``P``, which is
+    built here, once for all the calls of a run.  The law is purely
+    per-interval: a wandering Runge-Kutta stage point may overlap a
+    neighbor harmlessly.
     """
-    out = np.empty_like(pts)
     if dim == 1:
-        a, b = pts[:, 0], pts[:, 1]
-        slope = (phi.value(b) - phi.value(a)) / (b - a)
-        out[:, 0] = out[:, 1] = -slope
-        return out
-    P = _radial_cumulative_poly(phi, dim)
-    for k, (r1, r2) in enumerate(pts):
-        A = _radial_flux_const(phi, r1, r2, dim)
-        i_r2 = float(npoly.polyval(r2, P) - npoly.polyval(r1, P))
-        du_outer = (A - i_r2) / r2 ** (dim - 1)
-        out[k, 1] = -du_outer - phi.grad(r2)
+        c = phi._ccoef
+
+        def chord(a, b):
+            v = -((_horner(c, b) - _horner(c, a)) / (b - a))
+            return v, v
+        return chord
+
+    P, dc = _radial_cumulative_poly(phi, dim), phi._dcoef
+
+    def flux(r1, r2):
+        A = _radial_flux_const(P, r1, r2, dim)
+        du_outer = (A - (_horner(P, r2) - _horner(P, r1))) / r2 ** (dim - 1)
+        db = -du_outer - _horner(dc, r2)
         if r1 == 0.0:
-            out[k, 0] = 0.0
-        else:
-            du_inner = A / r1 ** (dim - 1)
-            out[k, 0] = -du_inner - phi.grad(r1)
-    return out
+            return 0.0, db
+        return -(A / r1 ** (dim - 1)) - _horner(dc, r1), db
+    return flux
 
 
 def interval_velocity(patch: Patch, phi: Potential) -> np.ndarray:
@@ -164,19 +168,33 @@ def interval_velocity(patch: Patch, phi: Potential) -> np.ndarray:
     """
     if not patch.intervals:
         raise ValueError("empty patch has no boundary velocity")
-    return _raw_velocities(np.array(patch.intervals, dtype=float), patch.dim, phi)
+    rate = _rate_function(phi, patch.dim)
+    return np.array([rate(a, b) for a, b in patch.intervals])
 
 
-def _rk4(endpoints: np.ndarray, dim: int, phi: Potential, dt: float):
-    """One classical RK4 step, or None if a radial stage point has its
+def _rk4(ivs: tuple, dim: int, rate, dt: float):
+    """One classical RK4 step of the intervals ``ivs`` (a tuple of
+    ``(a, b)`` float pairs), or None if a radial stage point has its
     inner boundary below the center, where it has no velocity."""
-    k = [_raw_velocities(endpoints, dim, phi)]
-    for c in (0.5, 0.5, 1.0):
-        stage = endpoints + c * dt * k[-1]
-        if dim > 1 and stage[0, 0] < 0.0:
+    half, sixth = 0.5 * dt, dt / 6.0
+    # only the innermost boundary of a radial patch can reach the center
+    floor = 0.0 if dim > 1 else -math.inf
+    out = []
+    for a, b in ivs:
+        ka1, kb1 = rate(a, b)
+        if a + half * ka1 < floor:
             return None
-        k.append(_raw_velocities(stage, dim, phi))
-    return endpoints + dt / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+        ka2, kb2 = rate(a + half * ka1, b + half * kb1)
+        if a + half * ka2 < floor:
+            return None
+        ka3, kb3 = rate(a + half * ka2, b + half * kb2)
+        if a + dt * ka3 < floor:
+            return None
+        ka4, kb4 = rate(a + dt * ka3, b + dt * kb3)
+        out.append((a + sixth * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4),
+                    b + sixth * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)))
+        floor = -math.inf
+    return tuple(out)
 
 
 def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
@@ -193,38 +211,42 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
     """
     if not patch0.intervals:
         raise ValueError("cannot evolve an empty patch")
-    if not (T > 0 and dt > 0):
-        raise ValueError("horizon and step must be positive")
+    if not 0 < dt < math.inf:  # NaN fails too
+        raise ValueError(f"time step must be positive and finite, got "
+                         f"dt = {dt}")
+    schedule = _snapshot_schedule(T, snapshot_times)
     if patch0.dim == 1 and not phi.positive_laplacian:
         # the quasi-static law needs a strictly subharmonic potential on
         # the region swept by the patch; flagged at entry, not per step
         raise ValueError("patch dynamics require a potential with "
                          "positive Laplacian on the working domain")
     dim = patch0.dim
-    pts = _merge_touching(np.array(patch0.intervals, dtype=float))
+    rate = _rate_function(phi, dim)
+    ivs = _merge_touching(patch0.intervals)
     t = 0.0
-    patch = Patch(tuple(map(tuple, pts)), dim=dim)
+    patch = Patch(ivs, dim=dim)
     trajectory = [(0.0, patch)]
     volumes = [(0.0, patch.volume)]
-    for t_snap in _snapshot_schedule(T, snapshot_times):
+    for t_snap in schedule:
         while t < t_snap - 1e-14:
             step = min(dt, t_snap - t)
-            cand = _rk4(pts, dim, phi, step)
+            cand = _rk4(ivs, dim, rate, step)
             merged = not _admissible(cand, dim)
             if merged:
                 # land exactly on the contact instant, then change topology:
                 # touching intervals take their union; a radial hole whose
                 # inner boundary reaches the center closes into a ball
-                frac = _contact_fraction(pts, dim, phi, step)
-                cand = _rk4(pts, dim, phi, step * frac)
-                if dim > 1 and cand[0, 0] <= 1e-9 * cand[0, 1]:
-                    cand[0, 0] = 0.0
+                frac = _contact_fraction(ivs, dim, rate, step)
+                cand = _rk4(ivs, dim, rate, step * frac)
+                (a, b), rest = cand[0], cand[1:]
+                if dim > 1 and a <= 1e-9 * b:
+                    cand = ((0.0, b),) + rest
                 cand = _merge_touching(cand)
                 step *= frac
             t += step
-            pts = cand
-            _assert_lengths(pts)
-            patch = Patch(tuple(map(tuple, pts)), dim=dim)
+            ivs = cand
+            _assert_lengths(ivs)
+            patch = Patch(ivs, dim=dim)
             if merged:
                 trajectory.append((t, patch))
             volumes.append((t, patch.volume))
@@ -233,38 +255,48 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
     return trajectory, volumes
 
 
-def _admissible(pts, dim: int) -> bool:
+def _admissible(ivs, dim: int) -> bool:
     """No overlapping intervals, no radial boundary below the center;
     None (an inadmissible RK4 stage) is not admissible."""
-    return (pts is not None and not np.any(pts[1:, 0] < pts[:-1, 1])
-            and not (dim > 1 and pts[0, 0] < 0.0))
+    return (ivs is not None
+            and not any(nxt[0] < prev[1] for prev, nxt in zip(ivs, ivs[1:]))
+            and not (dim > 1 and ivs[0][0] < 0.0))
 
 
-def _contact_fraction(pts, dim, phi, step, iters=80):
+def _contact_fraction(ivs, dim, rate, step, iters=80):
+    """The largest step fraction found admissible by bisection.
+
+    ``lo`` is admissible and ``hi`` is not, so once no float lies between
+    them (``mid`` equals one) every further iteration would leave both
+    unchanged, and the loop stops.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if not _admissible(_rk4(pts, dim, phi, step * mid), dim):
+        if mid == lo or mid == hi:
+            break
+        if not _admissible(_rk4(ivs, dim, rate, step * mid), dim):
             hi = mid
         else:
             lo = mid
     return lo
 
 
-def _merge_touching(pts: np.ndarray, tol_scale: float = 1e-9) -> np.ndarray:
-    out = [list(pts[0])]
-    tol = tol_scale * max(1.0, float(np.max(np.abs(pts))))
-    for a, b in pts[1:]:
+def _merge_touching(ivs: tuple) -> tuple:
+    """Join neighbours whose gap is at most ``1e-9`` of the largest
+    endpoint magnitude (at least 1)."""
+    tol = 1e-9 * max(1.0, max(abs(e) for ab in ivs for e in ab))
+    out = [ivs[0]]
+    for a, b in ivs[1:]:
         if a - out[-1][1] <= tol:
-            out[-1][1] = b
+            out[-1] = (out[-1][0], b)
         else:
-            out.append([a, b])
-    return np.array(out)
+            out.append((a, b))
+    return tuple(out)
 
 
-def _assert_lengths(pts: np.ndarray):
-    lengths = pts[:, 1] - pts[:, 0]
-    if np.any(lengths <= 0.0):
+def _assert_lengths(ivs: tuple):
+    if any(b - a <= 0.0 for a, b in ivs):
         raise AssertionError("interval collapsed; rigid 1D translation "
                              "cannot produce this - inspect the potential")
 

@@ -242,8 +242,9 @@ def _solve_1x1(hd, ho, rhs):
 # ---------------------------------------------------------------------------
 
 def _step_guard(h, phi):
-    if not h > 0:
-        raise ValueError("time step must be positive")
+    if not 0 < h < math.inf:  # NaN fails too
+        raise ValueError(f"time step must be positive and finite, "
+                         f"got h = {h}")
     lam_neg = max(0.0, -phi.lam)
     if lam_neg > 0.0 and h >= 1.0 / (2.0 * lam_neg):
         raise ValueError(f"h = {h} outside the admissible range "
@@ -496,8 +497,8 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
 
 def _step_count(T, h, phi):
     """Number of steps of size ``h`` to horizon ``T``, after checking both."""
-    if not T > 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < math.inf:  # NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got T = {T}")
     _step_guard(h, phi)
     return int(math.ceil(T / h - 1e-12))
 

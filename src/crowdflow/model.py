@@ -25,7 +25,10 @@ def _ball_volume(d):
 
 def _snapshot_schedule(T, snapshot_times):
     """Output times of a run to ``T``: the requested floats in ``(0, T]``
-    (strictly increasing; 16 even times by default), then ``T`` if missing."""
+    (strictly increasing; 16 even times by default), then ``T`` if missing.
+    ``T`` must be positive and finite."""
+    if not 0 < T < math.inf:  # NaN fails too
+        raise ValueError(f"horizon must be positive and finite, got T = {T}")
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 17)[1:]
     times = [float(s) for s in snapshot_times]

@@ -77,25 +77,30 @@ def _solve_balanced(meas, fwd, bwd, rhs):
 
     The matrix has diagonal ``meas[i] + fwd[i] + bwd[i-1]``, subdiagonal
     ``-fwd[i]`` and superdiagonal ``-bwd[i]``, with ``fwd, bwd >= 0``
-    (``fwd`` carries a trailing 0): an M-matrix, so elimination needs no
-    pivoting.  Each pivot is rebuilt from nonnegative terms, the column
-    sum left after elimination plus ``fwd[i]``, so no cancellation
-    enters; for ``rhs >= 0`` the solution is ``>= 0`` in floating point.
-    Plain lists in and out: numpy has no banded solver, and scipy's would
-    load ``scipy.linalg``, which no PME run otherwise needs.
+    given on the ``n - 1`` interior edges: an M-matrix, so elimination
+    needs no pivoting.  Each pivot is rebuilt from nonnegative terms, the
+    column sum left after elimination plus ``fwd[i]`` (the last pivot is
+    that column sum alone), so no cancellation enters; for ``rhs >= 0``
+    the solution is ``>= 0`` in floating point.  Plain lists in and out:
+    numpy has no banded solver, and scipy's would load ``scipy.linalg``,
+    which no PME run otherwise needs.
     """
     n = len(rhs)
+    if n == 1:
+        return [rhs[0] / meas[0]]
     piv = [0.0] * n
     y = [0.0] * n
     col = meas[0]  # what is left of the column sum after elimination
     p = piv[0] = col + fwd[0]
     yi = y[0] = rhs[0]
-    for i in range(1, n):
+    for i in range(1, n - 1):
         r = 1.0 / p
         col = meas[i] + bwd[i - 1] * col * r
         yi = y[i] = rhs[i] + fwd[i - 1] * yi * r
         p = piv[i] = col + fwd[i]
-    x = yi / p
+    r = 1.0 / p
+    col = meas[-1] + bwd[-1] * col * r
+    x = (rhs[-1] + fwd[-1] * yi * r) / col
     out = [0.0] * n
     out[-1] = x
     for i in range(n - 2, -1, -1):
@@ -146,7 +151,7 @@ class _Stencil:
         Picard iterate from the same point; a non-finite iterate, or no
         convergence within ``MAX_ITERATIONS``, fails the solve.
         """
-        meas, meas_list, fwd_end = self.meas, self.meas_list, [0.0]
+        meas, meas_list = self.meas, self.meas_list
         c_diff = dt * self.diff
         c_right, c_left = dt * self.right, dt * self.left
         rhs_picard = None
@@ -162,7 +167,7 @@ class _Stencil:
                 res = meas * (v - u)
                 res[:-1] += flux
                 res[1:] -= flux
-                fwd = (c_diff * deriv[:-1] + c_right).tolist() + fwd_end
+                fwd = (c_diff * deriv[:-1] + c_right).tolist()
                 bwd = (c_diff * deriv[1:] + c_left).tolist()
                 delta = np.array(_solve_balanced(meas_list, fwd, bwd,
                                                  res.tolist()))
@@ -172,12 +177,12 @@ class _Stencil:
                     coef = c_diff * np.where(du != 0.0, dw / du, deriv[:-1])
                     if rhs_picard is None:
                         rhs_picard = (meas * v).tolist()
-                    fwd = (coef + c_right).tolist() + fwd_end
+                    fwd = (coef + c_right).tolist()
                     bwd = (coef + c_left).tolist()
                     new = np.array(_solve_balanced(meas_list, fwd, bwd,
                                                    rhs_picard))
                     delta = new - u
-                size = float(np.max(np.abs(delta)))
+                size = float(abs(delta).max())
                 if not size < math.inf:  # NaN fails too
                     return None
                 u = new
@@ -210,8 +215,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     """
     _check_exponent(m)
     _check_step(dt)
-    if not T > 0:
-        raise ValueError("horizon must be positive")
+    schedule = _snapshot_schedule(T, snapshot_times)
     stencil = _Stencil(rho0.grid, phi)
     v = rho0.values
     t = 0.0
@@ -220,7 +224,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     _ledger_row(ledger, 0, 0.0, rho0, None, m, phi)
     step_count = 0
     prev_snap = rho0
-    for t_snap in _snapshot_schedule(T, snapshot_times):
+    for t_snap in schedule:
         while t < t_snap:
             last = t_snap - t <= dt * (1.0 + 1e-9)
             v = stencil.step(v, m, t_snap - t if last else dt)

@@ -77,18 +77,55 @@ class TestConfig:
             assert f"key {key!r}" in capsys.readouterr().err, extra
             assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("kind, extra", [
-        ("single-run", "run.scheme = pme\nm = 3\n"),
-        ("crossval", "m.list = 4,8\n")], ids=["single-run", "crossval"])
-    def test_pme_step_size_names_its_key(self, tmp_path, capsys, kind, extra):
-        for bad in ("0", "-0.01", "nan", "inf"):
+    # kind, config lines with {} for each bad value, the key, the values.
+    # The two pme.dt rows held before; each other value once gave a hang
+    # (while t < inf), an OverflowError traceback with exit 1, a warning
+    # and a message about snapshot times, a silent PASS with no step
+    # (jko.h = inf), one RK4 step per snapshot (heleshaw.dt = inf), a
+    # KeyError (a nan time), an IndexError (no time), no key named (times
+    # out of order too), or numpy's "zero-size array" (fewer than two
+    # finite m)
+    @pytest.mark.parametrize("kind, extra, key, bads", [
+        ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
+         ("0", "-0.01", "nan", "inf")),
+        ("crossval", "m.list = 4,8\npme.dt = {}\n", "pme.dt",
+         ("0", "-0.01", "nan", "inf")),
+        ("single-run", "run.T = {}\n", "run.T", ("inf", "nan")),
+        ("longtime", "run.T = {}\n", "run.T", ("inf",)),
+        ("single-run", "run.scheme = pme\nm = 3\nrun.T = {}\n", "run.T",
+         ("inf",)),
+        ("single-run", "run.scheme = heleshaw\nrun.T = {}\n", "run.T",
+         ("inf",)),
+        ("single-run", "jko.h = {}\n", "jko.h", ("inf",)),
+        ("crossval", "m.list = 4,8\nheleshaw.dt = {}\n", "heleshaw.dt",
+         ("inf", "0")),
+        ("crossval", "m.list = 4,8\ncrossval.times = {}\n", "crossval.times",
+         ("0.25,inf", "0.25,nan,1", "", "0.5,0.25")),
+        ("crossval", "m.list = {}\n", "m.list", ("4", "4,inf")),
+    ], ids=["single-run-pme.dt", "crossval-pme.dt", "jko-run.T",
+            "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
+            "crossval-heleshaw.dt", "crossval-times", "crossval-m.list"])
+    def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
+                                          extra, key, bads):
+        for bad in bads:
             out = str(tmp_path / "never")
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert main([kind, "--config", cfg_file(
-                    tmp_path, f"{extra}pme.dt = {bad}\n"), "--out", out]) == 2
-            assert "key 'pme.dt': must be positive and finite" \
-                in capsys.readouterr().err, bad
+            cfg = cfg_file(tmp_path, extra.format(bad))
+            if "inf" in bad and key == "crossval.times":
+                # a run that would never end: in a child with a deadline
+                src = str(Path(crowdflow.__file__).resolve().parents[1])
+                proc = subprocess.run(
+                    [sys.executable, "-W", "error", "-m", "crowdflow.cli",
+                     kind, "--config", cfg, "--out", out],
+                    env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                    text=True, timeout=60, check=False)
+                code, err = proc.returncode, proc.stderr
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main([kind, "--config", cfg, "--out", out])
+                err = capsys.readouterr().err
+            assert code == 2, bad
+            assert f"key {key!r}" in err, (bad, err)
             assert not os.path.exists(out)
 
     def test_negligible_leading_coefficient_names_its_key(self, tmp_path,

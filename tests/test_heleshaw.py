@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from crowdflow.heleshaw import (hausdorff_distance, heleshaw_run,
                                 interval_velocity, patch_pressure)
@@ -179,6 +181,49 @@ class TestRun:
         lin = potential_catalog("linear", g=1.0)  # zero Laplacian
         with pytest.raises(ValueError):
             heleshaw_run(Patch(((0.0, 1.0),)), lin, 1.0, 1e-2)
+
+
+@given(a=st.floats(0.25, 1.0), b=st.floats(0.5, 1.5), c=st.floats(-0.5, 0.5),
+       start=st.floats(-2.0, -0.5),
+       lengths=st.lists(st.floats(0.2, 0.6), min_size=2, max_size=3),
+       gaps=st.lists(st.floats(0.02, 0.3), min_size=3, max_size=3),
+       dt=st.floats(2e-3, 2e-2))
+@settings(max_examples=30, deadline=None, derandomize=True,
+          phases=(Phase.generate,))
+def test_intervals_merge_with_continuous_volume(a, b, c, start, lengths, gaps,
+                                                dt):
+    # Phi'' >= b > 0, so each interval's chord slope is the mean of an
+    # increasing Phi' and every gap closes at least as fast as the centers
+    # contract like exp(-b t): by T = 3 all intervals have merged into one.
+    # A translation step moves both endpoints by one rounded increment, so a
+    # length changes by at most eps * scale per step; a merge adds the gap
+    # left at the bisected contact instant, far below that
+    phi = potential_catalog("quartic-well", a=a, b=b, c=c)
+    ivs, x = [], c + start
+    for length, gap in zip(lengths, gaps):
+        ivs.append((x, x + length))
+        x += length + gap
+    times = (0.75, 1.5, 3.0)
+    traj, volumes = heleshaw_run(Patch(tuple(ivs)), phi, 3.0, dt,
+                                 snapshot_times=times)
+    eps = np.finfo(float).eps
+    scale = max(1.0, max(abs(e) for ab in ivs for e in ab))
+    steps = len(volumes) - 1
+    vols = np.array([v for _, v in volumes])
+    assert np.abs(vols - vols[0]).max() <= len(ivs) * steps * eps * scale
+    counts = [len(p.intervals) for _, p in traj]
+    assert counts[-1] == 1
+    merges = [(t, p) for (_, q), (t, p) in zip(traj, traj[1:])
+              if len(p.intervals) < len(q.intervals)]
+    # one trajectory entry per merge, at its contact instant, never at a
+    # snapshot time; between merges the lengths hold
+    assert len(merges) == len(ivs) - 1
+    assert all(t not in times for t, _ in merges)
+    assert [t for t, _ in traj if t in times or t == 0.0] == [0.0, *times]
+    for (_, q), (_, p) in zip(traj, traj[1:]):
+        if len(p.intervals) == len(q.intervals):
+            for (a0, b0), (a1, b1) in zip(q.intervals, p.intervals):
+                assert abs((b1 - a1) - (b0 - a0)) <= steps * eps * scale
 
 
 class TestRadialRuns:

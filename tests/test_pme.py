@@ -144,11 +144,11 @@ class TestPmeStep:
         for n in (1, 2, 7, 72):
             meas = rng.uniform(0.1, 1.0, n)
             # couplings up to 1e6, a fifth of them exactly zero
+            # on the n - 1 interior edges
             fwd, bwd = (rng.uniform(0.0, 1e6, n - 1) * (rng.random(n - 1) > 0.2)
                         for _ in range(2))
-            fwd = np.append(fwd, 0.0)
-            A = np.diag(meas + fwd + np.append(0.0, bwd)) \
-                - np.diag(fwd[:-1], -1) - np.diag(bwd, 1)
+            A = np.diag(meas + np.append(fwd, 0.0) + np.append(0.0, bwd)) \
+                - np.diag(fwd, -1) - np.diag(bwd, 1)
             assert np.allclose(A.sum(axis=0), meas, rtol=1e-9)
             for rhs in (rng.uniform(0.0, 1.0, n) * (rng.random(n) > 0.3),
                         rng.normal(size=n)):
