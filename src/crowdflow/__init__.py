@@ -13,7 +13,7 @@ from .heleshaw import (hausdorff_distance, heleshaw_run, interval_velocity,
 from .jko import (JkoConvergenceError, JkoOptions, JkoStepResult, jko_step,
                   jko_trajectory, pav_nondecreasing, project_spacing,
                   verify_comparison)
-from .model import (GridDensity, GridSpec, Patch, QuantileRep, RunLedger,
+from .model import (GridDensity, GridSpec, Patch, QuantileRep,
                     make_grid_density, to_grid, to_quantile)
 from .oracles import (barenblatt, barenblatt_halfwidth,
                       energy_minimizer_profile, quadratic_interval_flow,
@@ -31,7 +31,7 @@ __all__ = [
     "JkoConvergenceError", "JkoOptions", "JkoStepResult", "jko_step",
     "jko_trajectory", "pav_nondecreasing", "project_spacing",
     "verify_comparison",
-    "GridDensity", "GridSpec", "Patch", "QuantileRep", "RunLedger",
+    "GridDensity", "GridSpec", "Patch", "QuantileRep",
     "make_grid_density", "to_grid", "to_quantile",
     "barenblatt", "barenblatt_halfwidth", "energy_minimizer_profile",
     "quadratic_interval_flow", "stationary_patch", "stationary_profile",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _at_least
 from .experiments import DRIVERS, run_experiment
 from .jko import JkoConvergenceError
 from .pme import PmeStabilityError
@@ -42,8 +42,10 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config)
         if args.seed is not None:
             cfg.raw["seed"] = str(args.seed)
-        workers = args.workers if args.workers is not None \
-            else cfg.get_int("workers", 1)
+        if args.workers is not None:
+            workers = _at_least("--workers", args.workers, 1)
+        else:
+            workers = _at_least("workers", cfg.get_int("workers", 1), 1)
         report = run_experiment(cfg, kind=args.kind, workers=workers)
     except (JkoConvergenceError, PmeStabilityError, FloatingPointError,
             ZeroDivisionError) as exc:

@@ -29,6 +29,15 @@ def _positive(key, val):
     return val
 
 
+def _at_least(key, val, lo):
+    """``val`` if it is at least ``lo``, else a ConfigError naming ``key``:
+    the check of every count and size."""
+    if val < lo:
+        raise ConfigError(f"key {key!r}: must be an integer >= {lo}, "
+                          f"got {val}")
+    return val
+
+
 def _m_value(key, tok):
     """One congestion exponent: a number, or ``inf`` for the hard constraint."""
     try:
@@ -162,8 +171,9 @@ class ExperimentConfig:
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.get_float("grid.lo", -4.0),
                         self.get_float("grid.hi", 4.0),
-                        self.get_int("grid.n", 800),
-                        dim=self.get_int("grid.dim", 1))
+                        _at_least("grid.n", self.get_int("grid.n", 800), 1),
+                        dim=_at_least("grid.dim", self.get_int("grid.dim", 1),
+                                      1))
 
     def potential(self):
         kind = self.get("potential.kind", "quadratic")

@@ -66,20 +66,12 @@ def potential_energy(rho, phi: Potential) -> float:
     if isinstance(rho, QuantileRep):
         x = rho.nodes
         _check_domain(phi, x[0], x[-1])
-        return _quantile_potential(rho, phi, gl_points(x[:-1], x[1:]))
+        return float(rho.w * phi.avg(gl_points(x[:-1], x[1:])).sum())
     lo, hi = rho.support_extent()
     if not math.isnan(lo):
         _check_domain(phi, lo, hi)
     vals = phi.value(rho.grid.centers)
     return float(np.dot(rho.values * vals, rho.grid.cell_measures))
-
-
-def _quantile_potential(rho: QuantileRep, phi: Potential, pts) -> float:
-    """Potential energy of quantile data from the Gauss-Legendre points
-    ``pts = gl_points(nodes[:-1], nodes[1:])`` of its gaps, for a caller
-    that already holds them and has checked the nodes against the
-    potential's domain (``_check_domain``)."""
-    return float(rho.w * phi.avg(pts).sum())
 
 
 def free_energy(rho, m, phi: Potential) -> EnergyReport:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig
-from .energy import free_energy
+from .config import ConfigError, ExperimentConfig, _at_least
+from .energy import excess_mass, free_energy
 from .heleshaw import hausdorff_distance, heleshaw_run
 from .jko import (JkoOptions, _step_count, _trajectory_steps, jko_trajectory,
                   verify_comparison)
@@ -119,7 +119,7 @@ def _setup(cfg: ExperimentConfig):
 
 
 def _quantile0(cfg, rho0, require_feasible=True):
-    n = cfg.get_int("quantile.n", 400)
+    n = _at_least("quantile.n", cfg.get_int("quantile.n", 400), 2)
     q0 = to_quantile(rho0, n)
     if require_feasible and q0.max_density > 1.0 + 1e-6:
         raise ConfigError("initial density exceeds the congestion cap; "
@@ -131,7 +131,9 @@ def _jko_options(cfg):
     default = JkoOptions()
     return JkoOptions(
         tol_grad=cfg.get_float("jko.tol", default.tol_grad),
-        max_iterations=cfg.get_int("jko.max_iterations", default.max_iterations))
+        max_iterations=_at_least("jko.max_iterations",
+                                 cfg.get_int("jko.max_iterations",
+                                             default.max_iterations), 1))
 
 
 #: the default ``pme.dt``; it lands on crossval's times 0.25, 0.5 and 1
@@ -148,24 +150,9 @@ def _finite_m_list(cfg, kind):
     return m_list
 
 
-def _snapshot_count(cfg):
-    n = cfg.get_int("snapshots", 16)
-    if n < 1:
-        raise ConfigError(f"key 'snapshots': must be a positive integer, got {n}")
-    return n
-
-
-def _traj_states(args):
-    """Nodes of every state of one trajectory, the start included."""
-    q0, m, h, phi, T, opts = args
-    steps = _trajectory_steps(q0, m, h, phi, _step_count(T, h, phi), opts)
-    return [q0.nodes] + [out.state.nodes for out in steps]
-
-
-def _traj_samples(args):
+def _traj_samples(q0, m, h, phi, T, opts, n_eval):
     """States of one trajectory at ``n_eval + 1`` even step indices, the
     start (index 0) first; the others are dropped as the run goes."""
-    q0, m, h, phi, T, opts, n_eval = args
     n_steps = _step_count(T, h, phi)
     idx = np.unique(np.linspace(0, n_steps, n_eval + 1).astype(int))
     keep = set(idx.tolist())
@@ -174,15 +161,16 @@ def _traj_samples(args):
                         if k in keep]
 
 
-def _pmap(fn, items, workers):
-    # no more workers than items: a fork-based pool starts every worker
+def _pmap(fn, arg_tuples, workers):
+    """``[fn(*args) for args in arg_tuples]``, in ``workers`` processes."""
+    # no more workers than calls: a fork-based pool starts every worker
     # at the first submit
-    workers = min(workers, len(items))
+    workers = min(workers, len(arg_tuples))
     if workers <= 1:
-        return [fn(x) for x in items]
+        return [fn(*args) for args in arg_tuples]
     from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*arg_tuples)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +190,13 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     T = cfg.get_positive("run.T", 1.0)
     opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0)
-    ref = _traj_states((q0, math.inf, h, phi, T, opts))
-    runs = _pmap(_traj_states,
+    ref = jko_trajectory(q0, math.inf, h, phi, T, opts)
+    runs = _pmap(jko_trajectory,
                  [(q0, m, h, phi, T, opts) for m in m_list], workers)
     w = q0.w
     rows = []
     for m, states in zip(m_list, runs):
-        sup = max(math.sqrt(max(w2_cost_squared(a, b, w), 0.0))
+        sup = max(math.sqrt(max(w2_cost_squared(a.nodes, b.nodes, w), 0.0))
                   for a, b in zip(states, ref))
         rows.append((m, sup))
     report = ExperimentReport("converge-m", config_hash=cfg.hash())
@@ -232,23 +220,22 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     phi, _, rho0 = _setup(cfg)
     m = cfg.get_m(default=math.inf)
     h0 = cfg.get_positive("jko.h", 0.04)
-    halvings = cfg.get_int("h.halvings", 4)
-    if halvings < 2:
-        raise ConfigError("converge-h needs at least two halvings")
+    halvings = _at_least("h.halvings", cfg.get_int("h.halvings", 4), 2)
     T = cfg.get_positive("run.T", 1.0)
     opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
-    runs = _pmap(_traj_states,
+    runs = _pmap(jko_trajectory,
                  [(q0, m, h, phi, T, opts) for h in hs], workers)
     w = q0.w
     rows = []
     for k in range(halvings):
         coarse, fine = runs[k], runs[k + 1]
         sup = 0.0
-        for j, nodes in enumerate(coarse):
+        for j, state in enumerate(coarse):
             jj = min(2 * j, len(fine) - 1)
-            sup = max(sup, math.sqrt(max(w2_cost_squared(nodes, fine[jj], w), 0.0)))
+            sup = max(sup, math.sqrt(max(
+                w2_cost_squared(state.nodes, fine[jj].nodes, w), 0.0)))
         rows.append((hs[k], sup))
     report = ExperimentReport("converge-h", config_hash=cfg.hash())
     report.tables["converge_h"] = (["h", "sup_w2_to_half_h"], rows)
@@ -277,7 +264,7 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     T = cfg.get_positive("run.T", 5.0)
     opts = _jko_options(cfg)
     eps_rate = cfg.get_float("eps.rate", 0.1)
-    n_eval = _snapshot_count(cfg)
+    n_eval = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
     q0 = _quantile0(cfg, rho0)
     shift = cfg.get_float("longtime.shift", 1.0)
     if "init2.boxes" in cfg.raw:
@@ -322,11 +309,11 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Randomized ordered pairs, one step each, order-preservation verdicts."""
     phi = cfg.potential()
     grid = cfg.grid_spec()
-    trials = cfg.get_int("trials", 20)
+    trials = _at_least("trials", cfg.get_int("trials", 20), 1)
     m_list = cfg.get_m_list(default=(5.0, 50.0, math.inf))
     h = cfg.get_positive("jko.h", 0.01)
-    n_q = cfg.get_int("quantile.n", 200)
-    seed = cfg.get_int("seed", 0)
+    n_q = _at_least("quantile.n", cfg.get_int("quantile.n", 200), 2)
+    seed = _at_least("seed", cfg.get_int("seed", 0), 0)
     opts = _jko_options(cfg)
     rng = np.random.default_rng(seed)
     rows = []
@@ -371,12 +358,6 @@ def _random_restriction(rng, big: GridDensity, grid):
     return GridDensity(grid, vals)
 
 
-def _crossval_one(args):
-    rho0_ind, m, phi, times, dt = args
-    snaps, _ = pme_run(rho0_ind, m, phi, times[-1], dt, snapshot_times=times)
-    return dict(snaps)
-
-
 def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Degenerate-diffusion supports against the tracked free boundary."""
     phi = cfg.potential()
@@ -391,13 +372,17 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     # and 0 outside, so any fixed level in (0, 1) converges; a mid level
     # avoids measuring the O(1/m) receding-front tail
     eps_supp = cfg.get_float("pme.eps_supp", 0.25)
+    if not 0.0 < eps_supp < 1.0:  # NaN fails too
+        raise ConfigError(f"key 'pme.eps_supp': must lie in (0, 1), "
+                          f"got {eps_supp}")
     dt = cfg.get_positive("pme.dt", _PME_DT)
 
     traj, _ = heleshaw_run(patch0, phi, times[-1], dt_fb, snapshot_times=times)
     patches = dict(traj)
 
-    runs = _pmap(_crossval_one,
-                 [(rho0, m, phi, tuple(times), dt) for m in m_list], workers)
+    runs = [dict(snaps) for snaps, _ in _pmap(
+        pme_run, [(rho0, m, phi, times[-1], dt, times) for m in m_list],
+        workers)]
     rows = []
     for m, snap in zip(m_list, runs):
         for t in times:
@@ -434,12 +419,12 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
 
 
 def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
-    """One trajectory of the selected scheme; its ledger and snapshots
-    become report tables."""
+    """One trajectory of the selected scheme; its states become report
+    tables, and so does the ledger built from them."""
     scheme = cfg.get("run.scheme", "jko")
     report = ExperimentReport("single-run", config_hash=cfg.hash())
     T = cfg.get_positive("run.T", 1.0)
-    n_snap = _snapshot_count(cfg)
+    n_snap = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
     snapshot_times = np.linspace(0, T, n_snap + 1)[1:]
     phi, grid, rho0 = _setup(cfg)
     tables = report.tables
@@ -447,10 +432,17 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         m = cfg.get_m(default=math.inf)
         h = cfg.get_positive("jko.h", 0.01)
         q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
-        states, ledger = jko_trajectory(q0, m, h, phi, T, _jko_options(cfg))
-        _report_ledger(report, ledger)
-        e0 = free_energy(q0, m, phi).total
-        diss = -np.diff(ledger.column("E"))
+        states = jko_trajectory(q0, m, h, phi, T, _jko_options(cfg))
+        rows = []
+        for k, q in enumerate(states):
+            rep = free_energy(q, m, phi)
+            w2 = w2_distance(states[k - 1], q) if k else 0.0
+            rows.append((k, k * h, rep.total, rep.internal, rep.potential, w2,
+                         q.total_mass, q.nodes[0], q.nodes[-1],
+                         q.excess_mass()))
+        _report_ledger(report, rows)
+        e0 = rows[0][2]
+        diss = -np.diff([r[2] for r in rows])
         report.add_criterion("single-run.dissipation-sum", float(np.sum(diss)),
                              e0 + 1e-9, float(np.sum(diss)) <= e0 + 1e-9)
         # the start and the steps at the snapshot times, T included, as
@@ -465,9 +457,21 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
         dt = cfg.get_positive("pme.dt", _PME_DT)
-        snaps, ledger = pme_run(rho0, m, phi, T, dt,
-                                snapshot_times=snapshot_times)
-        _report_ledger(report, ledger)
+        snaps, steps = pme_run(rho0, m, phi, T, dt,
+                               snapshot_times=snapshot_times)
+        # W2 between consecutive snapshots goes through their quantiles,
+        # which exist in 1D only
+        n_q = min(max(grid.n_cells // 2, 16), 400)
+        qs = [to_quantile(rho, n_q) for _, rho in snaps] \
+            if grid.dim == 1 else None
+        rows = []
+        for k, ((t, rho), step) in enumerate(zip(snaps, steps)):
+            rep = free_energy(rho, m, phi)
+            w2 = 0.0 if not k else \
+                w2_distance(qs[k - 1], qs[k]) if qs else math.nan
+            rows.append((step, t, rep.total, rep.internal, rep.potential, w2,
+                         rho.mass, *rho.support_extent(), excess_mass(rho)))
+        _report_ledger(report, rows)
         for k, (t, rho) in enumerate(snaps):
             tables[f"snapshot_{k:05d}"] = (
                 ["x_center", "rho", "pressure"],
@@ -503,11 +507,18 @@ def _patch_table(trajectory):
     return header, rows
 
 
-def _report_ledger(report: ExperimentReport, ledger):
-    """The ledger's verdicts, and the ledger as the report's table."""
-    report.tables["ledger"] = (list(ledger.COLUMNS), ledger.rows)
-    E = ledger.column("E")
-    mass = ledger.column("mass")
+#: single-run's ledger: step index, time, free energy and its
+#: internal/potential split, Wasserstein increment from the previous
+#: recorded state, mass, support extent, and the mass above density one
+_LEDGER_COLUMNS = ("step", "t", "E", "S", "P", "w2_inc", "mass",
+                   "supp_lo", "supp_hi", "excess")
+
+
+def _report_ledger(report: ExperimentReport, rows):
+    """The ledger rows as the report's table, and their two verdicts."""
+    report.tables["ledger"] = (list(_LEDGER_COLUMNS), rows)
+    E = np.array([r[2] for r in rows])
+    mass = np.array([r[6] for r in rows])
     scale = 1.0 + abs(float(E[0]))
     worst_up = float(np.max(np.diff(E))) if E.size > 1 else 0.0
     report.add_criterion("single-run.energy-monotone", worst_up, 1e-9 * scale,

@@ -23,16 +23,13 @@ sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyReport, _check_domain, _quantile_potential,
-                     free_energy, internal_energy)
-from .model import GridDensity, GridSpec, QuantileRep, RunLedger, to_grid, to_quantile
+from .energy import _check_domain
+from .model import GridDensity, GridSpec, QuantileRep, to_grid, to_quantile
 from .potentials import Potential, gl_points
-from .transport import w2_cost_squared
 
 
 BACKTRACK = 0.5   # line-search shrink factor
@@ -57,33 +54,12 @@ class JkoOptions:
 
 @dataclass
 class JkoStepResult:
-    """An accepted step.  ``w2_increment`` and ``energy`` are computed on
-    first read, from what the step keeps for them: its start nodes, and
-    ``m``, ``phi`` and the Gauss-Legendre points of the final iterate."""
+    """An accepted step: the new state and the solver's telemetry."""
 
     state: QuantileRep
     kkt_residual: float
     active_count: int
     iterations: int
-    _start: np.ndarray = field(repr=False)
-    _m: float = field(repr=False)
-    _phi: Potential = field(repr=False)
-    _pts: np.ndarray = field(repr=False)
-
-    @cached_property
-    def w2_increment(self) -> float:
-        """Wasserstein distance from the start to ``state``."""
-        move = w2_cost_squared(self.state.nodes, self._start, self.state.w)
-        return float(np.sqrt(max(move, 0.0)))
-
-    @cached_property
-    def energy(self) -> EnergyReport:
-        """Free energy of ``state``: what ``free_energy(state, m, phi)``
-        returns, from the points of the final iterate instead of rebuilt
-        ones."""
-        return EnergyReport(self._m, internal_energy(self.state, self._m),
-                            _quantile_potential(self.state, self._phi,
-                                                self._pts))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +283,8 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
     diff(y) + diff(p))`` when those gaps are all positive; otherwise, and
     without one, Newton starts at ``y``.  Returns at ``kkt_residual <=
     tol_grad`` or raises after ``max_iterations`` Newton steps: the nodes,
-    the Gauss-Legendre points of their gaps, the KKT residual, and the
-    number of steps taken as the iteration count.
+    the KKT residual, and the number of steps taken as the iteration
+    count.
     """
     args = (w, m, phi, h)
     gaps_y = y[1:] - y[:-1]
@@ -335,8 +311,7 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
         state, g, f = _line_search(state, step, float(np.dot(step, g)),
                                    gnorm, args, f)
         gnorm = float(np.abs(g).max())
-    x, _, _, pts = state
-    return x, pts, gnorm / w, it
+    return state[0], gnorm / w, it
 
 
 def _blocks_from_active(active):
@@ -397,9 +372,8 @@ def _solve_congested(y, w, phi, h, opts):
     Adding before releasing matters: a release next to a violated gap
     sees a spurious negative multiplier.  The objective is convex for
     admissible h, so the final KKT point is the global step minimizer.
-    Returns the nodes, the Gauss-Legendre points of their gaps, the KKT
-    residual, the active count, and the number of sweeps as the iteration
-    count.
+    Returns the nodes, the KKT residual, the active count, and the number
+    of sweeps as the iteration count.
     """
     args = (w, math.inf, phi, h)
     floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
@@ -428,7 +402,7 @@ def _solve_congested(y, w, phi, h, opts):
         violated = ~active & (gaps < floor)
         if not violated.any():
             if res <= opts.tol_grad:
-                return x, state[3], res, int(active.sum()), sweep
+                return x, res, int(active.sum()), sweep
             active = active & (mu >= 0.0)
         while violated.any():
             active = active | violated
@@ -484,15 +458,15 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     if math.isinf(m):
         if rho0.max_density > 1.0 + 1e-9:
             raise ValueError("infeasible start: density exceeds one")
-        x, pts, res, nact, iters = _solve_congested(y, w, phi, h, opts)
+        x, res, nact, iters = _solve_congested(y, w, phi, h, opts)
     else:
         if (y[1:] - y[:-1] <= 0.0).any():
             raise ValueError("infeasible start: collapsed gap at finite m")
-        x, pts, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
+        x, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
     _check_domain(phi, state.nodes[0], state.nodes[-1])
-    return JkoStepResult(state, res, nact, iters, y, m, phi, pts)
+    return JkoStepResult(state, res, nact, iters)
 
 
 def _step_count(T, h, phi):
@@ -521,29 +495,12 @@ def _trajectory_steps(rho0, m, h, phi, n_steps, opts=None):
 
 def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
                    opts: JkoOptions | None = None):
-    """Piecewise-constant-in-time trajectory to horizon ``T``.
-
-    Returns the list of states (initial state included) and a ledger
-    with one row per step recording the energy split, the movement per
-    step, mass, support extent, and the excess mass above density one.
-    Each step after the first takes the previous step's displacement as
-    its ``predictor``.
+    """Piecewise-constant-in-time trajectory to horizon ``T``: the list of
+    states, the initial state included.  Each step after the first takes
+    the previous step's displacement as its ``predictor``.
     """
-    n_steps = _step_count(T, h, phi)
-    states = [rho0]
-    ledger = RunLedger()
-    rep = free_energy(rho0, m, phi)
-    ledger.append(0, 0.0, rep.total, rep.internal, rep.potential, 0.0,
-                  rho0.total_mass, rho0.nodes[0], rho0.nodes[-1],
-                  rho0.excess_mass())
-    steps = _trajectory_steps(rho0, m, h, phi, n_steps, opts)
-    for k, out in enumerate(steps, 1):
-        cur, rep = out.state, out.energy
-        states.append(cur)
-        ledger.append(k, k * h, rep.total, rep.internal, rep.potential,
-                      out.w2_increment, cur.total_mass, cur.nodes[0],
-                      cur.nodes[-1], cur.excess_mass())
-    return states, ledger
+    steps = _trajectory_steps(rho0, m, h, phi, _step_count(T, h, phi), opts)
+    return [rho0] + [out.state for out in steps]
 
 
 @dataclass

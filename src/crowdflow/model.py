@@ -257,32 +257,6 @@ class Patch:
         return GridDensity(grid, vals)
 
 
-@dataclass
-class RunLedger:
-    """Per-step diagnostics of an evolution run.
-
-    Columns: step index, time, free energy and its internal/potential
-    split, Wasserstein increment from the previous recorded state, mass,
-    support extent, and the mass excess above density one.
-    """
-
-    rows: list = field(default_factory=list)
-
-    COLUMNS = ("step", "t", "E", "S", "P", "w2_inc", "mass",
-               "supp_lo", "supp_hi", "excess")
-
-    def append(self, step, t, E, S, P, w2_inc, mass, supp_lo, supp_hi, excess):
-        if self.rows and not t > self.rows[-1][1]:
-            raise ValueError("ledger times must be strictly increasing")
-        self.rows.append((int(step), float(t), float(E), float(S), float(P),
-                          float(w2_inc), float(mass), float(supp_lo),
-                          float(supp_hi), float(excess)))
-
-    def column(self, name):
-        j = self.COLUMNS.index(name)
-        return np.array([r[j] for r in self.rows])
-
-
 # ---------------------------------------------------------------------------
 # constructors and conversions
 # ---------------------------------------------------------------------------

@@ -24,11 +24,8 @@ import math
 
 import numpy as np
 
-from .energy import excess_mass, free_energy
-from .model import (EPS_SUPP, GridDensity, GridSpec, Patch, RunLedger,
-                    _snapshot_schedule, to_quantile)
+from .model import EPS_SUPP, GridDensity, GridSpec, Patch, _snapshot_schedule
 from .potentials import Potential
-from .transport import w2_distance
 
 
 class PmeStabilityError(RuntimeError):
@@ -203,15 +200,13 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
             dt: float, snapshot_times=None):
     """Advance to time ``T`` in backward-Euler steps of ``dt``.
 
-    Returns ``(snapshots, ledger)`` where snapshots is a list of
-    ``(t, GridDensity)`` including the initial and final states, and the
-    ledger carries the energy split, mass, support extent and excess mass
-    at the snapshot times (the Wasserstein increment column holds the
-    distance between consecutive snapshots in 1D, nan in radial mode).
-    The snapshot times are ``model._snapshot_schedule(T, snapshot_times)``;
-    the step that would pass one, or stop within ``1e-9 dt`` of it, is
-    fitted to land on it exactly.  Between snapshots the run steps the
-    value array, with the same update as ``pme_step``.
+    Returns ``(snapshots, steps)``: snapshots is a list of ``(t,
+    GridDensity)`` including the initial and final states, and ``steps``
+    the number of steps taken up to each snapshot.  The snapshot times
+    are ``model._snapshot_schedule(T, snapshot_times)``; the step that
+    would pass one, or stop within ``1e-9 dt`` of it, is fitted to land on
+    it exactly.  Between snapshots the run steps the value array, with the
+    same update as ``pme_step``.
     """
     _check_exponent(m)
     _check_step(dt)
@@ -220,34 +215,17 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     v = rho0.values
     t = 0.0
     snapshots = [(0.0, rho0)]
-    ledger = RunLedger()
-    _ledger_row(ledger, 0, 0.0, rho0, None, m, phi)
+    steps = [0]
     step_count = 0
-    prev_snap = rho0
     for t_snap in schedule:
         while t < t_snap:
             last = t_snap - t <= dt * (1.0 + 1e-9)
             v = stencil.step(v, m, t_snap - t if last else dt)
             t = t_snap if last else t + dt
             step_count += 1
-        rho = rho0.with_values(v)
-        snapshots.append((t, rho))
-        _ledger_row(ledger, step_count, t, rho, prev_snap, m, phi)
-        prev_snap = rho
-    return snapshots, ledger
-
-
-def _ledger_row(ledger: RunLedger, step: int, t: float, rho: GridDensity,
-                prev: GridDensity | None, m: float, phi: Potential):
-    rep = free_energy(rho, m, phi)
-    lo, hi = rho.support_extent()
-    if prev is None or rho.grid.dim != 1:
-        w2 = 0.0 if prev is None else math.nan
-    else:
-        n = min(max(rho.grid.n_cells // 2, 16), 400)
-        w2 = w2_distance(to_quantile(prev, n), to_quantile(rho, n))
-    ledger.append(step, t, rep.total, rep.internal, rep.potential, w2,
-                  rho.mass, lo, hi, excess_mass(rho))
+        snapshots.append((t, rho0.with_values(v)))
+        steps.append(step_count)
+    return snapshots, steps
 
 
 def pressure(rho: GridDensity, m: float) -> np.ndarray:

@@ -179,7 +179,7 @@ def test_criterion_08_patch_preservation():
     grid = GridSpec(-1.0, 3.0, 400)  # dx = 0.01
     n, h, T = 400, 1e-3, 1.0
     q0 = to_quantile(make_grid_density({"boxes": [(1.0, 2.0, 1.0)]}, grid), n)
-    states, _ = jko_trajectory(q0, math.inf, h, QUAD, T)
+    states = jko_trajectory(q0, math.inf, h, QUAD, T)
     compared = range(0, len(states), 100)
     traj, _ = heleshaw_run(Patch(((1.0, 2.0),)), QUAD, T, 1e-3,
                            snapshot_times=[k * h for k in compared])

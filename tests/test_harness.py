@@ -84,7 +84,12 @@ class TestConfig:
     # (jko.h = inf), one RK4 step per snapshot (heleshaw.dt = inf), a
     # KeyError (a nan time), an IndexError (no time), no key named (times
     # out of order too), or numpy's "zero-size array" (fewer than two
-    # finite m)
+    # finite m).  The count and level rows once named no key: "max() arg
+    # is an empty sequence" (no trial), numpy's "expected non-negative
+    # integer" (seed), "need at least two quantile cells", "mass ratio too
+    # extreme", "converge-h needs at least two halvings", "support
+    # threshold must be positive" and "Hausdorff distance needs nonempty
+    # patches" (eps_supp); a negative worker count ran serially, exit 0
     @pytest.mark.parametrize("kind, extra, key, bads", [
         ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
          ("0", "-0.01", "nan", "inf")),
@@ -102,9 +107,25 @@ class TestConfig:
         ("crossval", "m.list = 4,8\ncrossval.times = {}\n", "crossval.times",
          ("0.25,inf", "0.25,nan,1", "", "0.5,0.25")),
         ("crossval", "m.list = {}\n", "m.list", ("4", "4,inf")),
+        ("compare", "trials = {}\n", "trials", ("0", "-2")),
+        ("compare", "seed = {}\n", "seed", ("-1",)),
+        ("single-run", "quantile.n = {}\n", "quantile.n", ("1", "-5")),
+        ("compare", "trials = 1\nquantile.n = {}\n", "quantile.n", ("1",)),
+        ("converge-h", "h.halvings = {}\n", "h.halvings", ("1", "0")),
+        ("single-run", "workers = {}\n", "workers", ("-3", "0")),
+        ("single-run", "jko.max_iterations = {}\n", "jko.max_iterations",
+         ("0",)),
+        ("single-run", "grid.n = {}\n", "grid.n", ("0", "-600")),
+        ("single-run", "grid.dim = {}\n", "grid.dim", ("0", "-1")),
+        ("crossval", "m.list = 4,8\npme.eps_supp = {}\n", "pme.eps_supp",
+         ("0", "2", "1", "-0.25", "nan")),
     ], ids=["single-run-pme.dt", "crossval-pme.dt", "jko-run.T",
             "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
-            "crossval-heleshaw.dt", "crossval-times", "crossval-m.list"])
+            "crossval-heleshaw.dt", "crossval-times", "crossval-m.list",
+            "compare-trials", "compare-seed", "jko-quantile.n",
+            "compare-quantile.n", "converge-h-h.halvings", "workers",
+            "jko-max_iterations", "grid.n", "grid.dim",
+            "crossval-pme.eps_supp"])
     def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
                                           extra, key, bads):
         for bad in bads:
@@ -127,6 +148,14 @@ class TestConfig:
             assert code == 2, bad
             assert f"key {key!r}" in err, (bad, err)
             assert not os.path.exists(out)
+
+    def test_worker_flag_names_itself(self, tmp_path, capsys):
+        # once a serial run with exit 0
+        out = str(tmp_path / "never")
+        assert main(["single-run", "--config", cfg_file(tmp_path),
+                     "--workers", "-3", "--out", out]) == 2
+        assert "key '--workers'" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_negligible_leading_coefficient_names_its_key(self, tmp_path,
                                                           capsys):
@@ -386,8 +415,8 @@ class TestDrivers:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             SerialPool)
@@ -398,6 +427,59 @@ class TestDrivers:
         serial = run_experiment(ExperimentConfig.from_text(text),
                                 kind="converge-m", workers=1)
         assert rep.tables == serial.tables
+
+    @pytest.mark.parametrize("extra", [
+        "m = 10\n", "run.scheme = pme\nm = 3\npme.dt = 0.01\n",
+        "run.scheme = pme\nm = 3\npme.dt = 0.01\ngrid.dim = 3\ngrid.lo = 0\n"
+        "init.boxes = 0.5,1.0,1\n"], ids=["jko", "pme", "pme-radial"])
+    def test_single_run_ledger_rebuilt_from_the_states(self, extra):
+        # all ten ledger columns, exactly, from the states of the run: jko
+        # states from chained jko_step calls, pme states from pme_run's
+        # snapshots, whose W2 increments go through quantiles in 1D only
+        cfg = ExperimentConfig.from_text(BASE + "snapshots = 4\n" + extra)
+        header, rows = run_experiment(cfg, kind="single-run").tables["ledger"]
+        assert header == ["step", "t", "E", "S", "P", "w2_inc", "mass",
+                          "supp_lo", "supp_hi", "excess"]
+        phi, grid = cfg.potential(), cfg.grid_spec()
+        rho0 = crowdflow.make_grid_density(cfg.shape_spec(), grid)
+        m = cfg.get_m()
+        expected = []
+        if "pme" not in extra:
+            h = 0.02
+            cur, prev, move = crowdflow.to_quantile(rho0, 120), None, None
+            for k in range(11):  # T = 0.2
+                if k:
+                    out = crowdflow.jko_step(prev, m, h, phi, None, move)
+                    cur, move = out.state, out.state.nodes - prev.nodes
+                rep = crowdflow.free_energy(cur, m, phi)
+                w2 = crowdflow.w2_distance(prev, cur) if k else 0.0
+                expected.append((k, k * h, rep.total, rep.internal,
+                                 rep.potential, w2, cur.total_mass,
+                                 cur.nodes[0], cur.nodes[-1],
+                                 cur.excess_mass()))
+                prev = cur
+        else:
+            snaps, steps = crowdflow.pme_run(
+                rho0, m, phi, 0.2, 0.01,
+                snapshot_times=np.linspace(0.0, 0.2, 5)[1:])
+            assert steps == [0, 5, 10, 15, 20]
+            for k, ((t, rho), step) in enumerate(zip(snaps, steps)):
+                rep = crowdflow.free_energy(rho, m, phi)
+                if k == 0:
+                    w2 = 0.0
+                elif grid.dim > 1:
+                    w2 = math.nan
+                else:
+                    w2 = crowdflow.w2_distance(
+                        crowdflow.to_quantile(snaps[k - 1][1], 300),
+                        crowdflow.to_quantile(rho, 300))
+                lo, hi = rho.support_extent()
+                expected.append((step, t, rep.total, rep.internal,
+                                 rep.potential, w2, rho.mass, lo, hi,
+                                 crowdflow.excess_mass(rho)))
+        assert [r[0] for r in rows] == [r[0] for r in expected]
+        np.testing.assert_array_equal(np.array(rows, dtype=float),
+                                      np.array(expected, dtype=float))
 
     def test_radial_heleshaw_single_run_closes_the_hole(self):
         # on a radial grid the box is a shell, whose hole closes into a

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 import scipy.linalg
 from numpy.polynomial import polynomial as npoly
 
-from crowdflow import experiments, jko
+from crowdflow import energy, experiments, jko, transport
+from crowdflow.config import ExperimentConfig
 from crowdflow.energy import free_energy
 from crowdflow.jko import (JkoConvergenceError, JkoOptions, jko_step,
                            jko_trajectory, pav_nondecreasing, project_spacing,
                            verify_comparison)
 from crowdflow.model import GridSpec, QuantileRep, make_grid_density, to_quantile
 from crowdflow.oracles import energy_minimizer_profile, stationary_profile
-from crowdflow.potentials import Potential, gl_points, potential_catalog
-from crowdflow.transport import w2_cost_squared
+from crowdflow.potentials import Potential, potential_catalog
+from crowdflow.transport import w2_cost_squared, w2_distance
 
 from conftest import indicator, indicator_quantile, random_density
 
@@ -144,7 +145,7 @@ class TestJkoStep:
         q0 = indicator_quantile(0, 1, g6, n=50)
         out = jko_step(q0, math.inf, 0.01, zero)
         assert np.allclose(out.state.nodes, q0.nodes, atol=1e-12)
-        assert out.w2_increment < 1e-12
+        assert w2_distance(out.state, q0) < 1e-12
 
     def test_linear_drift_exact_translation(self, g6):
         lin = potential_catalog("linear", g=1.0)
@@ -157,9 +158,9 @@ class TestJkoStep:
         # the hard-constraint minimizer is exactly representable (aligned
         # indicator); finite-m profiles are grid-sampled, so their movement
         # is discretization-limited and must shrink under refinement
-        rho_s = stationary_profile(math.inf, quad_phi, 1.0, g6)
-        out = jko_step(to_quantile(rho_s, 200), math.inf, 0.01, quad_phi)
-        assert out.w2_increment <= 1e-12
+        q_s = to_quantile(stationary_profile(math.inf, quad_phi, 1.0, g6), 200)
+        out = jko_step(q_s, math.inf, 0.01, quad_phi)
+        assert w2_distance(out.state, q_s) <= 1e-12
         fine = GridSpec(-3.0, 3.0, 2400)
         for m in (3.0, 10.0):
             moves = []
@@ -167,8 +168,8 @@ class TestJkoStep:
                 q_s = to_quantile(
                     energy_minimizer_profile(m, quad_phi, 1.0, grid), n)
                 out = jko_step(q_s, m, 0.01, quad_phi)
-                moves.append(out.w2_increment)
-                assert out.w2_increment <= 0.1 * (1.0 / n + grid.dx)
+                moves.append(w2_distance(out.state, q_s))
+                assert moves[-1] <= 0.1 * (1.0 / n + grid.dx)
             assert moves[1] < 0.5 * moves[0]
 
     def test_one_step_excess_bound(self, g6, quad_phi):
@@ -218,8 +219,9 @@ class TestJkoStep:
             prev = free_energy(q, m, quad_phi).total
             out = jko_step(q, m, 0.05, quad_phi)
             cur = free_energy(out.state, m, quad_phi).total
-            assert cur + out.w2_increment**2 / (2 * 0.05) <= prev + 1e-9
-            assert prev - out.energy.total >= -1e-9
+            move = w2_distance(out.state, q)
+            assert cur + move**2 / (2 * 0.05) <= prev + 1e-9
+            assert prev - cur >= -1e-9
 
     def test_objective_convex_along_random_segments(self, rng, g6, quad_phi):
         # second differences of the step objective along feasible chords
@@ -367,70 +369,12 @@ class TestJkoStep:
         assert out.state.total_mass == q0.total_mass
         assert out.state.n == q0.n
 
-    def test_step_energy_from_the_final_iterate(self, g6, quad_phi,
-                                                 monkeypatch):
-        # the step reports the new state's energy from the Gauss-Legendre
-        # points of its last iterate: no free_energy call and no point set
-        # built in energy, and the same report free_energy gives
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return wrapper
-
-        q0 = indicator_quantile(1, 2, g6, n=40)
-        with monkeypatch.context() as mp:
-            mp.setattr("crowdflow.jko.free_energy",
-                       counted("free_energy", free_energy))
-            mp.setattr("crowdflow.energy.gl_points",
-                       counted("gl_points", gl_points))
-            # read inside the patches: the energy is computed on first read
-            reps = {m: (out, out.energy) for m in (6.0, math.inf)
-                    for out in [jko_step(q0, m, 0.02, quad_phi)]}
-        assert calls == []
-        for m, (out, rep) in reps.items():
-            ref = free_energy(out.state, m, quad_phi)
-            assert (rep.m, rep.internal, rep.potential) \
-                == (ref.m, ref.internal, ref.potential)
-
     def test_step_energy_checks_the_potential_domain(self, g6):
-        # the step rejects a state outside the potential's domain, whether
-        # or not its energy is read
+        # the step rejects a state outside the potential's domain
         narrow = potential_catalog("quadratic", q=1.0, domain=(-1.0, 1.0))
         q0 = indicator_quantile(0.5, 1.5, g6, n=40)
         with pytest.raises(ValueError, match="working domain"):
             jko_step(q0, 6.0, 0.02, narrow)
-
-    def test_energy_and_movement_read_on_demand(self, g6, quad_phi,
-                                                monkeypatch):
-        # a step that is never asked for its energy or movement computes
-        # neither; read, they are the free energy and the W2 distance of
-        # the new state, exactly, and are computed once
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-            return wrapper
-
-        for name in ("w2_cost_squared", "internal_energy",
-                     "_quantile_potential"):
-            monkeypatch.setattr(jko, name, counted(name, getattr(jko, name)))
-        q0 = indicator_quantile(1, 2, g6, n=40)
-        for m in (6.0, math.inf):
-            out = jko_step(q0, m, 0.02, quad_phi)
-            assert calls == []
-            rep, move = out.energy, out.w2_increment
-            assert out.energy is rep and out.w2_increment == move
-            assert sorted(calls) == ["_quantile_potential", "internal_energy",
-                                     "w2_cost_squared"]
-            calls.clear()
-            assert rep == free_energy(out.state, m, quad_phi)
-            assert move == float(np.sqrt(w2_cost_squared(
-                out.state.nodes, q0.nodes, q0.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +749,14 @@ class TestTrajectory:
     def test_energy_monotone_and_dissipation_budget(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=100)
         for m in (6.0, math.inf):
-            states, ledger = jko_trajectory(q0, m, 0.02, quad_phi, 0.5)
-            E = ledger.column("E")
+            states = jko_trajectory(q0, m, 0.02, quad_phi, 0.5)
+            assert len(states) == 26
+            E = np.array([free_energy(s, m, quad_phi).total for s in states])
             assert np.all(np.diff(E) <= 1e-9)
             # telescoping dissipation stays within the initial budget
             assert E[0] - E[-1] <= E[0] + 1e-9
-            mass = ledger.column("mass")
+            mass = np.array([s.total_mass for s in states])
             assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
-            assert len(states) == len(E)
 
     def test_confinement_inside_dominating_stationary_support(self, g6, quad_phi):
         # start inside the stationary patch of a larger mass: stays inside
@@ -820,27 +764,29 @@ class TestTrajectory:
         big = stationary_profile(math.inf, quad_phi, 4.2, g6)
         lo, hi = big.support_extent(1e-6)
         assert lo <= 1.0 and hi >= 2.0
-        states, _ = jko_trajectory(q0, math.inf, 0.01, quad_phi, 2.0)
+        states = jko_trajectory(q0, math.inf, 0.01, quad_phi, 2.0)
         for s in states:
             assert s.nodes[0] >= lo - 1e-9
             assert s.nodes[-1] <= hi + 1e-9
 
     def test_ledger_energies_and_states_match_chained_steps(self, g6, quad_phi):
-        # the trajectory reuses each step's energy report instead of
-        # recomputing it: the ledger must still hold free_energy exactly,
-        # and the states must be those of plain jko_step chaining, each
-        # step predicted by the previous step's displacement
+        # the states are those of plain jko_step chaining, each step
+        # predicted by the previous step's displacement, and single-run's
+        # ledger holds free_energy of each of them exactly
         q0 = indicator_quantile(1, 2, g6, n=60)
         h = 0.02
         for m in (4.0, math.inf):
-            states, ledger = jko_trajectory(q0, m, h, quad_phi, 0.1)
+            states = jko_trajectory(q0, m, h, quad_phi, 0.1)
+            cfg = ExperimentConfig.from_text(
+                "potential.kind = quadratic\npotential.q = 1\ngrid.lo = -3\n"
+                "grid.hi = 3\ngrid.n = 600\ninit.boxes = 1,2,1\n"
+                f"quantile.n = 60\njko.h = {h}\nrun.T = 0.1\nm = {m}\n")
+            rows = experiments.single_run(cfg).tables["ledger"][1]
+            assert len(rows) == len(states) == 6
             cur, move = q0, None
-            for k, (state, row) in enumerate(zip(states, ledger.rows)):
+            for k, (state, row) in enumerate(zip(states, rows)):
                 if k:
                     out = jko_step(cur, m, h, quad_phi, None, move)
-                    # the reported energy is the new state's, exactly, so
-                    # the step's dissipation is E(cur) - out.energy.total
-                    assert out.energy == free_energy(out.state, m, quad_phi)
                     move = out.state.nodes - cur.nodes
                     cur = out.state
                 assert state.nodes.tobytes() == cur.nodes.tobytes()
@@ -849,13 +795,13 @@ class TestTrajectory:
 
     def test_piecewise_constant_step_count(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=20)
-        states, ledger = jko_trajectory(q0, math.inf, 0.03, quad_phi, 0.1)
+        states = jko_trajectory(q0, math.inf, 0.03, quad_phi, 0.1)
         assert len(states) == 5  # ceil(0.1/0.03) = 4 steps plus the start
 
     def test_sampled_runs_keep_the_trajectory_states(self, monkeypatch):
-        # the drivers' runs step through the same warm-started loop as
-        # jko_trajectory, keep the states they use, and compute no energy,
-        # movement or ledger
+        # longtime's sampled runs step through the same warm-started loop
+        # as jko_trajectory, keep the states they use, and compute no
+        # energy or movement
         phi, q0 = _longtime_case()
         h, T = 1e-3, 0.05
         calls = []
@@ -867,23 +813,21 @@ class TestTrajectory:
             return wrapper
 
         for m in (10.0, math.inf):
-            states, _ = jko_trajectory(q0, m, h, phi, T)
+            states = jko_trajectory(q0, m, h, phi, T)
+            assert len(states) == 51
             with monkeypatch.context() as mp:
-                for name in ("free_energy", "w2_cost_squared",
-                             "internal_energy", "_quantile_potential"):
-                    mp.setattr(jko, name, counted(name, getattr(jko, name)))
+                for mod, name in ((energy, "internal_energy"),
+                                  (energy, "potential_energy"),
+                                  (transport, "w2_cost_squared")):
+                    mp.setattr(mod, name, counted(name, getattr(mod, name)))
                 idx, sampled = experiments._traj_samples(
-                    (q0, m, h, phi, T, None, 16))
-                nodes = experiments._traj_states((q0, m, h, phi, T, None))
+                    q0, m, h, phi, T, None, 16)
             assert calls == []
             assert idx.tolist() == np.unique(
                 np.linspace(0, 50, 17).astype(int)).tolist()
             assert len(sampled) == idx.size and sampled[0] is q0
             for j, state in zip(idx, sampled):
                 assert state.nodes.tobytes() == states[j].nodes.tobytes()
-            assert len(nodes) == len(states) == 51
-            for x, state in zip(nodes, states):
-                assert x.tobytes() == state.nodes.tobytes()
 
     def test_leaving_the_domain_raises_at_the_same_step(self, g6, monkeypatch):
         # a linear drift carries the state out of a narrow working domain;
@@ -899,9 +843,7 @@ class TestTrajectory:
         monkeypatch.setattr(jko, "jko_step", counted)
         runs = (lambda m: jko_trajectory(q0, m, 0.02, phi, 1.0),
                 lambda m: experiments._traj_samples(
-                    (q0, m, 0.02, phi, 1.0, None, 16)),
-                lambda m: experiments._traj_states(
-                    (q0, m, 0.02, phi, 1.0, None)))
+                    q0, m, 0.02, phi, 1.0, None, 16))
         for m, at in ((10.0, 13), (math.inf, 21)):
             for run in runs:
                 steps.clear()

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from crowdflow.energy import internal_energy
 from crowdflow.model import (GridDensity, GridSpec, Patch, QuantileRep,
-                             RunLedger, make_grid_density, to_grid,
-                             to_quantile)
+                             make_grid_density, to_grid, to_quantile)
 
 from conftest import indicator, random_density
 
@@ -267,12 +266,3 @@ class TestTypes:
         g = GridSpec(0.0, 1.0, 4, dim=3)
         total = g.cell_measures.sum()
         assert total == pytest.approx(4.0 / 3.0 * math.pi, rel=1e-12)
-
-    def test_ledger_monotone_time_and_mass(self):
-        led = RunLedger()
-        led.append(0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
-        led.append(1, 0.1, 0.9, 0.0, 0.9, 0.1, 1.0, 0.0, 1.0, 0.0)
-        mass = led.column("mass")
-        assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
-        with pytest.raises(ValueError):
-            led.append(2, 0.1, 0.8, 0.0, 0.8, 0.1, 1.0, 0.0, 1.0, 0.0)
