@@ -8,8 +8,7 @@ dynamics, plus closed-form oracles and a config-driven experiment CLI.
 
 from .energy import (EnergyReport, excess_mass, free_energy, internal_energy,
                      potential_energy, regularize_to_feasible)
-from .heleshaw import (hausdorff_distance, heleshaw_run, interval_velocity,
-                       patch_pressure)
+from .heleshaw import hausdorff_distance, heleshaw_run
 from .jko import (JkoConvergenceError, JkoOptions, JkoStepResult, jko_step,
                   jko_trajectory, pav_nondecreasing, project_spacing,
                   verify_comparison)
@@ -21,13 +20,12 @@ from .oracles import (barenblatt, barenblatt_halfwidth,
 from .pme import (PmeStabilityError, pme_run, pme_step, pressure, stable_dt,
                   support_set)
 from .potentials import Potential, potential_catalog
-from .transport import brute_force_w2, generalized_geodesic, w2_distance
+from .transport import generalized_geodesic, w2_distance
 
 __all__ = [
     "EnergyReport", "excess_mass", "free_energy", "internal_energy",
     "potential_energy", "regularize_to_feasible",
-    "hausdorff_distance", "heleshaw_run", "interval_velocity",
-    "patch_pressure",
+    "hausdorff_distance", "heleshaw_run",
     "JkoConvergenceError", "JkoOptions", "JkoStepResult", "jko_step",
     "jko_trajectory", "pav_nondecreasing", "project_spacing",
     "verify_comparison",
@@ -38,7 +36,7 @@ __all__ = [
     "PmeStabilityError", "pme_run", "pme_step", "pressure",
     "stable_dt", "support_set",
     "Potential", "potential_catalog",
-    "brute_force_w2", "generalized_geodesic", "w2_distance",
+    "generalized_geodesic", "w2_distance",
 ]
 
 __version__ = "0.1.0"

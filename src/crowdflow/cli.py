@@ -31,8 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit self-contained SVG charts next to the tables")
         p.add_argument("--workers", type=int, default=None,
                        help="parallel workers for sweep entries")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
     return parser
 
 
@@ -40,8 +38,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.raw["seed"] = str(args.seed)
         if args.workers is not None:
             workers = _at_least("--workers", args.workers, 1)
         else:

@@ -39,11 +39,15 @@ def _at_least(key, val, lo):
 
 
 def _m_value(key, tok):
-    """One congestion exponent: a number, or ``inf`` for the hard constraint."""
+    """One congestion exponent: a number above one, or ``inf`` for the hard
+    constraint."""
     try:
-        return float(tok)  # float() also reads inf / infinity, in any case
+        val = float(tok)  # float() also reads inf / infinity, in any case
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: not a number or inf: {tok!r}") from exc
+    if not val > 1.0:  # NaN fails too
+        raise ConfigError(f"key {key!r}: must be > 1 or inf, got {val}")
+    return val
 
 
 @dataclass
@@ -97,16 +101,6 @@ class ExperimentConfig:
         if not val.is_integer():  # also False for inf and nan
             raise ConfigError(f"key {key!r}: not an integer: {val!r}")
         return int(val)
-
-    def get_bool(self, key, default=False):
-        val = self.raw.get(key)
-        if val is None:
-            return bool(default)
-        if val.lower() in ("1", "true", "yes", "on"):
-            return True
-        if val.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"key {key!r}: not a boolean: {val!r}")
 
     def get_floats(self, key, default=None):
         val = self._lookup(key, default)
@@ -163,10 +157,7 @@ class ExperimentConfig:
         return out
 
     def shape_spec(self, key="init.boxes"):
-        spec = {"boxes": self.boxes(key)}
-        if "init.normalize" in self.raw:
-            spec["normalize"] = self.get_float("init.normalize")
-        return spec
+        return {"boxes": self.boxes(key)}
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(self.get_float("grid.lo", -4.0),

@@ -25,7 +25,6 @@ EPS_FEAS = 1e-9
 
 @dataclass
 class EnergyReport:
-    m: float
     internal: float
     potential: float
 
@@ -75,7 +74,7 @@ def potential_energy(rho, phi: Potential) -> float:
 
 
 def free_energy(rho, m, phi: Potential) -> EnergyReport:
-    return EnergyReport(m=m, internal=internal_energy(rho, m),
+    return EnergyReport(internal=internal_energy(rho, m),
                         potential=potential_energy(rho, phi))
 
 

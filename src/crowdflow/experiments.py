@@ -28,7 +28,7 @@ from .jko import (JkoOptions, _step_count, _trajectory_steps, jko_trajectory,
 from .model import GridDensity, Patch, make_grid_density, to_quantile
 from .oracles import energy_minimizer_profile
 from .pme import pme_run, pressure, support_set
-from .transport import w2_cost_squared, w2_distance
+from .transport import w2_distance
 
 
 def write_csv(path, header, rows):
@@ -130,7 +130,7 @@ def _quantile0(cfg, rho0, require_feasible=True):
 def _jko_options(cfg):
     default = JkoOptions()
     return JkoOptions(
-        tol_grad=cfg.get_float("jko.tol", default.tol_grad),
+        tol_grad=cfg.get_positive("jko.tol", default.tol_grad),
         max_iterations=_at_least("jko.max_iterations",
                                  cfg.get_int("jko.max_iterations",
                                              default.max_iterations), 1))
@@ -193,12 +193,8 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     ref = jko_trajectory(q0, math.inf, h, phi, T, opts)
     runs = _pmap(jko_trajectory,
                  [(q0, m, h, phi, T, opts) for m in m_list], workers)
-    w = q0.w
-    rows = []
-    for m, states in zip(m_list, runs):
-        sup = max(math.sqrt(max(w2_cost_squared(a.nodes, b.nodes, w), 0.0))
-                  for a, b in zip(states, ref))
-        rows.append((m, sup))
+    rows = [(m, max(w2_distance(a, b) for a, b in zip(states, ref)))
+            for m, states in zip(m_list, runs)]
     report = ExperimentReport("converge-m", config_hash=cfg.hash())
     report.tables["converge_m"] = (["m", "sup_w2"], rows)
     sups = [r[1] for r in rows]
@@ -227,15 +223,12 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
     runs = _pmap(jko_trajectory,
                  [(q0, m, h, phi, T, opts) for h in hs], workers)
-    w = q0.w
     rows = []
     for k in range(halvings):
         coarse, fine = runs[k], runs[k + 1]
         sup = 0.0
         for j, state in enumerate(coarse):
-            jj = min(2 * j, len(fine) - 1)
-            sup = max(sup, math.sqrt(max(
-                w2_cost_squared(state.nodes, fine[jj].nodes, w), 0.0)))
+            sup = max(sup, w2_distance(state, fine[min(2 * j, len(fine) - 1)]))
         rows.append((hs[k], sup))
     report = ExperimentReport("converge-h", config_hash=cfg.hash())
     report.tables["converge_h"] = (["h", "sup_w2_to_half_h"], rows)
@@ -256,9 +249,8 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Exponential approach to the stationary profile plus two-flow contraction."""
     phi, grid, rho0 = _setup(cfg)
     lam = phi.lam
-    if lam <= 0.0 and not cfg.get_bool("longtime.force"):
-        raise ConfigError("longtime decay needs a uniformly convex potential "
-                          "(set longtime.force = true to run anyway)")
+    if lam <= 0.0:
+        raise ConfigError("longtime decay needs a uniformly convex potential")
     m_list = cfg.get_m_list(default=(10.0, math.inf))
     h = cfg.get_positive("jko.h", 1e-3)
     T = cfg.get_positive("run.T", 5.0)
@@ -266,12 +258,8 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
     q0 = _quantile0(cfg, rho0)
-    shift = cfg.get_float("longtime.shift", 1.0)
-    if "init2.boxes" in cfg.raw:
-        rho02 = make_grid_density(cfg.shape_spec("init2.boxes"), grid)
-        q02 = to_quantile(rho02, q0.n)
-    else:
-        q02 = q0.translated(shift)
+    rho02 = make_grid_density(cfg.shape_spec("init2.boxes"), grid)
+    q02 = to_quantile(rho02, q0.n)
 
     report = ExperimentReport("longtime", config_hash=cfg.hash())
     runs = _pmap(_traj_samples, [(q, m, h, phi, T, opts, n_eval)
@@ -539,9 +527,8 @@ DRIVERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, kind=None,
+def run_experiment(cfg: ExperimentConfig, kind,
                    workers=1) -> ExperimentReport:
-    kind = kind or cfg.get("experiment")
     if kind not in DRIVERS:
         raise ConfigError(f"unknown experiment kind {kind!r}; "
                           f"choose one of {', '.join(DRIVERS)}")

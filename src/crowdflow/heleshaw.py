@@ -14,7 +14,6 @@ quadrature cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,44 +62,6 @@ def _radial_cumulative_poly(phi: Potential, d: int) -> tuple:
     return tuple(npoly.polyint(j).tolist())
 
 
-@dataclass
-class PatchPressure:
-    """Evaluable pressure field of a patch: positive inside, zero outside."""
-
-    patch: Patch
-    phi: Potential
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        if self.patch.dim == 1:
-            for a, b in self.patch.intervals:
-                inside = (x >= a) & (x <= b)
-                if np.any(inside):
-                    xi = x[inside]
-                    chord = self.phi.value(a) + (self.phi.value(b) - self.phi.value(a)) \
-                        * (xi - a) / (b - a)
-                    out[inside] = chord - self.phi.value(xi)
-            return out
-        P = _radial_cumulative_poly(self.phi, self.patch.dim)
-        for a, b in self.patch.intervals:
-            inside = (x >= a) & (x <= b)
-            for i in np.flatnonzero(inside):
-                out[i] = _radial_pressure_value(P, a, b, self.patch.dim,
-                                                float(x[i]))
-        return out
-
-
-def patch_pressure(patch: Patch, phi: Potential) -> PatchPressure:
-    """Pressure solving ``-u'' = Laplacian(Phi)`` in the patch, zero outside."""
-    if not patch.intervals:
-        raise ValueError("empty patch has no pressure field")
-    for a, b in patch.intervals:
-        if not b > a:
-            raise ValueError("degenerate interval")
-    return PatchPressure(patch, phi)
-
-
 def _radial_flux_const(P: tuple, r1: float, r2: float, d: int) -> float:
     """Integration constant A in ``u'(r) = (A - I(r)) / r^(d-1)``, where
     ``I`` is the antiderivative ``P`` taken from ``r1``.
@@ -113,19 +74,6 @@ def _radial_flux_const(P: tuple, r1: float, r2: float, d: int) -> float:
     denom = _shifted_poly_integral((1.0,), 1 - d, r1, r2)
     numer = _shifted_poly_integral(P, 1 - d, r1, r2) - _horner(P, r1) * denom
     return numer / denom
-
-
-def _radial_pressure_value(P: tuple, r1: float, r2: float, d: int,
-                           r: float) -> float:
-    """Exact radial pressure: ``u(r) = -int_r^{r2} (A - I(s)) s^(1-d) ds``."""
-    A = _radial_flux_const(P, r1, r2, d)
-    lo = max(r, 1e-300) if d > 1 and r1 > 0.0 else r
-    val = _shifted_poly_integral(P, 1 - d, lo, r2) \
-        - _horner(P, r1) * (_shifted_poly_integral((1.0,), 1 - d, lo, r2)
-                            if r1 > 0.0 else 0.0)
-    if A != 0.0:
-        val -= A * _shifted_poly_integral((1.0,), 1 - d, lo, r2)
-    return val
 
 
 def _rate_function(phi: Potential, dim: int):
@@ -157,19 +105,6 @@ def _rate_function(phi: Potential, dim: int):
             return 0.0, db
         return -(A / r1 ** (dim - 1)) - _horner(dc, r1), db
     return flux
-
-
-def interval_velocity(patch: Patch, phi: Potential) -> np.ndarray:
-    """Endpoint time-derivatives, one ``(da/dt, db/dt)`` row per interval.
-
-    Every boundary point obeys ``dx/dt = -u' - Phi'`` from inside; in 1D
-    the chord slope makes both endpoint rates equal, so intervals
-    translate rigidly and preserve their length.
-    """
-    if not patch.intervals:
-        raise ValueError("empty patch has no boundary velocity")
-    rate = _rate_function(phi, patch.dim)
-    return np.array([rate(a, b) for a, b in patch.intervals])
 
 
 def _rk4(ivs: tuple, dim: int, rate, dt: float):

@@ -46,8 +46,8 @@ class JkoOptions:
     max_iterations: int = 500
 
     def __post_init__(self):
-        if not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+        if not 0 < self.tol_grad < math.inf:  # NaN fails too
+            raise ValueError("tol_grad must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

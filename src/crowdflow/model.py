@@ -204,9 +204,6 @@ class QuantileRep:
         """Mass sitting above density one: sum of (w - gap)+ over gaps."""
         return float(np.maximum(self.w - self.gaps, 0.0).sum())
 
-    def translated(self, s):
-        return QuantileRep(self.total_mass, self.nodes + s)
-
 
 @dataclass
 class Patch:
@@ -239,12 +236,6 @@ class Patch:
     @property
     def endpoints(self):
         return np.array([e for ab in self.intervals for e in ab])
-
-    @property
-    def hull(self):
-        if not self.intervals:
-            raise ValueError("empty patch has no hull")
-        return (self.intervals[0][0], self.intervals[-1][1])
 
     def indicator(self, grid: GridSpec) -> GridDensity:
         """Cell-averaged indicator of the patch on the given grid."""

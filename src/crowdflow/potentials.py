@@ -43,9 +43,6 @@ _GL_COLUMNS = _NodeConstants(*(c[:, None] for c in _GL_CONSTANTS))
 
 _SCAN_POINTS = 10_000
 
-KINDS = ("quadratic", "shifted-quadratic", "quartic-well", "linear",
-         "custom-polynomial")
-
 
 @dataclass
 class Potential:
@@ -54,15 +51,13 @@ class Potential:
     Attributes
     ----------
     coef : ndarray
-        Polynomial coefficients, low order first.
+        Polynomial coefficients, low order first; shifted so that a finite
+        infimum over R is exactly zero.
     lam : float
         Greatest ``lam`` with ``Phi'' >= lam`` on the working domain
         (the semi-convexity modulus; exact for quadratic wells).
     positive_laplacian : bool
         Radial Laplacian strictly positive on the working domain.
-    bounded_below : bool
-        ``inf Phi`` finite on all of R; when true the stored coefficients
-        are shifted so the infimum is exactly zero.
     domain : tuple
         Working domain the flags and scans refer to.
     dim : int
@@ -72,7 +67,6 @@ class Potential:
     coef: np.ndarray
     lam: float
     positive_laplacian: bool
-    bounded_below: bool
     domain: tuple = (-8.0, 8.0)
     dim: int = 1
     _ccoef: tuple = field(init=False, repr=False)
@@ -301,8 +295,7 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
             raise ValueError("custom-polynomial needs a 1D 'coef' array")
 
     inf_phi = _global_min_on_reals(coef)
-    bounded_below = math.isfinite(inf_phi)
-    if bounded_below and inf_phi != 0.0:
+    if math.isfinite(inf_phi) and inf_phi != 0.0:
         coef = coef.copy()
         coef[0] -= inf_phi
 
@@ -314,7 +307,7 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
     lam = float(np.min(npoly.polyval(xs, d2coef)))
     positive_laplacian = bool(np.min(_laplacian(xs, dcoef, d2coef, dim)) > 0.0)
     return Potential(coef=coef, lam=lam, positive_laplacian=positive_laplacian,
-                     bounded_below=bounded_below, domain=tuple(domain), dim=dim)
+                     domain=tuple(domain), dim=dim)
 
 
 def _compose_shift(coef, c):

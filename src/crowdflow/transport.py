@@ -12,21 +12,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import GridSpec, QuantileRep, to_grid, to_quantile
+from .model import QuantileRep
 
 MASS_RTOL = 1e-12
-
-
-#: grid cells per quantile node in the ``resample_quantile`` round trip
-RESAMPLE_CELLS_PER_NODE = 4
 
 
 def _check_pair(a: QuantileRep, b: QuantileRep):
     if abs(a.total_mass - b.total_mass) > MASS_RTOL * max(a.total_mass, b.total_mass):
         raise ValueError("transport distance needs equal total mass")
     if a.n != b.n:
-        raise ValueError("node counts differ; resample one side with "
-                         "resample_quantile")
+        raise ValueError("node counts differ")
 
 
 def w2_cost_squared(xa: np.ndarray, xb: np.ndarray, w: float) -> float:
@@ -63,33 +58,3 @@ def generalized_geodesic(base: QuantileRep, mu2: QuantileRep,
     _check_pair(base, mu3)
     nodes = (1.0 - t) * mu2.nodes + t * mu3.nodes
     return QuantileRep(base.total_mass, nodes)
-
-
-def brute_force_w2(atoms_a, atoms_b, total_mass: float = 1.0) -> float:
-    """Assignment-based oracle for the quadratic cost on equal-weight atoms.
-
-    Sorting both lists and pairing in order is the optimal assignment in
-    1D for convex costs; kept independent of the quantile machinery so it
-    can serve as a cross-check.
-    """
-    xa = np.sort(np.asarray(atoms_a, dtype=float))
-    xb = np.sort(np.asarray(atoms_b, dtype=float))
-    if xa.shape != xb.shape:
-        raise ValueError("atom lists must have equal length")
-    if xa.size > 10_000:
-        raise ValueError("brute-force oracle capped at 1e4 atoms")
-    w_atom = total_mass / xa.size
-    return float(np.sqrt(w_atom * np.sum((xa - xb) ** 2)))
-
-
-def atoms_from_quantile(q: QuantileRep) -> np.ndarray:
-    """Equal-weight atom positions (gap midpoints) for the brute-force oracle."""
-    return 0.5 * (q.nodes[:-1] + q.nodes[1:])
-
-
-def resample_quantile(q: QuantileRep, n: int) -> QuantileRep:
-    """Re-sample to ``n`` cells through a grid reconstruction round trip."""
-    lo, hi = float(q.nodes[0]), float(q.nodes[-1])
-    pad = max(1e-9, 1e-9 * (hi - lo))
-    grid = GridSpec(lo - pad, hi + pad, RESAMPLE_CELLS_PER_NODE * max(n, q.n))
-    return to_quantile(to_grid(q, grid), n)

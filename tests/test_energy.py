@@ -153,5 +153,5 @@ class TestRegularize:
 
 
 def test_energy_report_total():
-    rep = EnergyReport(m=3.0, internal=0.25, potential=0.5)
+    rep = EnergyReport(internal=0.25, potential=0.5)
     assert rep.total == 0.75

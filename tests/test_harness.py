@@ -38,10 +38,9 @@ def cfg_file(tmp_path, extra="", name="cfg.txt"):
 class TestConfig:
     def test_parse_roundtrip(self):
         cfg = ExperimentConfig.from_text(
-            "a.b = 1.5\n# comment\nm.list = 4,8,inf\nflag = true\n")
+            "a.b = 1.5\n# comment\nm.list = 4,8,inf\n")
         assert cfg.get_float("a.b") == 1.5
         assert cfg.get_m_list() == [4.0, 8.0, math.inf]
-        assert cfg.get_bool("flag")
         assert ExperimentConfig({"m": " Infinity "}).get_m() == math.inf
 
     def test_missing_key_raises(self):
@@ -89,7 +88,9 @@ class TestConfig:
     # integer" (seed), "need at least two quantile cells", "mass ratio too
     # extreme", "converge-h needs at least two halvings", "support
     # threshold must be positive" and "Hausdorff distance needs nonempty
-    # patches" (eps_supp); a negative worker count ran serially, exit 0
+    # patches" (eps_supp); a negative worker count ran serially, exit 0.
+    # jko.tol = inf once passed every verdict with a run that never moved;
+    # jko.tol = 0 and the m rows exited 2 without naming the key
     @pytest.mark.parametrize("kind, extra, key, bads", [
         ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
          ("0", "-0.01", "nan", "inf")),
@@ -119,13 +120,21 @@ class TestConfig:
         ("single-run", "grid.dim = {}\n", "grid.dim", ("0", "-1")),
         ("crossval", "m.list = 4,8\npme.eps_supp = {}\n", "pme.eps_supp",
          ("0", "2", "1", "-0.25", "nan")),
+        ("single-run", "m = 10\njko.tol = {}\n", "jko.tol",
+         ("inf", "0", "-1e-9", "nan")),
+        ("single-run", "m = {}\n", "m", ("1", "0.5", "nan", "-inf")),
+        ("single-run", "run.scheme = pme\nm = {}\n", "m", ("1",)),
+        ("converge-m", "m.list = {}\n", "m.list", ("1,4,8", "nan,4")),
+        ("longtime", "init2.boxes = 2,3,1\nm.list = {}\n", "m.list",
+         ("0.5,inf",)),
     ], ids=["single-run-pme.dt", "crossval-pme.dt", "jko-run.T",
             "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
             "crossval-heleshaw.dt", "crossval-times", "crossval-m.list",
             "compare-trials", "compare-seed", "jko-quantile.n",
             "compare-quantile.n", "converge-h-h.halvings", "workers",
             "jko-max_iterations", "grid.n", "grid.dim",
-            "crossval-pme.eps_supp"])
+            "crossval-pme.eps_supp", "jko-jko.tol", "jko-m", "pme-m",
+            "converge-m-m.list", "longtime-m.list"])
     def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
                                           extra, key, bads):
         for bad in bads:
@@ -377,6 +386,13 @@ class TestDrivers:
         with pytest.raises(JkoConvergenceError):
             run_experiment(cfg, kind="compare")
 
+    def test_longtime_requires_its_second_start(self, tmp_path, capsys):
+        out = str(tmp_path / "never")
+        assert main(["longtime", "--config", cfg_file(tmp_path),
+                     "--out", out]) == 2
+        assert "missing required key 'init2.boxes'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_longtime_requires_convexity(self):
         cfg = ExperimentConfig.from_text(
             "potential.kind = linear\npotential.g = 1\ninit.boxes = 1,2,1\n"
@@ -387,7 +403,8 @@ class TestDrivers:
     def test_workers_match_serial(self):
         for kind, table, extra in (
                 ("converge-m", "converge_m", "m.list = 4,8\nrun.T = 0.1\n"),
-                ("longtime", "longtime", "m.list = 10,inf\nsnapshots = 4\n")):
+                ("longtime", "longtime",
+                 "m.list = 10,inf\nsnapshots = 4\ninit2.boxes = 2,3,1\n")):
             text = BASE + extra
             rep1 = run_experiment(ExperimentConfig.from_text(text),
                                   kind=kind, workers=1)

@@ -5,61 +5,29 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from crowdflow.heleshaw import (hausdorff_distance, heleshaw_run,
-                                interval_velocity, patch_pressure)
+from crowdflow.heleshaw import _rate_function, hausdorff_distance, heleshaw_run
 from crowdflow.model import Patch
 from crowdflow.oracles import quadratic_interval_flow, stationary_patch
 from crowdflow.potentials import potential_catalog
 
 
-class TestPatchPressure:
-    def test_zero_at_endpoints(self, quad_phi):
-        u = patch_pressure(Patch(((0.3, 1.7),)), quad_phi)
-        assert u(np.array([0.3, 1.7])) == pytest.approx([0.0, 0.0], abs=1e-14)
-
-    def test_quadratic_closed_form(self, quad_phi):
-        a, b = 0.5, 2.0
-        u = patch_pressure(Patch(((a, b),)), quad_phi)
-        xs = np.linspace(a, b, 101)
-        assert np.allclose(u(xs), 0.5 * (xs - a) * (b - xs), atol=1e-12)
-
-    def test_negative_laplacian_matches_drift_laplacian(self, quad_phi):
-        u = patch_pressure(Patch(((0.0, 1.0),)), quad_phi)
-        x = np.array([0.37, 0.62])
-        h = 1e-5
-        d2 = (u(x + h) - 2 * u(x) + u(x - h)) / h**2
-        assert np.allclose(-d2, quad_phi.lap(x), atol=1e-5)
-
-    def test_positive_inside_for_convex_drift(self):
-        phi = potential_catalog("quartic-well", a=1.0, b=0.5, c=0.3)
-        u = patch_pressure(Patch(((-1.2, 1.8),)), phi)
-        xs = np.linspace(-1.2 + 1e-6, 1.8 - 1e-6, 1000)
-        assert np.all(u(xs) > 0.0)
-
-    def test_zero_outside(self, quad_phi):
-        u = patch_pressure(Patch(((0.0, 1.0),)), quad_phi)
-        assert np.all(u(np.array([-0.5, 1.5, 3.0])) == 0.0)
-
-    def test_empty_patch_rejected(self, quad_phi):
-        with pytest.raises(ValueError):
-            patch_pressure(Patch(()), quad_phi)
-
-
 class TestIntervalVelocity:
+    # the tracker's endpoint rates (da/dt, db/dt) of one interval
     def test_chord_slope_velocity(self, quad_phi):
+        rate = _rate_function(quad_phi, 1)
         for a, b in ((0.2, 1.0), (-2.0, -0.5), (-1.0, 3.0)):
-            v = interval_velocity(Patch(((a, b),)), quad_phi)
-            assert np.allclose(v[0], -(a + b) / 2.0, atol=1e-13)
+            assert np.allclose(rate(a, b), -(a + b) / 2.0, atol=1e-13)
 
     def test_symmetric_interval_is_stationary(self, quad_phi):
-        v = interval_velocity(Patch(((-0.8, 0.8),)), quad_phi)
+        v = _rate_function(quad_phi, 1)(-0.8, 0.8)
         assert np.max(np.abs(v)) < 1e-14
 
     def test_level_set_patch_is_stationary(self):
         # endpoints of {Phi <= C} share the potential value: zero chord slope
         phi = potential_catalog("quartic-well", a=1.0, b=0.5, c=0.2)
         patch = stationary_patch(phi, 1.3, (-4, 4))
-        v = interval_velocity(patch, phi)
+        rate = _rate_function(phi, 1)
+        v = [rate(a, b) for a, b in patch.intervals]
         assert np.max(np.abs(v)) <= 1e-10
 
     def test_rigid_translation_preserves_length(self, quad_phi):
@@ -71,8 +39,8 @@ class TestIntervalVelocity:
     def test_radial_centered_ball_is_stationary(self):
         for d in (2, 3):
             phi = potential_catalog("quadratic", {"q": 1.0}, dim=d)
-            v = interval_velocity(Patch(((0.0, 1.3),), dim=d), phi)
-            assert abs(v[0, 1]) <= 1e-8
+            _, db = _rate_function(phi, d)(0.0, 1.3)
+            assert abs(db) <= 1e-8
 
     def test_radial_annulus_velocities_preserve_volume(self):
         # volume rate = sum of area-weighted outward speeds = 0 for the
@@ -80,8 +48,8 @@ class TestIntervalVelocity:
         d = 3
         phi = potential_catalog("quadratic", {"q": 1.0}, dim=d)
         r1, r2 = 0.5, 1.5
-        v = interval_velocity(Patch(((r1, r2),), dim=d), phi)
-        rate = r2 ** (d - 1) * v[0, 1] - r1 ** (d - 1) * v[0, 0]
+        da, db = _rate_function(phi, d)(r1, r2)
+        rate = r2 ** (d - 1) * db - r1 ** (d - 1) * da
         assert abs(rate) <= 1e-8
 
 

@@ -357,6 +357,12 @@ class TestJkoStep:
         with pytest.raises(ValueError):
             jko_step(q0, 1.0, 0.01, quad_phi)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # an infinite tolerance once accepted every start as converged
+        with pytest.raises(ValueError, match="tol_grad"):
+            JkoOptions(tol_grad=tol)
+
     def test_nonconvergence_is_loud(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=100)
         with pytest.raises(JkoConvergenceError):

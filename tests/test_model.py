@@ -205,7 +205,6 @@ class TestTypes:
     def test_patch_volume_1d(self):
         p = Patch(((0.0, 1.0), (2.0, 2.5)))
         assert p.volume == pytest.approx(1.5)
-        assert p.hull == (0.0, 2.5)
 
     def test_patch_volume_radial(self):
         p = Patch(((1.0, 2.0),), dim=3)

@@ -20,6 +20,11 @@ ALL_KINDS = [
 ]
 
 
+def _scan_min(phi):
+    """Least value of the potential on a dense scan of its working domain."""
+    return float(np.min(phi.value(np.linspace(*phi.domain, 16_001))))
+
+
 @pytest.mark.parametrize("kind,params", ALL_KINDS + [
     ("custom-polynomial", {"coef": [0.7, -1.2, 0.4, 2.0, -0.9, 0.3, 0.25]}),
     ("custom-polynomial", {"coef": [0.5]}),
@@ -62,7 +67,8 @@ def test_quadratic_catalog_entry():
     assert np.allclose(phi.value(np.array([1.0, -2.0])), [0.5, 2.0])
     assert np.allclose(phi.grad(np.array([1.0, -2.0])), [1.0, -2.0])
     assert phi.lam == 1.0
-    assert phi.positive_laplacian and phi.bounded_below
+    assert phi.positive_laplacian
+    assert _scan_min(phi) == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(phi.lap(np.linspace(*phi.domain, 101))))
 
 
@@ -81,14 +87,14 @@ def test_quadratic_nonpositive_curvature_flags_not_error():
 
 def test_linear_is_unbounded_below():
     phi = potential_catalog("linear", g=1.0)
-    assert not phi.bounded_below
+    assert phi.coef.tolist() == [0.0, 1.0]  # unbounded below: not shifted
     assert np.allclose(phi.value(np.array([0.0, 2.0])), [0.0, 2.0])
     assert np.allclose(phi.lap(np.array([0.3])), 0.0)
 
 
 def test_shifted_quadratic_normalized_to_zero_infimum():
     phi = potential_catalog("shifted-quadratic", q=1.3, c=-0.4, b=2.0)
-    assert phi.bounded_below
+    assert _scan_min(phi) >= -1e-12
     assert abs(phi.value(-0.4)) < 1e-12  # offset removed at the well bottom
 
 
@@ -325,4 +331,5 @@ def test_negligible_leading_coefficient_rejected_without_warning(lead):
         # a small but resolvable leading coefficient is kept
         phi = potential_catalog("custom-polynomial", domain=(-3, 3),
                                 coef=[0.0, -0.26, 1.15, 0.0, 1e-12])
-    assert phi.bounded_below and phi.coef[-1] == 1e-12
+    assert _scan_min(phi) == pytest.approx(0.0, abs=1e-6)
+    assert phi.coef[-1] == 1e-12

@@ -6,11 +6,32 @@ import pytest
 from crowdflow.energy import potential_energy
 from crowdflow.model import GridSpec, QuantileRep, to_quantile
 from crowdflow.potentials import potential_catalog
-from crowdflow.transport import (atoms_from_quantile, brute_force_w2,
-                                 generalized_geodesic, resample_quantile,
-                                 w2_cost_squared, w2_distance)
+from crowdflow.transport import (generalized_geodesic, w2_cost_squared,
+                                 w2_distance)
 
 from conftest import indicator_quantile, random_density
+
+
+def brute_force_w2(atoms_a, atoms_b, total_mass: float = 1.0) -> float:
+    """Assignment-based oracle for the quadratic cost on equal-weight atoms.
+
+    Sorting both lists and pairing in order is the optimal assignment in
+    1D for convex costs; kept independent of the quantile machinery so it
+    can serve as a cross-check.
+    """
+    xa = np.sort(np.asarray(atoms_a, dtype=float))
+    xb = np.sort(np.asarray(atoms_b, dtype=float))
+    if xa.shape != xb.shape:
+        raise ValueError("atom lists must have equal length")
+    if xa.size > 10_000:
+        raise ValueError("brute-force oracle capped at 1e4 atoms")
+    w_atom = total_mass / xa.size
+    return float(np.sqrt(w_atom * np.sum((xa - xb) ** 2)))
+
+
+def atoms_from_quantile(q: QuantileRep) -> np.ndarray:
+    """Equal-weight atom positions (gap midpoints) for the brute-force oracle."""
+    return 0.5 * (q.nodes[:-1] + q.nodes[1:])
 
 
 @pytest.fixture
@@ -46,10 +67,8 @@ class TestW2Distance:
     def test_count_mismatch_needs_explicit_resample(self, g6):
         a = indicator_quantile(0, 1, g6, n=50)
         b = indicator_quantile(2, 3, g6, n=100)
-        with pytest.raises(ValueError, match="resample_quantile"):
+        with pytest.raises(ValueError, match="node counts differ"):
             w2_distance(a, b)
-        assert w2_distance(resample_quantile(a, b.n), b) \
-            == pytest.approx(2.0, abs=1e-3)
 
     def test_metric_axioms_random_triples(self, rng, g6):
         for _ in range(20):
@@ -66,7 +85,8 @@ class TestW2Distance:
         b = to_quantile(random_density(rng, g6), 80)
         b = QuantileRep(a.total_mass, b.nodes)
         d0 = w2_distance(a, b)
-        d1 = w2_distance(a.translated(0.35), b.translated(0.35))
+        d1 = w2_distance(QuantileRep(a.total_mass, a.nodes + 0.35),
+                         QuantileRep(b.total_mass, b.nodes + 0.35))
         assert d1 == pytest.approx(d0, abs=1e-12)
 
     def test_zero_iff_equal_nodes(self):
@@ -127,12 +147,6 @@ class TestPushforward:
         out = QuantileRep(a.total_mass, b.nodes)
         assert np.allclose(out.nodes, b.nodes)
         assert w2_distance(a, out) == pytest.approx(w2_distance(a, b), rel=1e-12)
-
-    def test_translation_composition(self, g6):
-        a = indicator_quantile(0, 1, g6)
-        s, t = 0.7, -1.3
-        out = a.translated(s).translated(t)
-        assert np.allclose(out.nodes, a.nodes + (s + t), atol=1e-12)
 
 
 class TestGeneralizedGeodesic:
@@ -210,10 +224,3 @@ class TestBruteForce:
                                      atoms_from_quantile(b),
                                      total_mass=a.total_mass)
             assert abs(d_exact - d_atoms) < 1e-2
-
-
-def test_resample_preserves_shape(g6):
-    q = indicator_quantile(0, 1, g6, n=64)
-    r = resample_quantile(q, 128)
-    assert r.n == 128
-    assert w2_distance(resample_quantile(q, r.n), r) < 5e-3
