@@ -25,12 +25,12 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in DRIVERS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", required=True, help="key=value config file")
-        p.add_argument("--out", default=None,
-                       help="output directory (default: config 'out' or './out')")
+        p.add_argument("--out", default="out",
+                       help="output directory (default: ./out)")
         p.add_argument("--plots", action="store_true",
                        help="emit self-contained SVG charts next to the tables")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers for sweep entries")
+        p.add_argument("--workers", type=int, default=1,
+                       help="parallel workers for sweep entries (default: 1)")
     return parser
 
 
@@ -38,10 +38,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
-        if args.workers is not None:
-            workers = _at_least("--workers", args.workers, 1)
-        else:
-            workers = _at_least("workers", cfg.get_int("workers", 1), 1)
+        workers = _at_least("--workers", args.workers, 1)
         report = run_experiment(cfg, kind=args.kind, workers=workers)
     except (JkoConvergenceError, PmeStabilityError, FloatingPointError,
             ZeroDivisionError) as exc:
@@ -50,7 +47,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and rejected arguments alike
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report.write(args.out or cfg.get("out", "out"), plots=args.plots)
+    report.write(args.out, plots=args.plots)
     for crit in report.criteria:
         mark = "PASS" if crit["pass"] else "FAIL"
         print(f"{mark} {crit['id']}: value={crit['value']:.6g} "

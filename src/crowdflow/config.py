@@ -20,6 +20,18 @@ class ConfigError(ValueError):
     """Malformed or missing configuration (CLI exit code 2)."""
 
 
+#: every key some experiment reads; ``potential.<name>`` keys other than
+#: these pass too, since ``potential_catalog`` rejects a parameter its kind
+#: does not read
+KEYS = frozenset({
+    "crossval.times", "eps.rate", "grid.dim", "grid.hi", "grid.lo",
+    "grid.n", "h.halvings", "heleshaw.dt", "init.boxes", "init2.boxes",
+    "jko.h", "m", "m.list", "pme.dt", "pme.eps_supp", "potential.domain",
+    "potential.kind", "quantile.n", "run.T", "run.scheme", "seed",
+    "snapshots", "threshold.final_ratio", "threshold.interior",
+    "threshold.slope", "trials"})
+
+
 def _positive(key, val):
     """``val`` if it is a positive, finite float, else a ConfigError naming
     ``key``: the check of every step size, horizon and output time."""
@@ -64,7 +76,11 @@ class ExperimentConfig:
             if "=" not in body:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, val = body.split("=", 1)
-            raw[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in KEYS and not key.startswith("potential."):
+                raise ConfigError(f"line {lineno}: key {key!r}: no "
+                                  "experiment reads it")
+            raw[key] = val.strip()
         return cls(raw)
 
     @classmethod
@@ -126,20 +142,21 @@ class ExperimentConfig:
                               f"got {vals}")
         return vals
 
-    def get_m_list(self, key="m.list", default=None):
-        val = self._lookup(key, default)
+    def get_m_list(self, default=None):
+        val = self._lookup("m.list", default)
         if val is None:
             vals = list(default)
         else:
-            vals = [_m_value(key, tok) for tok in val.split(",") if tok.strip()]
+            vals = [_m_value("m.list", tok) for tok in val.split(",")
+                    if tok.strip()]
         finite = [v for v in vals if not math.isinf(v)]
         if finite != sorted(finite):
             raise ConfigError("m.list must be sorted ascending")
         return vals
 
-    def get_m(self, key="m", default=None):
-        val = self._lookup(key, default)
-        return default if val is None else _m_value(key, val)
+    def get_m(self, default=None):
+        val = self._lookup("m", default)
+        return default if val is None else _m_value("m", val)
 
     # -- composite builders --------------------------------------------------
 

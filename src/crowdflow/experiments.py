@@ -23,7 +23,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, _at_least
 from .energy import excess_mass, free_energy
 from .heleshaw import hausdorff_distance, heleshaw_run
-from .jko import (JkoOptions, _step_count, _trajectory_steps, jko_trajectory,
+from .jko import (_step_count, _trajectory_steps, jko_trajectory,
                   verify_comparison)
 from .model import GridDensity, Patch, make_grid_density, to_quantile
 from .oracles import energy_minimizer_profile
@@ -127,15 +127,6 @@ def _quantile0(cfg, rho0, require_feasible=True):
     return q0
 
 
-def _jko_options(cfg):
-    default = JkoOptions()
-    return JkoOptions(
-        tol_grad=cfg.get_positive("jko.tol", default.tol_grad),
-        max_iterations=_at_least("jko.max_iterations",
-                                 cfg.get_int("jko.max_iterations",
-                                             default.max_iterations), 1))
-
-
 #: the default ``pme.dt``; it lands on crossval's times 0.25, 0.5 and 1
 _PME_DT = 5e-3
 
@@ -150,13 +141,13 @@ def _finite_m_list(cfg, kind):
     return m_list
 
 
-def _traj_samples(q0, m, h, phi, T, opts, n_eval):
+def _traj_samples(q0, m, h, phi, T, n_eval):
     """States of one trajectory at ``n_eval + 1`` even step indices, the
     start (index 0) first; the others are dropped as the run goes."""
     n_steps = _step_count(T, h, phi)
     idx = np.unique(np.linspace(0, n_steps, n_eval + 1).astype(int))
     keep = set(idx.tolist())
-    steps = _trajectory_steps(q0, m, h, phi, n_steps, opts)
+    steps = _trajectory_steps(q0, m, h, phi, n_steps)
     return idx, [q0] + [out.state for k, out in enumerate(steps, 1)
                         if k in keep]
 
@@ -188,11 +179,10 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     m_list = _finite_m_list(cfg, "converge-m")
     h = cfg.get_positive("jko.h", 0.01)
     T = cfg.get_positive("run.T", 1.0)
-    opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0)
-    ref = jko_trajectory(q0, math.inf, h, phi, T, opts)
+    ref = jko_trajectory(q0, math.inf, h, phi, T)
     runs = _pmap(jko_trajectory,
-                 [(q0, m, h, phi, T, opts) for m in m_list], workers)
+                 [(q0, m, h, phi, T) for m in m_list], workers)
     rows = [(m, max(w2_distance(a, b) for a, b in zip(states, ref)))
             for m, states in zip(m_list, runs)]
     report = ExperimentReport("converge-m", config_hash=cfg.hash())
@@ -218,11 +208,10 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     h0 = cfg.get_positive("jko.h", 0.04)
     halvings = _at_least("h.halvings", cfg.get_int("h.halvings", 4), 2)
     T = cfg.get_positive("run.T", 1.0)
-    opts = _jko_options(cfg)
     q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
     runs = _pmap(jko_trajectory,
-                 [(q0, m, h, phi, T, opts) for h in hs], workers)
+                 [(q0, m, h, phi, T) for h in hs], workers)
     rows = []
     for k in range(halvings):
         coarse, fine = runs[k], runs[k + 1]
@@ -254,7 +243,6 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     m_list = cfg.get_m_list(default=(10.0, math.inf))
     h = cfg.get_positive("jko.h", 1e-3)
     T = cfg.get_positive("run.T", 5.0)
-    opts = _jko_options(cfg)
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
     q0 = _quantile0(cfg, rho0)
@@ -262,7 +250,7 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     q02 = to_quantile(rho02, q0.n)
 
     report = ExperimentReport("longtime", config_hash=cfg.hash())
-    runs = _pmap(_traj_samples, [(q, m, h, phi, T, opts, n_eval)
+    runs = _pmap(_traj_samples, [(q, m, h, phi, T, n_eval)
                                  for m in m_list for q in (q0, q02)], workers)
     rows = []
     for m, (idx, states), (_, states2) in zip(m_list, runs[::2], runs[1::2]):
@@ -280,11 +268,10 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
             decay_ok &= dt_val <= bound + 1e-12
             contract_ok &= ct_val <= cbound + 1e-12
             rows.append((m, t, dt_val, bound, ct_val, cbound))
-        tag = "inf" if math.isinf(m) else f"{m:g}"
-        report.add_criterion(f"longtime.decay.m={tag}",
+        report.add_criterion(f"longtime.decay.m={m:g}",
                              max(r[2] / max(r[3], 1e-300) for r in rows
                                  if r[0] == m), 1.0, decay_ok)
-        report.add_criterion(f"longtime.contraction.m={tag}",
+        report.add_criterion(f"longtime.contraction.m={m:g}",
                              max(r[4] / max(r[5], 1e-300) for r in rows
                                  if r[0] == m), 1.0, contract_ok)
     report.tables["longtime"] = (
@@ -302,7 +289,6 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     h = cfg.get_positive("jko.h", 0.01)
     n_q = _at_least("quantile.n", cfg.get_int("quantile.n", 200), 2)
     seed = _at_least("seed", cfg.get_int("seed", 0), 0)
-    opts = _jko_options(cfg)
     rng = np.random.default_rng(seed)
     rows = []
     worst = 0.0
@@ -312,12 +298,10 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         big = _random_upper(rng, grid, span)
         small = _random_restriction(rng, big, grid)
         for m in m_list:
-            rep = verify_comparison(small, big, m, h, phi, n_quantile=n_q,
-                                    opts=opts)
+            rep = verify_comparison(small, big, m, h, phi, n_quantile=n_q)
             worst = max(worst, rep.max_violation)
             all_ok &= rep.passed
-            tag = "inf" if math.isinf(m) else f"{m:g}"
-            rows.append((trial, tag, rep.max_violation, rep.eps_cmp,
+            rows.append((trial, f"{m:g}", rep.max_violation, rep.eps_cmp,
                          int(rep.passed)))
     report = ExperimentReport("compare", config_hash=cfg.hash())
     report.tables["compare"] = (
@@ -420,7 +404,7 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
         m = cfg.get_m(default=math.inf)
         h = cfg.get_positive("jko.h", 0.01)
         q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
-        states = jko_trajectory(q0, m, h, phi, T, _jko_options(cfg))
+        states = jko_trajectory(q0, m, h, phi, T)
         rows = []
         for k, q in enumerate(states):
             rep = free_energy(q, m, phi)

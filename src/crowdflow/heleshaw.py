@@ -19,7 +19,7 @@ import numpy as np
 
 from numpy.polynomial import polynomial as npoly
 
-from .model import Patch, _snapshot_schedule
+from .model import Patch, _check_positive, _snapshot_schedule
 from .potentials import Potential, _horner
 
 
@@ -146,9 +146,7 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
     """
     if not patch0.intervals:
         raise ValueError("cannot evolve an empty patch")
-    if not 0 < dt < math.inf:  # NaN fails too
-        raise ValueError(f"time step must be positive and finite, got "
-                         f"dt = {dt}")
+    _check_positive("time step", "dt", dt)
     schedule = _snapshot_schedule(T, snapshot_times)
     if patch0.dim == 1 and not phi.positive_laplacian:
         # the quasi-static law needs a strictly subharmonic potential on

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _check_domain
-from .model import GridDensity, GridSpec, QuantileRep, to_grid, to_quantile
+from .model import (GridDensity, GridSpec, QuantileRep, _check_positive,
+                    to_grid, to_quantile)
 from .potentials import Potential, gl_points
 
 
@@ -66,27 +67,23 @@ class JkoStepResult:
 # isotonic projection
 # ---------------------------------------------------------------------------
 
-def pav_nondecreasing(y, weights=None):
-    """Weighted least-squares projection onto nondecreasing vectors.
+def pav_nondecreasing(y):
+    """Least-squares projection onto nondecreasing vectors.
 
-    Classic pool-adjacent-violators: amortized O(n).  The pooling stack
-    holds Python floats: the same double arithmetic as numpy scalars,
-    without their per-element indexing cost.
+    Classic pool-adjacent-violators: amortized O(n).  A pooled block's
+    weight is its entry count.  The pooling stack holds Python floats: the
+    same double arithmetic as numpy scalars, without their per-element
+    indexing cost.
     """
-    y = np.asarray(y, dtype=float)
-    w = [1.0] * y.size if weights is None \
-        else np.asarray(weights, dtype=float).tolist()
-    means, wsum, count = [], [], []
-    for mean, ws in zip(y.tolist(), w, strict=True):
+    means, count = [], []
+    for mean in np.asarray(y, dtype=float).tolist():
         c = 1
         while means and means[-1] > mean:
-            prev_ws = wsum.pop()
-            tot = prev_ws + ws
-            mean = (prev_ws * means.pop() + ws * mean) / tot
-            ws = tot
-            c += count.pop()
+            prev_c = count.pop()
+            tot = prev_c + c
+            mean = (prev_c * means.pop() + c * mean) / tot
+            c = tot
         means.append(mean)
-        wsum.append(ws)
         count.append(c)
     return np.repeat(means, count)
 
@@ -218,9 +215,7 @@ def _solve_1x1(hd, ho, rhs):
 # ---------------------------------------------------------------------------
 
 def _step_guard(h, phi):
-    if not 0 < h < math.inf:  # NaN fails too
-        raise ValueError(f"time step must be positive and finite, "
-                         f"got h = {h}")
+    _check_positive("time step", "h", h)
     lam_neg = max(0.0, -phi.lam)
     if lam_neg > 0.0 and h >= 1.0 / (2.0 * lam_neg):
         raise ValueError(f"h = {h} outside the admissible range "
@@ -471,20 +466,20 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
 
 def _step_count(T, h, phi):
     """Number of steps of size ``h`` to horizon ``T``, after checking both."""
-    if not 0 < T < math.inf:  # NaN fails too
-        raise ValueError(f"horizon must be positive and finite, got T = {T}")
+    _check_positive("horizon", "T", T)
     _step_guard(h, phi)
     return int(math.ceil(T / h - 1e-12))
 
 
-def _trajectory_steps(rho0, m, h, phi, n_steps, opts=None):
+def _trajectory_steps(rho0, m, h, phi, n_steps):
     """The ``n_steps`` steps of a trajectory from ``rho0``, yielded one
     ``JkoStepResult`` at a time, so a caller keeps only what it reads.
 
     Each step after the first takes the previous step's displacement as
-    its ``predictor``.  Steps go through the module's public ``jko_step``.
+    its ``predictor``.  Steps go through the module's public ``jko_step``,
+    with the default options.
     """
-    opts = opts or JkoOptions()
+    opts = JkoOptions()
     cur, move = rho0, None
     for _ in range(n_steps):
         out = jko_step(cur, m, h, phi, opts, move)
@@ -493,13 +488,12 @@ def _trajectory_steps(rho0, m, h, phi, n_steps, opts=None):
         yield out
 
 
-def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float,
-                   opts: JkoOptions | None = None):
+def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float):
     """Piecewise-constant-in-time trajectory to horizon ``T``: the list of
     states, the initial state included.  Each step after the first takes
     the previous step's displacement as its ``predictor``.
     """
-    steps = _trajectory_steps(rho0, m, h, phi, _step_count(T, h, phi), opts)
+    steps = _trajectory_steps(rho0, m, h, phi, _step_count(T, h, phi))
     return [rho0] + [out.state for out in steps]
 
 
@@ -511,8 +505,7 @@ class ComparisonReport:
 
 
 def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
-                      phi: Potential, n_quantile: int = 200,
-                      opts: JkoOptions | None = None) -> ComparisonReport:
+                      phi: Potential, n_quantile: int = 200) -> ComparisonReport:
     """Order preservation of one step from ordered grid densities.
 
     Both densities are represented with a shared cell mass ``w`` (so the
@@ -547,9 +540,8 @@ def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
     q1 = to_quantile(rho01.with_values(rho01.values * scale1), n1)
     q2 = to_quantile(rho02, n_quantile)
 
-    opts = opts or JkoOptions()
-    out1 = jko_step(q1, m, h, phi, opts)
-    out2 = jko_step(q2, m, h, phi, opts)
+    out1 = jko_step(q1, m, h, phi)
+    out2 = jko_step(q2, m, h, phi)
 
     pad = 2.0 * max(q1.w, q2.w) + h * (phi.grad_sup() + 1.0)
     lo = min(out1.state.nodes[0], out2.state.nodes[0]) - pad

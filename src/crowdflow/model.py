@@ -23,12 +23,19 @@ def _ball_volume(d):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def _check_positive(what, name, val):
+    """Raise a ValueError unless ``val`` is positive and finite: the
+    library's check of every step size and horizon."""
+    if not 0 < val < math.inf:  # NaN fails too
+        raise ValueError(f"{what} must be positive and finite, got "
+                         f"{name} = {val}")
+
+
 def _snapshot_schedule(T, snapshot_times):
     """Output times of a run to ``T``: the requested floats in ``(0, T]``
     (strictly increasing; 16 even times by default), then ``T`` if missing.
     ``T`` must be positive and finite."""
-    if not 0 < T < math.inf:  # NaN fails too
-        raise ValueError(f"horizon must be positive and finite, got T = {T}")
+    _check_positive("horizon", "T", T)
     if snapshot_times is None:
         snapshot_times = np.linspace(0.0, T, 17)[1:]
     times = [float(s) for s in snapshot_times]
@@ -137,9 +144,10 @@ class GridDensity:
     def centers(self):
         return self.grid.centers
 
-    def support_extent(self, eps=EPS_SUPP):
-        """Leftmost and rightmost cell edges where the density exceeds eps."""
-        idx = np.flatnonzero(self.values > eps)
+    def support_extent(self):
+        """Leftmost and rightmost cell edges where the density exceeds
+        ``EPS_SUPP``."""
+        idx = np.flatnonzero(self.values > EPS_SUPP)
         if idx.size == 0:
             return (math.nan, math.nan)
         e = self.grid.edges

@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .model import EPS_SUPP, GridDensity, GridSpec, Patch, _snapshot_schedule
+from .model import (EPS_SUPP, GridDensity, GridSpec, Patch, _check_positive,
+                    _snapshot_schedule)
 from .potentials import Potential
 
 
@@ -45,12 +46,6 @@ def _check_exponent(m):
         raise ValueError(f"diffusion exponent must satisfy 1 < m < inf, got "
                          f"m = {m}; m = inf is the hard constraint of the "
                          "jko scheme")
-
-
-def _check_step(dt):
-    if not 0 < dt < math.inf:  # NaN fails too
-        raise ValueError(f"time step must be positive and finite, got "
-                         f"dt = {dt}")
 
 
 def stable_dt(rho: GridDensity, m: float, phi: Potential) -> float:
@@ -192,7 +187,7 @@ def pme_step(rho: GridDensity, m: float, phi: Potential,
              dt: float) -> GridDensity:
     """One backward-Euler step of ``dt``, halved as often as it must be."""
     _check_exponent(m)
-    _check_step(dt)
+    _check_positive("time step", "dt", dt)
     return rho.with_values(_Stencil(rho.grid, phi).step(rho.values, m, dt))
 
 
@@ -209,7 +204,7 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
     same update as ``pme_step``.
     """
     _check_exponent(m)
-    _check_step(dt)
+    _check_positive("time step", "dt", dt)
     schedule = _snapshot_schedule(T, snapshot_times)
     stencil = _Stencil(rho0.grid, phi)
     v = rho0.values

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -13,7 +14,6 @@ import crowdflow
 from crowdflow.cli import build_parser, main
 from crowdflow.config import ConfigError, ExperimentConfig
 from crowdflow.experiments import run_experiment, write_csv
-from crowdflow.jko import JkoConvergenceError
 from crowdflow.svgplot import line_chart
 
 BASE = """
@@ -38,8 +38,8 @@ def cfg_file(tmp_path, extra="", name="cfg.txt"):
 class TestConfig:
     def test_parse_roundtrip(self):
         cfg = ExperimentConfig.from_text(
-            "a.b = 1.5\n# comment\nm.list = 4,8,inf\n")
-        assert cfg.get_float("a.b") == 1.5
+            "jko.h = 1.5\n# comment\nm.list = 4,8,inf\n")
+        assert cfg.get_float("jko.h") == 1.5
         assert cfg.get_m_list() == [4.0, 8.0, math.inf]
         assert ExperimentConfig({"m": " Infinity "}).get_m() == math.inf
 
@@ -88,9 +88,7 @@ class TestConfig:
     # integer" (seed), "need at least two quantile cells", "mass ratio too
     # extreme", "converge-h needs at least two halvings", "support
     # threshold must be positive" and "Hausdorff distance needs nonempty
-    # patches" (eps_supp); a negative worker count ran serially, exit 0.
-    # jko.tol = inf once passed every verdict with a run that never moved;
-    # jko.tol = 0 and the m rows exited 2 without naming the key
+    # patches" (eps_supp).  The m rows exited 2 without naming the key
     @pytest.mark.parametrize("kind, extra, key, bads", [
         ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
          ("0", "-0.01", "nan", "inf")),
@@ -113,15 +111,10 @@ class TestConfig:
         ("single-run", "quantile.n = {}\n", "quantile.n", ("1", "-5")),
         ("compare", "trials = 1\nquantile.n = {}\n", "quantile.n", ("1",)),
         ("converge-h", "h.halvings = {}\n", "h.halvings", ("1", "0")),
-        ("single-run", "workers = {}\n", "workers", ("-3", "0")),
-        ("single-run", "jko.max_iterations = {}\n", "jko.max_iterations",
-         ("0",)),
         ("single-run", "grid.n = {}\n", "grid.n", ("0", "-600")),
         ("single-run", "grid.dim = {}\n", "grid.dim", ("0", "-1")),
         ("crossval", "m.list = 4,8\npme.eps_supp = {}\n", "pme.eps_supp",
          ("0", "2", "1", "-0.25", "nan")),
-        ("single-run", "m = 10\njko.tol = {}\n", "jko.tol",
-         ("inf", "0", "-1e-9", "nan")),
         ("single-run", "m = {}\n", "m", ("1", "0.5", "nan", "-inf")),
         ("single-run", "run.scheme = pme\nm = {}\n", "m", ("1",)),
         ("converge-m", "m.list = {}\n", "m.list", ("1,4,8", "nan,4")),
@@ -131,9 +124,8 @@ class TestConfig:
             "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
             "crossval-heleshaw.dt", "crossval-times", "crossval-m.list",
             "compare-trials", "compare-seed", "jko-quantile.n",
-            "compare-quantile.n", "converge-h-h.halvings", "workers",
-            "jko-max_iterations", "grid.n", "grid.dim",
-            "crossval-pme.eps_supp", "jko-jko.tol", "jko-m", "pme-m",
+            "compare-quantile.n", "converge-h-h.halvings", "grid.n",
+            "grid.dim", "crossval-pme.eps_supp", "jko-m", "pme-m",
             "converge-m-m.list", "longtime-m.list"])
     def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
                                           extra, key, bads):
@@ -190,6 +182,21 @@ class TestConfig:
         cfg = ExperimentConfig.from_text(BASE + "potential.qq = 5\n")
         with pytest.raises(ConfigError, match="'qq'"):
             cfg.potential()
+
+    @pytest.mark.parametrize("line", [
+        "workers = 2", "out = elsewhere", "jko.tol = 1e-9",
+        "jko.max_iterations = 50", "jko.hh = 0.5"],
+        ids=["workers", "out", "jko.tol", "jko.max_iterations", "misspelt"])
+    def test_key_no_experiment_reads_names_itself(self, tmp_path, capsys,
+                                                  line):
+        # retired keys and typos were once ignored: exit 0 on the defaults
+        out = tmp_path / "never"
+        key = line.split(" = ")[0]
+        assert main(["single-run", "--config", cfg_file(tmp_path, line + "\n"),
+                     "--out", str(out)]) == 2
+        assert f"key {key!r}: no experiment reads it" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_experiment_kind(self):
         with pytest.raises(ConfigError):
@@ -305,9 +312,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["does-not-exist", "--config", "c.txt"])
 
-    def test_numerical_failure_exit_3(self, tmp_path):
-        cfgp = cfg_file(tmp_path,
-                        "m = 7\njko.max_iterations = 2\njko.tol = 1e-13\n")
+    def test_numerical_failure_exit_3(self, tmp_path, monkeypatch):
+        # a budget of two Newton steps cannot reach a 1e-13 residual
+        monkeypatch.setattr(crowdflow.jko, "JkoOptions", functools.partial(
+            crowdflow.jko.JkoOptions, tol_grad=1e-13, max_iterations=2))
+        cfgp = cfg_file(tmp_path, "m = 7\n")
         out = str(tmp_path / "nf")
         assert main(["single-run", "--config", cfgp, "--out", out]) == 3
         assert not os.path.exists(os.path.join(out, "report.json"))
@@ -373,18 +382,6 @@ class TestDrivers:
         assert rep.all_passed
         header, rows = rep.tables["compare"]
         assert len(rows) == 6
-
-    def test_compare_honours_jko_options(self):
-        # the compare sweep steps with the configured solver options: a
-        # one-iteration budget cannot reach the default KKT tolerance
-        text = ("potential.kind = quadratic\npotential.q = 1.0\n"
-                "grid.lo = -4\ngrid.hi = 4\ngrid.n = 800\ntrials = 1\n"
-                "m.list = 5\njko.h = 0.01\nquantile.n = 200\nseed = 11\n")
-        assert run_experiment(ExperimentConfig.from_text(text),
-                              kind="compare").all_passed
-        cfg = ExperimentConfig.from_text(text + "jko.max_iterations = 1\n")
-        with pytest.raises(JkoConvergenceError):
-            run_experiment(cfg, kind="compare")
 
     def test_longtime_requires_its_second_start(self, tmp_path, capsys):
         out = str(tmp_path / "never")

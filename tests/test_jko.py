@@ -93,31 +93,28 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_spacing(np.array([0.0, 1.0]), -0.1)
 
-    def test_weighted_pav_matches_brute_force(self, rng):
+    def test_pav_matches_brute_force(self, rng):
         for _ in range(40):
             n = int(rng.integers(1, 7))
             y = rng.normal(0.0, 1.0, n)
-            wts = rng.uniform(0.1, 5.0, n)
-            ours = pav_nondecreasing(y, wts)
-            assert np.max(np.abs(ours - _weighted_isotonic_oracle(y, wts))) \
-                < 1e-12
+            ours = pav_nondecreasing(y)
+            assert np.max(np.abs(ours - _isotonic_oracle(y))) < 1e-12
 
 
-def _weighted_isotonic_oracle(y, wts):
-    """Weighted isotonic regression by enumerating consecutive blocks.
+def _isotonic_oracle(y):
+    """Isotonic regression by enumerating consecutive blocks.
 
-    The projection is constant, at the block's weighted mean, on blocks of
+    The projection is constant, at the block's mean, on blocks of
     consecutive entries; among all block partitions whose means increase,
-    it is the one with the least weighted squared error.
+    it is the one with the least squared error.
     """
     best = None
     for cuts in itertools.product([False, True], repeat=y.size - 1):
         ids = np.concatenate([[0], np.cumsum(cuts, dtype=int)])
-        means = np.array([np.average(y[ids == b], weights=wts[ids == b])
-                          for b in range(ids[-1] + 1)])
+        means = np.array([y[ids == b].mean() for b in range(ids[-1] + 1)])
         if np.any(np.diff(means) < 0.0):
             continue
-        cost = float(np.sum(wts * (means[ids] - y) ** 2))
+        cost = float(np.sum((means[ids] - y) ** 2))
         if best is None or cost < best[0]:
             best = (cost, means[ids])
     return best[1]
@@ -768,7 +765,7 @@ class TestTrajectory:
         # start inside the stationary patch of a larger mass: stays inside
         q0 = indicator_quantile(1.0, 2.0, g6, n=80)
         big = stationary_profile(math.inf, quad_phi, 4.2, g6)
-        lo, hi = big.support_extent(1e-6)
+        lo, hi = big.support_extent()
         assert lo <= 1.0 and hi >= 2.0
         states = jko_trajectory(q0, math.inf, 0.01, quad_phi, 2.0)
         for s in states:
@@ -826,8 +823,8 @@ class TestTrajectory:
                                   (energy, "potential_energy"),
                                   (transport, "w2_cost_squared")):
                     mp.setattr(mod, name, counted(name, getattr(mod, name)))
-                idx, sampled = experiments._traj_samples(
-                    q0, m, h, phi, T, None, 16)
+                idx, sampled = experiments._traj_samples(q0, m, h, phi, T,
+                                                         16)
             assert calls == []
             assert idx.tolist() == np.unique(
                 np.linspace(0, 50, 17).astype(int)).tolist()
@@ -848,8 +845,8 @@ class TestTrajectory:
 
         monkeypatch.setattr(jko, "jko_step", counted)
         runs = (lambda m: jko_trajectory(q0, m, 0.02, phi, 1.0),
-                lambda m: experiments._traj_samples(
-                    q0, m, 0.02, phi, 1.0, None, 16))
+                lambda m: experiments._traj_samples(q0, m, 0.02, phi, 1.0,
+                                                    16))
         for m, at in ((10.0, 13), (math.inf, 21)):
             for run in runs:
                 steps.clear()

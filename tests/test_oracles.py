@@ -66,7 +66,7 @@ class TestStationaryProfiles:
     def test_hard_constraint_profile_is_centered_unit_patch(self, quad_phi):
         g = GridSpec(-2, 2, 1000)
         rho = stationary_profile(math.inf, quad_phi, 1.0, g)
-        lo, hi = rho.support_extent(1e-6)
+        lo, hi = rho.support_extent()
         assert lo == pytest.approx(-0.5, abs=g.dx)
         assert hi == pytest.approx(0.5, abs=g.dx)
         assert rho.mass == pytest.approx(1.0, rel=1e-10)

@@ -1,11 +1,13 @@
-"""The package's surface: what the benchmark binds by name, and no import
-that a module never uses."""
+"""The package's surface: what the benchmark binds by name, no import that
+a module never uses, and no config key that is read but not registered, or
+registered but never read."""
 
 import ast
 import importlib.util
 from pathlib import Path
 
 import crowdflow.experiments  # noqa: F401  (loads every module the tracer binds)
+from crowdflow.config import KEYS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "crowdflow"
@@ -57,3 +59,48 @@ def test_unused_import_check_sees_a_dead_import():
            "from dataclasses import dataclass, field\nimport numpy as np\n"
            "x: np.ndarray = field()\n")
     assert _unused_imports(src) == [(2, "math"), (3, "dataclass")]
+
+
+_GETTERS = {name for name, val in vars(ExperimentConfig).items()
+            if callable(val)}
+
+
+def _config_keys_read(source):
+    """Key literals a module reads from a config: the first argument of an
+    ``ExperimentConfig`` method called on ``cfg`` or ``self``, and the
+    string default of a ``key`` parameter."""
+    keys = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _GETTERS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("cfg", "self")
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            keys.add(node.args[0].value)
+        elif isinstance(node, ast.FunctionDef):
+            params = node.args.args[len(node.args.args)
+                                    - len(node.args.defaults):]
+            keys.update(d.value for a, d in zip(params, node.args.defaults)
+                        if a.arg == "key" and isinstance(d, ast.Constant))
+    return keys
+
+
+def test_config_registry_holds_exactly_the_keys_read():
+    # a key read but not registered fails every config that sets it; a key
+    # registered but never read lets a config set it to no effect
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        read |= _config_keys_read(path.read_text(encoding="utf-8"))
+    assert sorted(read - KEYS) == []
+    assert sorted(KEYS - read) == []
+
+
+def test_config_key_scan_sees_reads_and_defaults():
+    src = ("def f(cfg, params):\n"
+           "    cfg.get_float('jko.h', 0.01)\n    params.get('q')\n"
+           "    cfg.get_m_list(default=(4.0,))\n"
+           "def boxes(self, key='init.boxes', other='x'):\n"
+           "    return self._lookup(key, None)\n")
+    assert _config_keys_read(src) == {"jko.h", "init.boxes"}
