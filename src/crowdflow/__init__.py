@@ -16,7 +16,7 @@ from .model import (GridDensity, GridSpec, Patch, QuantileRep,
                     make_grid_density, to_grid, to_quantile)
 from .oracles import (barenblatt, barenblatt_halfwidth,
                       energy_minimizer_profile, quadratic_interval_flow,
-                      stationary_patch, stationary_profile)
+                      stationary_patch)
 from .pme import (PmeStabilityError, pme_run, pme_step, pressure, stable_dt,
                   support_set)
 from .potentials import Potential, potential_catalog
@@ -32,7 +32,7 @@ __all__ = [
     "GridDensity", "GridSpec", "Patch", "QuantileRep",
     "make_grid_density", "to_grid", "to_quantile",
     "barenblatt", "barenblatt_halfwidth", "energy_minimizer_profile",
-    "quadratic_interval_flow", "stationary_patch", "stationary_profile",
+    "quadratic_interval_flow", "stationary_patch",
     "PmeStabilityError", "pme_run", "pme_step", "pressure",
     "stable_dt", "support_set",
     "Potential", "potential_catalog",

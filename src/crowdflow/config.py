@@ -28,8 +28,7 @@ KEYS = frozenset({
     "grid.n", "h.halvings", "heleshaw.dt", "init.boxes", "init2.boxes",
     "jko.h", "m", "m.list", "pme.dt", "pme.eps_supp", "potential.domain",
     "potential.kind", "quantile.n", "run.T", "run.scheme", "seed",
-    "snapshots", "threshold.final_ratio", "threshold.interior",
-    "threshold.slope", "trials"})
+    "snapshots", "threshold.interior", "trials"})
 
 
 def _positive(key, val):

@@ -1,7 +1,11 @@
 """Free energy functionals: power-law internal energy plus drift potential.
 
-The congestion parameter ``m`` ranges over (1, inf]; ``math.inf`` selects
-the hard-constraint functional whose internal part is 0 on densities
+The free energy is ``int rho^m / (m-1) + rho Phi``, the energy whose
+Wasserstein gradient flow is ``rho_t = lap(rho^m) + div(rho grad Phi)``
+(Otto, Comm. PDE 26, 2001): the minimizing-movement scheme descends it,
+and the drift-diffusion solver integrates its flow.  The congestion
+parameter ``m`` ranges over (1, inf]; ``math.inf`` selects the
+hard-constraint functional whose internal part is 0 on densities
 bounded by one and +inf otherwise.  Quantile-side formulas are exact for
 the piecewise-constant density the representation carries, which keeps
 them consistent with the minimizing-movement objective to round-off.
@@ -33,10 +37,20 @@ class EnergyReport:
         return self.internal + self.potential
 
 
+def gap_energy(w, gaps, m) -> float:
+    """Internal energy of a quantile density with cell mass ``w``:
+    ``sum w (w/gap)^(m-1) / (m-1)``, the integral of ``rho^m / (m-1)``
+    over the gaps.  Its derivative in a gap is ``-(w/gap)^m``, its second
+    derivative ``m (w/gap)^(m+1) / w``.  A gap power that overflows gives
+    +inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(w * ((w / gaps) ** (m - 1.0)).sum() / (m - 1.0))
+
+
 def internal_energy(rho, m) -> float:
     """Power-law internal energy, or the 0/+inf congestion sentinel.
 
-    Finite m: integral of ``rho^m / m``.  m = inf: 0 when the density
+    Finite m: integral of ``rho^m / (m-1)``.  m = inf: 0 when the density
     stays below ``1 + EPS_FEAS``, +inf otherwise.
     """
     if not m > 1:
@@ -47,12 +61,11 @@ def internal_energy(rho, m) -> float:
         gaps = rho.gaps
         if (gaps <= 0.0).any():
             return math.inf
-        w = rho.w
-        return float((w * (w / gaps) ** (m - 1.0)).sum() / m)
+        return gap_energy(rho.w, gaps, m)
     if math.isinf(m):
         return 0.0 if float(np.max(rho.values)) <= 1.0 + EPS_FEAS else math.inf
     meas = rho.grid.cell_measures
-    return float(np.dot(rho.values ** m, meas) / m)
+    return float(np.dot(rho.values ** m, meas) / (m - 1.0))
 
 
 def potential_energy(rho, phi: Potential) -> float:

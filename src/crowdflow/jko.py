@@ -5,19 +5,19 @@ One step from nodes ``Y`` minimizes, over monotone node vectors ``X``,
     F(X) = S_m(X) + P(X) + W2^2(X, Y) / (2h),
 
 where all three terms are evaluated exactly for the piecewise-constant
-density the nodes represent: the internal energy is a sum of gap powers,
-the potential energy uses exact per-gap averages, and the movement
-limiter is the exact inverse-CDF quadratic form.  For finite m the gap
-powers act as a barrier and the problem is smooth and unconstrained; it
-is solved by damped Newton whose state tracks the gaps and displacements
-next to the nodes, so every accepted step meets ``tol_grad``, and
-``JkoStepResult.iterations`` counts the Newton steps taken.  For m = inf
-the internal energy vanishes and the congestion cap becomes the gap
-constraint ``gap_j >= w``, handled by primal-dual active-set sweeps:
-active gaps pool consecutive nodes into rigid blocks, each sweep takes
-one Newton step on the blocks and then adds every violated gap or
-releases every gap with a negative multiplier, and ``iterations`` counts
-sweeps.
+density the nodes represent: the internal energy ``int rho^m / (m-1)``
+is the sum of gap powers ``energy.gap_energy``, the potential energy uses
+exact per-gap averages, and the movement limiter is the exact inverse-CDF
+quadratic form.  For finite m the gap powers act as a barrier and the
+problem is smooth and unconstrained; it is solved by damped Newton whose
+state tracks the gaps and displacements next to the nodes, so every
+accepted step meets ``tol_grad``, and ``JkoStepResult.iterations`` counts
+the Newton steps taken.  For m = inf the internal energy vanishes and
+the congestion cap becomes the gap constraint ``gap_j >= w``, handled by
+primal-dual active-set sweeps: active gaps pool consecutive nodes into
+rigid blocks, each sweep takes one Newton step on the blocks and then
+adds every violated gap or releases every gap with a negative
+multiplier, and ``iterations`` counts sweeps.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _check_domain
+from .energy import _check_domain, gap_energy
 from .model import (GridDensity, GridSpec, QuantileRep, _check_positive,
                     to_grid, to_quantile)
 from .potentials import Potential, gl_points
@@ -131,8 +131,7 @@ def _objective(state, w, m, phi, h):
     val = w * phi.avg(pts).sum()
     val += _movement_value(d, w) / (2.0 * h)
     if not math.isinf(m):
-        with np.errstate(over="ignore"):
-            val += (w / m) * ((w / gaps) ** (m - 1.0)).sum()
+        val += gap_energy(w, gaps, m)
     return float(val)
 
 
@@ -146,7 +145,7 @@ def _gradient(state, w, m, phi, h):
     if not math.isinf(m):
         dens = w / gaps
         with np.errstate(over="ignore"):
-            sp = -((m - 1.0) / m) * dens ** m
+            sp = -dens ** m
         g[:-1] -= sp
         g[1:] += sp
     return g
@@ -168,7 +167,7 @@ def _hessian(state, w, m, phi, h):
     if not math.isinf(m):
         dens = w / gaps
         with np.errstate(over="ignore"):
-            spp = (m - 1.0) * dens ** (m + 1.0) / w
+            spp = m * dens ** (m + 1.0) / w
         hd[:-1] += spp
         hd[1:] += spp
         ho -= spp

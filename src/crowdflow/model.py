@@ -247,13 +247,8 @@ class Patch:
 
     def indicator(self, grid: GridSpec) -> GridDensity:
         """Cell-averaged indicator of the patch on the given grid."""
-        e = grid.edges
-        vals = np.zeros(grid.n_cells)
-        for a, b in self.intervals:
-            lo = np.clip(e[:-1], a, b)
-            hi = np.clip(e[1:], a, b)
-            vals += (hi - lo) / grid.dx
-        return GridDensity(grid, vals)
+        return make_grid_density(
+            {"boxes": [(a, b, 1.0) for a, b in self.intervals]}, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +258,14 @@ class Patch:
 def make_grid_density(shape_spec, grid_spec: GridSpec) -> GridDensity:
     """Cell-average a sum of boxes onto a grid.
 
-    ``shape_spec`` is ``{"boxes": [(a, b, height), ...]}`` with an optional
-    ``"normalize": M`` rescaling the result to total mass ``M``.  Boxes are
-    cell-averaged exactly, so partially covered boundary cells carry the
-    correct fraction and the total mass is exact in 1D.
+    ``shape_spec`` is ``{"boxes": [(a, b, height), ...]}``; in radial mode
+    a box is the shell ``a <= r <= b``.  Boxes are averaged exactly over
+    each cell's measure, so partially covered boundary cells carry the
+    correct fraction and the total mass is exact.
     """
     boxes = shape_spec.get("boxes", ())
-    normalize = shape_spec.get("normalize", None)
-    if normalize is not None and normalize <= 0.0:
-        raise ValueError("requested mass must be positive")
     e = grid_spec.edges
+    d = grid_spec.dim
     # a box edge on a grid edge that linspace rounded leaves a covered
     # length of a few ulps in the cell beside it; that cell holds no mass,
     # and counting it would put the support one cell out
@@ -283,14 +276,13 @@ def make_grid_density(shape_spec, grid_spec: GridSpec) -> GridDensity:
             raise ValueError("box must have positive length")
         if a < grid_spec.x_lo - 1e-12 or b > grid_spec.x_hi + 1e-12:
             raise ValueError("grid does not cover the requested shape")
-        covered = np.clip(e[1:], a, b) - np.clip(e[:-1], a, b)
-        covered[covered <= sliver] = 0.0
-        vals += h * covered / grid_spec.dx
+        lo, hi = np.clip(e[:-1], a, b), np.clip(e[1:], a, b)
+        covered = hi - lo if d == 1 else _ball_volume(d) * (hi ** d - lo ** d)
+        covered[hi - lo <= sliver] = 0.0
+        vals += h * covered / grid_spec.cell_measures
     rho = GridDensity(grid_spec, vals)
     if rho.mass <= 0.0:
         raise ValueError("shape has empty support")
-    if normalize is not None:
-        rho = rho.with_values(vals * (normalize / rho.mass))
     return rho
 
 

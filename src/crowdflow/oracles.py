@@ -1,8 +1,8 @@
 """Closed-form reference solutions used as independent ground truth.
 
 Self-similar source solutions of the plain porous medium equation, the
-stationary profiles of the penalized and hard-congestion free energies,
-and the exact interval flow under a quadratic drift.
+rest state of the penalized and hard-congestion free energies, and the
+exact interval flow under a quadratic drift.
 """
 
 from __future__ import annotations
@@ -39,24 +39,32 @@ def barenblatt_halfwidth(t, tau, C, m, d=1):
     return math.sqrt(C / (lam / 2.0)) * (t + tau) ** lam
 
 
-def _power_profile(phi: Potential, m: float, C: float, grid: GridSpec,
-                   factor: float) -> np.ndarray:
-    vals = np.maximum(C - phi.value(grid.centers), 0.0)
-    return (factor * vals) ** (1.0 / (m - 1.0))
+def energy_minimizer_profile(m: float, phi: Potential, mass: float,
+                             grid: GridSpec) -> GridDensity:
+    """Minimizer of the free energy ``int rho^m/(m-1) + rho Phi`` at fixed
+    mass, on a grid: the rest state of both the minimizing-movement flow
+    and the drift-diffusion equation.
 
-
-def _level_profile(m: float, phi: Potential, mass: float, grid: GridSpec,
-                   factor: float) -> GridDensity:
-    """Profile ``(factor (C - Phi)+)^(1/(m-1))`` with C fixed by the mass."""
+    Finite m: ``((m-1)/m (C - Phi)+)^(1/(m-1))``, the Euler-Lagrange level
+    set ``m/(m-1) rho^(m-1) + Phi = C`` on the support, where the diffusive
+    and drift fluxes cancel pointwise; the level C is found by bisection
+    until the grid mass matches to 1e-12 relative.  m = inf: the indicator
+    of the sublevel set ``{Phi <= C}`` with volume equal to the mass,
+    cell-averaged (fractional boundary cells).
+    """
     if mass <= 0:
         raise ValueError("mass must be positive")
     if math.isinf(m):
         patch = stationary_patch(phi, mass, (grid.x_lo, grid.x_hi))
         return patch.indicator(grid)
-    meas = grid.cell_measures
+    phi_c = phi.value(grid.centers)
+
+    def profile(c):
+        lift = np.maximum(c - phi_c, 0.0)
+        return ((m - 1.0) / m * lift) ** (1.0 / (m - 1.0))
 
     def mass_at(c):
-        return float(np.dot(_power_profile(phi, m, c, grid, factor), meas))
+        return float(np.dot(profile(c), grid.cell_measures))
 
     c_hi = float(max(phi.value(grid.x_lo), phi.value(grid.x_hi)))
     if mass_at(c_hi) < mass:
@@ -70,38 +78,9 @@ def _level_profile(m: float, phi: Potential, mass: float, grid: GridSpec,
             c_hi = c_mid
         if abs(mass_at(c_hi) - mass) <= 1e-12 * mass:
             break
-    rho = GridDensity(grid, _power_profile(phi, m, c_hi, grid, factor))
+    rho = GridDensity(grid, profile(c_hi))
     # snap the level's residual quadrature error onto the amplitude
     return rho.with_values(rho.values * (mass / rho.mass))
-
-
-def stationary_profile(m: float, phi: Potential, mass: float,
-                       grid: GridSpec) -> GridDensity:
-    """Stationary state of the drift-diffusion equation, on a grid.
-
-    Finite m: ``((m-1)/m (C - Phi)+)^(1/(m-1))`` with the level C found
-    by bisection until the grid mass matches to 1e-10 relative; this is
-    the profile whose diffusive and drift fluxes cancel pointwise.
-    m = inf: the indicator of the sublevel set ``{Phi <= C}`` with volume
-    equal to the mass, cell-averaged (fractional boundary cells).
-    """
-    return _level_profile(m, phi, mass, grid, (m - 1.0) / m
-                          if not math.isinf(m) else 1.0)
-
-
-def energy_minimizer_profile(m: float, phi: Potential, mass: float,
-                             grid: GridSpec) -> GridDensity:
-    """Minimizer of the free energy ``int rho^m/m + rho Phi`` at fixed mass.
-
-    Finite m: ``((C - Phi)+)^(1/(m-1))`` (the Euler-Lagrange level set of
-    the 1/m-normalized internal energy, so the rest point of the
-    minimizing-movement flow).  At m = inf it coincides with
-    ``stationary_profile``; at finite m the two differ by the
-    ``(m-1)/m`` inside the power, reflecting that the drift-diffusion
-    equation as written diffuses ``rho^m`` with unit coefficient while
-    the gradient flow of the 1/m energy carries ``(m-1)/m``.
-    """
-    return _level_profile(m, phi, mass, grid, 1.0)
 
 
 def sublevel_intervals(phi: Potential, level: float, domain, samples=8192):

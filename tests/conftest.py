@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,11 @@ def random_density(rng, grid, n_boxes=3, max_height=1.0):
         b = a + rng.uniform(0.1 * span, 0.2 * span)
         boxes.append((a, b, rng.uniform(0.2, max_height)))
     return make_grid_density({"boxes": boxes}, grid)
+
+
+def excess_bound(M, m, mass=1.0):
+    """The energy-budget bound ``sqrt(2 mass (M + mass/(m-1)) / m)`` on the
+    mass above density one along a minimizing-movement run at ``m >= 2``
+    from a start below the cap with ``M = int rho0 Phi``; derived in
+    ``test_acceptance.test_criterion_02_one_step_excess_mass_bound``."""
+    return math.sqrt(2.0 * mass * (M + mass / (m - 1.0)) / m)

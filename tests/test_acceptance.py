@@ -24,6 +24,8 @@ from crowdflow.transport import (generalized_geodesic, w2_cost_squared,
                                  w2_distance)
 from crowdflow.energy import potential_energy
 
+from conftest import excess_bound
+
 QUAD = potential_catalog("quadratic", q=1.0, c=0.0)
 ZERO = potential_catalog("custom-polynomial", coef=[0.0])
 
@@ -57,13 +59,25 @@ def test_criterion_01_barenblatt_oracle():
 # -- 2 -----------------------------------------------------------------------
 
 def test_criterion_02_one_step_excess_mass_bound():
-    """Excess mass above the cap stays below 2 sqrt((M+1)/m) at every step."""
+    """Excess mass above the cap stays below ``excess_bound`` at every step.
+
+    Derivation, for mass ``mu``, ``M = int rho0 Phi`` and ``m >= 2``.  A
+    minimizing movement never raises the free energy ``int rho^m/(m-1) +
+    rho Phi``, and ``Phi >= 0`` (its infimum is shifted to zero), so every
+    step keeps ``int rho^m/(m-1) <= mu/(m-1) + M``: the start lies below
+    the cap, so ``rho0^m <= rho0``.  Hence ``int rho^m <= mu + (m-1) M``.
+    On ``{rho > 1}`` write ``rho = 1 + s``; ``(1+s)^m >= m(m-1)/2 s^2`` for
+    ``s >= 0``, so ``int s^2 <= 2 (mu + (m-1) M) / (m (m-1))``.  The set
+    ``{rho > 1}`` has measure below ``mu``, and Cauchy-Schwarz gives the
+    excess ``int (rho-1)+ <= sqrt(mu int s^2) = sqrt(2 mu (M + mu/(m-1)) /
+    m)``.
+    """
     grid = GridSpec(-3.0, 3.0, 600)
     q0 = to_quantile(make_grid_density({"boxes": [(1.0, 2.0, 1.0)]}, grid), 400)
     M = free_energy(q0, 10.0, QUAD).potential  # integral of rho0 Phi
     h, worst = 0.01, 0.0
     for m in (10.0, 50.0, 200.0):
-        bound = 2.0 * math.sqrt((M + 1.0) / m)
+        bound = excess_bound(M, m, q0.total_mass)
         cur = q0
         for _ in range(100):
             out = jko_step(cur, m, h, QUAD)
@@ -78,7 +92,15 @@ def test_criterion_02_one_step_excess_mass_bound():
 # -- 3 -----------------------------------------------------------------------
 
 def test_criterion_03_feasibility_regularization():
-    """Mass-exact flattening below the cap, close in transport distance."""
+    """Mass-exact flattening below the cap, close in transport distance.
+
+    The level is criterion 02's bound ``a``; cell averaging onto the grid
+    does not raise the excess (Jensen), so it stays below ``a``.  The
+    flattening keeps ``min(mu, 1-a)`` in place and spreads the rest with a
+    kernel uniform on [-1, 1], whose second moment is 1/3.  At unit mass
+    the rest weighs at most the excess plus ``a |{mu > 1-a}| <= a/(1-a)``,
+    so at most ``6a`` when ``a <= 0.8``, and ``W2^2 <= 2a``.
+    """
     grid = GridSpec(-3.0, 3.0, 600)
     q0 = to_quantile(make_grid_density({"boxes": [(1.0, 2.0, 1.0)]}, grid), 400)
     M = free_energy(q0, 10.0, QUAD).potential
@@ -86,14 +108,14 @@ def test_criterion_03_feasibility_regularization():
     for m in (10.0, 50.0, 200.0):
         out = jko_step(q0, m, 0.01, QUAD)
         mu = to_grid(out.state, grid)
-        a = 2.0 * math.sqrt((M + 1.0) / m)
-        assert excess_mass(mu) <= a
+        a = excess_bound(M, m, q0.total_mass)
+        assert a <= 0.8 and excess_mass(mu) <= a
         tilde = regularize_to_feasible(mu, a)
         eps_grid = grid.dx / out.state.w
         mass_ok = abs(tilde.mass - mu.mass) <= 1e-12 * mu.mass
         sup_ok = float(tilde.values.max()) <= 1.0 + eps_grid
         dist = w2_distance(to_quantile(mu, 400), to_quantile(tilde, 400))
-        w2_bound = 2.0 * (M + 1.0) ** 0.25 / m ** 0.25
+        w2_bound = math.sqrt(2.0 * a)
         ok &= mass_ok and sup_ok and dist <= w2_bound
         details.append(f"m={m:g}: W2 {dist:.3f} <= {w2_bound:.3f}")
     verdict(3, ok, "; ".join(details))
@@ -125,8 +147,7 @@ def test_criterion_05_convergence_in_m():
     cfg = ExperimentConfig.from_text(
         "potential.kind = quadratic\npotential.q = 1\n"
         "init.boxes = 1,2,1\ngrid.lo = -3\ngrid.hi = 3\ngrid.n = 600\n"
-        "quantile.n = 400\nm.list = 4,8,16,32,64\njko.h = 0.01\nrun.T = 1.0\n"
-        "threshold.final_ratio = 0.5\n")
+        "quantile.n = 400\nm.list = 4,8,16,32,64\njko.h = 0.01\nrun.T = 1.0\n")
     rep = converge_in_m(cfg)
     _, rows = rep.tables["converge_m"]
     sups = [r[1] for r in rows]
@@ -143,7 +164,7 @@ def test_criterion_06_step_size_rate():
         "potential.kind = quadratic\npotential.q = 1\n"
         "init.boxes = 1,2,1\ngrid.lo = -3\ngrid.hi = 3\ngrid.n = 600\n"
         "quantile.n = 200\nm = inf\njko.h = 0.04\nh.halvings = 4\n"
-        "run.T = 1.0\nthreshold.slope = 0.45\n")
+        "run.T = 1.0\n")
     rep = converge_in_h(cfg)
     slope = rep.criteria[0]["value"]
     lo, hi = rep.extras["slope_ci95"]
@@ -261,9 +282,9 @@ def test_criterion_12_semiconvexity_along_geodesics():
     feasible_ok = True
     for _ in range(50):
         n = int(rng.integers(20, 80))
+        a, b = rng.uniform(-2, 0), rng.uniform(0.5, 2)
         base = to_quantile(make_grid_density(
-            {"boxes": [(rng.uniform(-2, 0), rng.uniform(0.5, 2), 1.0)],
-             "normalize": 1.0}, grid), n)
+            {"boxes": [(a, b, 1.0 / (b - a))]}, grid), n)
         # feasible endpoints: spacing floor enforced via sorted jitter
         from crowdflow.jko import project_spacing
         mu2 = QuantileRep(1.0, project_spacing(

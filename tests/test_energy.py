@@ -20,14 +20,15 @@ def g6():
 class TestInternalEnergy:
     def test_indicator_power_is_identity(self, g6):
         rho = indicator(0, 1, g6)
-        assert internal_energy(rho, 3.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert internal_energy(rho, 3.0) == pytest.approx(1.0 / 2.0, rel=1e-12)
         q = to_quantile(rho, 50)
-        assert internal_energy(q, 3.0) == pytest.approx(1.0 / 3.0, rel=1e-10)
+        assert internal_energy(q, 3.0) == pytest.approx(1.0 / 2.0, rel=1e-10)
 
-    def test_indicator_family_one_over_m(self, g6):
+    def test_indicator_family_one_over_m_minus_one(self, g6):
         rho = indicator(-0.5, 0.5, g6)
         for m in (2.0, 5.0, 11.0):
-            assert internal_energy(rho, m) == pytest.approx(1.0 / m, rel=1e-12)
+            assert internal_energy(rho, m) == pytest.approx(1.0 / (m - 1.0),
+                                                            rel=1e-12)
 
     def test_overshoot_hits_sentinel(self, g6):
         rho = indicator(0, 1, g6, height=1.2)
@@ -41,7 +42,7 @@ class TestInternalEnergy:
 
     def test_half_density_m2(self, g6):
         rho = indicator(0, 2, g6, height=0.5)
-        assert internal_energy(rho, 2.0) == pytest.approx(0.25, rel=1e-12)
+        assert internal_energy(rho, 2.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_m_not_above_one_rejected(self, g6):
         with pytest.raises(ValueError):
@@ -86,7 +87,7 @@ class TestFreeEnergy:
     def test_zero_potential_indicator(self, g6):
         zero = potential_catalog("custom-polynomial", coef=[0.0])
         rep = free_energy(indicator(0, 1, g6), 3.0, zero)
-        assert rep.total == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert rep.total == pytest.approx(1.0 / 2.0, rel=1e-12)
 
     def test_nonnegative_for_feasible_data(self, rng, g6, quad_phi):
         for _ in range(10):

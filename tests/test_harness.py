@@ -185,8 +185,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", [
         "workers = 2", "out = elsewhere", "jko.tol = 1e-9",
-        "jko.max_iterations = 50", "jko.hh = 0.5"],
-        ids=["workers", "out", "jko.tol", "jko.max_iterations", "misspelt"])
+        "jko.max_iterations = 50", "threshold.final_ratio = 0.5",
+        "threshold.slope = 0.45", "jko.hh = 0.5"],
+        ids=["workers", "out", "jko.tol", "jko.max_iterations",
+             "threshold.final_ratio", "threshold.slope", "misspelt"])
     def test_key_no_experiment_reads_names_itself(self, tmp_path, capsys,
                                                   line):
         # retired keys and typos were once ignored: exit 0 on the defaults
@@ -204,6 +206,24 @@ class TestConfig:
 
 
 class TestCli:
+    def test_radial_pme_ledger_records_its_own_flow(self, tmp_path):
+        # the radial (d = 3) pme run of CI's console step: its ledger
+        # records int rho^m/(m-1) + rho Phi, the energy the pme flow
+        # decreases, so every verdict passes
+        text = (Path(__file__).resolve().parents[1] / "configs"
+                / "single_run.txt").read_text()
+        cfgp = tmp_path / "pme-radial.txt"
+        cfgp.write_text(text + "run.scheme = pme\nm = 3\nrun.T = 0.2\n"
+                        "pme.dt = 0.01\ngrid.dim = 3\ngrid.lo = 0\n"
+                        "init.boxes = 0.5,1.0,1\n")
+        out = tmp_path / "out"
+        assert main(["single-run", "--config", str(cfgp), "--out",
+                     str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert {c["id"]: c["pass"] for c in doc["criteria"]} == {
+            "single-run.energy-monotone": True,
+            "single-run.mass-constant": True}
+
     def test_single_run_pass_and_artifacts(self, tmp_path):
         out = str(tmp_path / "out")
         code = main(["single-run", "--config", cfg_file(tmp_path, "m = inf\n"),
@@ -322,14 +342,14 @@ class TestCli:
         assert not os.path.exists(os.path.join(out, "report.json"))
 
     def test_failed_verdict_exit_1(self, tmp_path):
-        # an impossible threshold forces a clean verdict failure
-        cfgp = cfg_file(
-            tmp_path,
-            "m.list = 4,8\nthreshold.final_ratio = 1e-9\nrun.T = 0.1\n")
+        # a sweep from m = 4 to 4.5 cannot halve the gap to the constrained
+        # flow, so the final-ratio verdict fails cleanly
+        cfgp = cfg_file(tmp_path, "m.list = 4,4.5\nrun.T = 0.1\n")
         out = str(tmp_path / "fv")
         assert main(["converge-m", "--config", cfgp, "--out", out]) == 1
         doc = json.loads(Path(out, "report.json").read_text())
-        assert any(not c["pass"] for c in doc["criteria"])
+        assert [c["id"] for c in doc["criteria"] if not c["pass"]] == \
+            ["converge-m.final-ratio"]
 
     def test_plots_emitted(self, tmp_path):
         cfgp = cfg_file(tmp_path, "m.list = 4,8\nrun.T = 0.1\n")

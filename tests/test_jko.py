@@ -16,11 +16,12 @@ from crowdflow.jko import (JkoConvergenceError, JkoOptions, jko_step,
                            jko_trajectory, pav_nondecreasing, project_spacing,
                            verify_comparison)
 from crowdflow.model import GridSpec, QuantileRep, make_grid_density, to_quantile
-from crowdflow.oracles import energy_minimizer_profile, stationary_profile
+from crowdflow.oracles import energy_minimizer_profile
 from crowdflow.potentials import Potential, potential_catalog
 from crowdflow.transport import w2_cost_squared, w2_distance
 
-from conftest import indicator, indicator_quantile, random_density
+from conftest import (excess_bound, indicator, indicator_quantile,
+                      random_density)
 
 
 @pytest.fixture
@@ -155,7 +156,8 @@ class TestJkoStep:
         # the hard-constraint minimizer is exactly representable (aligned
         # indicator); finite-m profiles are grid-sampled, so their movement
         # is discretization-limited and must shrink under refinement
-        q_s = to_quantile(stationary_profile(math.inf, quad_phi, 1.0, g6), 200)
+        q_s = to_quantile(
+            energy_minimizer_profile(math.inf, quad_phi, 1.0, g6), 200)
         out = jko_step(q_s, math.inf, 0.01, quad_phi)
         assert w2_distance(out.state, q_s) <= 1e-12
         fine = GridSpec(-3.0, 3.0, 2400)
@@ -174,7 +176,7 @@ class TestJkoStep:
         q0 = indicator_quantile(1, 2, g6, n=200)
         M = free_energy(q0, 50.0, quad_phi).potential
         out = jko_step(q0, 50.0, 0.01, quad_phi)
-        assert out.state.excess_mass() <= 2.0 * math.sqrt((M + 1.0) / 50.0)
+        assert out.state.excess_mass() <= excess_bound(M, 50.0)
 
     def test_excess_bound_with_genuine_overshoot(self, g6):
         # a steep well compresses the density above the cap at moderate m;
@@ -187,7 +189,7 @@ class TestJkoStep:
         for _ in range(60):
             cur = jko_step(cur, 5.0, 0.02, steep).state
             peak = max(peak, cur.excess_mass())
-            assert cur.excess_mass() <= 2.0 * math.sqrt((M + 1.0) / 5.0)
+            assert cur.excess_mass() <= excess_bound(M, 5.0)
         assert peak > 1e-4  # the cap is genuinely exceeded along the run
 
     def test_one_step_optimality_random_perturbations(self, rng, g6, quad_phi):
@@ -316,7 +318,10 @@ class TestJkoStep:
                 out = jko_step(q0, m, 0.5, phi, opts)
                 assert out.kkt_residual <= opts.tol_grad, (m, n)
                 iters.add(out.iterations)
-            assert len(iters) == 1, (m, iters)
+            # the count does not grow with n; a last Newton step can land
+            # just under tol_grad one step early (m = 10, n = 200 stops at
+            # 10 steps with a residual of 6.1e-10, every other n takes 11)
+            assert max(iters) - min(iters) <= 1, (m, iters)
 
     def test_unreachable_finite_m_tolerance_raises(self):
         # this step stalls near a residual of 1e-11 in double precision: a
@@ -764,7 +769,7 @@ class TestTrajectory:
     def test_confinement_inside_dominating_stationary_support(self, g6, quad_phi):
         # start inside the stationary patch of a larger mass: stays inside
         q0 = indicator_quantile(1.0, 2.0, g6, n=80)
-        big = stationary_profile(math.inf, quad_phi, 4.2, g6)
+        big = energy_minimizer_profile(math.inf, quad_phi, 4.2, g6)
         lo, hi = big.support_extent()
         assert lo <= 1.0 and hi >= 2.0
         states = jko_trajectory(q0, math.inf, 0.01, quad_phi, 2.0)

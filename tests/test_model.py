@@ -57,12 +57,7 @@ class TestMakeGridDensity:
     def test_negative_mass_rejected(self):
         g = GridSpec(-2, 2, 100)
         with pytest.raises(ValueError):
-            make_grid_density({"boxes": [(0, 1, 1.0)], "normalize": -2.0}, g)
-
-    def test_normalization(self):
-        g = GridSpec(-2, 2, 100)
-        rho = make_grid_density({"boxes": [(0, 1, 0.3)], "normalize": 2.0}, g)
-        assert rho.mass == pytest.approx(2.0, rel=1e-14)
+            make_grid_density({"boxes": [(0, 1, -2.0)]}, g)
 
 
 class TestQuantileConversions:
@@ -189,7 +184,7 @@ class TestTypes:
             assert q.max_density == float(q.w / np.min(gaps))
             assert q.excess_mass() == float(np.sum(np.maximum(q.w - gaps, 0.0)))
             assert internal_energy(q, 3.0) == \
-                float(np.sum(q.w * (q.w / gaps) ** 2.0) / 3.0)
+                float(q.w * np.sum((q.w / gaps) ** 2.0) / 2.0)
 
     def test_quantile_feasibility_reading(self):
         q = QuantileRep(1.0, np.linspace(0, 1, 11))  # gaps exactly w
@@ -218,6 +213,22 @@ class TestTypes:
         g = GridSpec(-1, 2, 300)
         rho = Patch(((0.0, 1.0),)).indicator(g)
         assert rho.mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_radial_cell_average_is_by_shell_volume(self):
+        # a cell partly covered by a shell holds the covered fraction of its
+        # volume, not of its width, so the mass is the shell's volume
+        g = GridSpec(0.0, 2.0, 10, dim=3)
+        p = Patch(((0.5, 1.05),), dim=3)
+        rho = p.indicator(g)
+        assert rho.mass == pytest.approx(p.volume, rel=1e-14)
+        # cells [0.4, 0.6] and [1.0, 1.2] partly covered, [0.6, 0.8] fully
+        assert rho.values[2] == pytest.approx(
+            (0.6 ** 3 - 0.5 ** 3) / (0.6 ** 3 - 0.4 ** 3), rel=1e-12)
+        assert rho.values[3] == 1.0
+        assert rho.values[5] == pytest.approx(
+            (1.05 ** 3 - 1.0) / (1.2 ** 3 - 1.0), rel=1e-12)
+        box = make_grid_density({"boxes": [(0.5, 1.05, 0.7)]}, g)
+        assert box.mass == pytest.approx(0.7 * p.volume, rel=1e-14)
 
     def test_grid_edges_computed_once_and_frozen(self):
         for g in (GridSpec(-4.0, 4.0, 4000), GridSpec(0.0, 1.0, 7, dim=3)):

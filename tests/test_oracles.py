@@ -8,7 +8,7 @@ from crowdflow.model import GridDensity, GridSpec
 from crowdflow.oracles import (barenblatt, barenblatt_halfwidth,
                                energy_minimizer_profile,
                                quadratic_interval_flow, stationary_patch,
-                               stationary_profile, sublevel_intervals)
+                               sublevel_intervals)
 from crowdflow.model import Patch
 from crowdflow.potentials import gl_points, potential_catalog
 
@@ -65,7 +65,7 @@ class TestBarenblatt:
 class TestStationaryProfiles:
     def test_hard_constraint_profile_is_centered_unit_patch(self, quad_phi):
         g = GridSpec(-2, 2, 1000)
-        rho = stationary_profile(math.inf, quad_phi, 1.0, g)
+        rho = energy_minimizer_profile(math.inf, quad_phi, 1.0, g)
         lo, hi = rho.support_extent()
         assert lo == pytest.approx(-0.5, abs=g.dx)
         assert hi == pytest.approx(0.5, abs=g.dx)
@@ -77,7 +77,7 @@ class TestStationaryProfiles:
 
     def test_m3_bisection_mass_and_shape(self, quad_phi):
         g = GridSpec(-2, 2, 2000)
-        rho = stationary_profile(3.0, quad_phi, 1.0, g)
+        rho = energy_minimizer_profile(3.0, quad_phi, 1.0, g)
         assert rho.mass == pytest.approx(1.0, rel=1e-10)
         # profile = ((2/3)(C - x^2/2))^(1/2) with C = sqrt(3)/pi for unit mass
         C = math.sqrt(3.0) / math.pi
@@ -86,24 +86,40 @@ class TestStationaryProfiles:
 
     def test_profiles_approach_unit_patch_as_m_grows(self, quad_phi):
         g = GridSpec(-2, 2, 1000)
-        target = stationary_profile(math.inf, quad_phi, 1.0, g)
+        target = energy_minimizer_profile(math.inf, quad_phi, 1.0, g)
         errs = []
         for m in (4.0, 16.0, 64.0, 256.0):
-            rho = stationary_profile(m, quad_phi, 1.0, g)
+            rho = energy_minimizer_profile(m, quad_phi, 1.0, g)
             errs.append(float(np.sum(np.abs(rho.values - target.values)) * g.dx))
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
-    def test_minimizer_profile_beats_pde_profile_in_energy(self, quad_phi):
-        # the 1/m-normalized free energy prefers the factor-free level
-        # profile; the drift-diffusion stationary state carries (m-1)/m
+    def test_minimizer_beats_other_level_profiles(self, quad_phi):
+        # the free energy int rho^m/(m-1) + rho Phi is least at the level
+        # profile ((m-1)/m (C - Phi)+)^(1/(m-1)); the same-mass profiles
+        # with another factor inside the power, 1 among them, cost more
         from crowdflow.energy import free_energy
         g = GridSpec(-2, 2, 4000)
         m = 3.0
+
+        def level_profile(factor):
+            # the same-mass profile with ``factor`` inside the power; the
+            # level by bisection, the mass snapped onto the amplitude
+            def at(c):
+                return np.maximum(factor * (c - quad_phi.value(g.centers)),
+                                  0.0) ** (1.0 / (m - 1.0))
+            lo, hi = 0.0, 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if np.dot(at(mid), g.cell_measures) < 1.0 \
+                    else (lo, mid)
+            rho = GridDensity(g, at(hi))
+            return rho.with_values(rho.values / rho.mass)
+
         e_min = free_energy(energy_minimizer_profile(m, quad_phi, 1.0, g),
                             m, quad_phi).total
-        e_pde = free_energy(stationary_profile(m, quad_phi, 1.0, g),
-                            m, quad_phi).total
-        assert e_min < e_pde
+        for factor in (1.0, 0.9 * (m - 1.0) / m, 1.1 * (m - 1.0) / m):
+            assert e_min < free_energy(level_profile(factor), m,
+                                       quad_phi).total
 
     def test_sublevel_set_minimizes_among_level_candidates(self, quad_phi):
         # the indicator supported on {Phi <= C} has lower potential energy
@@ -122,9 +138,9 @@ class TestStationaryProfiles:
     def test_unattainable_mass_rejected(self, quad_phi):
         g = GridSpec(-0.2, 0.2, 50)
         with pytest.raises(ValueError):
-            stationary_profile(math.inf, quad_phi, 10.0, g)
+            energy_minimizer_profile(math.inf, quad_phi, 10.0, g)
         with pytest.raises(ValueError):
-            stationary_profile(3.0, quad_phi, 100.0, g)
+            energy_minimizer_profile(3.0, quad_phi, 100.0, g)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
     def test_quadratic_patch_is_centered_interval(self, q):
