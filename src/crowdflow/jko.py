@@ -110,7 +110,7 @@ def _movement_value(d, w):
     return w / 3.0 * (d0 * d0 + d0 * d1 + d1 * d1).sum()
 
 def _movement_grad(d, w):
-    g = np.zeros_like(d)
+    g = np.zeros(d.size)
     g[:-1] += w / 3.0 * (2.0 * d[:-1] + d[1:])
     g[1:] += w / 3.0 * (d[:-1] + 2.0 * d[1:])
     return g
@@ -137,10 +137,10 @@ def _objective(state, w, m, phi, h):
 
 def _gradient(state, w, m, phi, h):
     _, d, gaps, pts = state
-    g = np.zeros_like(d)
-    da, db = phi.avg_grad(pts)
-    g[:-1] += w * da
-    g[1:] += w * db
+    g = np.zeros(d.size)
+    da, db = w * phi.avg_grad(pts)
+    g[:-1] += da
+    g[1:] += db
     g += _movement_grad(d, w) / (2.0 * h)
     if not math.isinf(m):
         dens = w / gaps
@@ -157,10 +157,10 @@ def _hessian(state, w, m, phi, h):
     n1 = d.size
     hd = np.zeros(n1)
     ho = np.zeros(n1 - 1)
-    haa, hab, hbb = phi.avg_hess(pts)
-    hd[:-1] += w * haa
-    hd[1:] += w * hbb
-    ho += w * hab
+    haa, hab, hbb = w * phi.avg_hess(pts)
+    hd[:-1] += haa
+    hd[1:] += hbb
+    ho += hab
     hd[:-1] += w / (3.0 * h)
     hd[1:] += w / (3.0 * h)
     ho += w / (6.0 * h)
@@ -187,8 +187,7 @@ def _solve_tridiag(hd, ho, rhs):
     # load than the rest of the package, and PME, front-tracking and crossval
     # runs take no JKO step
     from scipy.linalg.lapack import dptsv
-    if not (np.isfinite(hd).all() and np.isfinite(ho).all()
-            and np.isfinite(rhs).all()):
+    if not np.isfinite(np.concatenate((hd, ho, rhs))).all():
         raise ValueError("array must not contain infs or NaNs")
     solve = _solve_1x1 if hd.size == 1 else dptsv
     _, _, x, info = solve(hd, ho, rhs)
@@ -311,7 +310,7 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
 def _blocks_from_active(active):
     """Node block ids from the boolean active-gap mask."""
     ids = np.zeros(active.size + 1, dtype=int)
-    ids[1:] = np.cumsum(~active)
+    ids[1:] = (~active).cumsum()
     return ids
 
 
@@ -320,24 +319,22 @@ def _snap_active(x, active, w):
     if not active.any():
         return x
     ids = _blocks_from_active(active)
-    nblocks = ids[-1] + 1
-    offs = np.arange(x.size, dtype=float)
-    starts = np.concatenate([[0], np.flatnonzero(~active) + 1])
-    offs = offs - offs[starts][ids]
-    counts = np.bincount(ids, minlength=nblocks)
-    mean_x = np.bincount(ids, weights=x, minlength=nblocks) / counts
-    mean_o = np.bincount(ids, weights=offs, minlength=nblocks) / counts
-    return mean_x[ids] + w * (offs - mean_o[ids])
+    counts = np.bincount(ids)
+    mean_x = np.bincount(ids, weights=x) / counts
+    # a block of k nodes from index s has its mean node at s + (k - 1) / 2,
+    # a half-integer: exact, as is every difference from it below
+    center = counts.cumsum() - 0.5 * (counts + 1)
+    return mean_x[ids] + w * (np.arange(x.size) - center[ids])
 
 
-def _multipliers(g, active):
-    """Constraint multipliers from blockwise gradient sums.
+def _multipliers(g, active, ids):
+    """Constraint multipliers from blockwise gradient sums; ``ids`` are
+    the node block ids of ``active``.
 
     On a rigid block, stationarity stacks the node gradients into the
     chain of active-gap multipliers by partial summation.
     """
-    ids = _blocks_from_active(active)
-    cg = np.cumsum(g)
+    cg = g.cumsum()
     borders = np.flatnonzero(~active)
     before = np.concatenate([[0.0], cg[borders]])
     mu = np.where(active, -(cg[:-1] - before[ids[:-1]]), 0.0)
@@ -391,7 +388,7 @@ def _solve_congested(y, w, phi, h, opts):
         gaps = x[1:] - x[:-1]
         state = _newton_state(x, x - y, gaps)
         g = _gradient(state, *args)
-        mu = _multipliers(g, active)
+        mu = _multipliers(g, active, ids)
         res = _kkt_residual(g, mu, w)
         violated = ~active & (gaps < floor)
         if not violated.any():

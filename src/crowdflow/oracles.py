@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .model import GridDensity, GridSpec, Patch
-from .potentials import Potential
+from .potentials import Potential, _horner
 
 
 def barenblatt(x, t, tau, C, m, d=1, x0=0.0):
@@ -67,46 +67,52 @@ def energy_minimizer_profile(m: float, phi: Potential, mass: float,
         return float(np.dot(profile(c), grid.cell_measures))
 
     c_hi = float(max(phi.value(grid.x_lo), phi.value(grid.x_hi)))
-    if mass_at(c_hi) < mass:
+    m_hi = mass_at(c_hi)
+    if m_hi < mass:
         raise ValueError("requested mass is not attainable inside the grid box")
-    c_lo = 0.0
+    # no mass at or below the least value on the grid, which is below 0
+    # for a potential without a finite infimum (linear)
+    c_lo = min(0.0, float(phi_c.min()))
     for _ in range(200):
         c_mid = 0.5 * (c_lo + c_hi)
-        if mass_at(c_mid) < mass:
+        m_mid = mass_at(c_mid)
+        if m_mid < mass:
             c_lo = c_mid
         else:
-            c_hi = c_mid
-        if abs(mass_at(c_hi) - mass) <= 1e-12 * mass:
+            c_hi, m_hi = c_mid, m_mid
+        if abs(m_hi - mass) <= 1e-12 * mass:
             break
     rho = GridDensity(grid, profile(c_hi))
     # snap the level's residual quadrature error onto the amplitude
     return rho.with_values(rho.values * (mass / rho.mass))
 
 
-def sublevel_intervals(phi: Potential, level: float, domain, samples=8192):
-    """Intervals of ``{Phi <= level}`` inside ``domain`` by scan plus bisection."""
-    lo, hi = domain
-    xs = np.linspace(lo, hi, samples)
-    below = phi.value(xs) <= level
-    if not np.any(below):
-        return ()
-    idx = np.flatnonzero(below)
-    intervals = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i == prev + 1:
-            prev = i
-        else:
-            intervals.append((start, prev))
-            start = prev = i
-    intervals.append((start, prev))
+# points of the scan that finds the components of a sublevel set
+_SCAN_SAMPLES = 8192
 
-    def refine(x_in, x_out):
+
+def _sublevel(phi, xs, vals, level):
+    """Intervals of ``{Phi <= level}`` from the scan ``vals = Phi(xs)``:
+    each run of scan points below the level, with every endpoint inside
+    the scan bisected between its run's last point and the next one, on
+    Python floats, which ``_horner`` evaluates with the bits of
+    ``Potential.value``."""
+    idx = np.flatnonzero(vals <= level)
+    if idx.size == 0:
+        return ()
+    coef = phi.coef.tolist()
+    cut = np.flatnonzero(np.diff(idx) > 1)
+    firsts = idx[np.concatenate(([0], cut + 1))].tolist()
+    lasts = idx[np.concatenate((cut, [idx.size - 1]))].tolist()
+    end = xs.size - 1
+
+    def refine(i_in, i_out):
         # root of Phi - level between a point inside and a point outside;
         # a step that leaves the bracket unchanged repeats forever, so stop
+        x_in, x_out = float(xs[i_in]), float(xs[i_out])
         for _ in range(80):
             mid = 0.5 * (x_in + x_out)
-            if phi.value(mid) <= level:
+            if _horner(coef, mid) <= level:
                 if mid == x_in:
                     break
                 x_in = mid
@@ -117,27 +123,42 @@ def sublevel_intervals(phi: Potential, level: float, domain, samples=8192):
         return 0.5 * (x_in + x_out)
 
     out = []
-    for i0, i1 in intervals:
-        a = xs[i0] if i0 == 0 else refine(xs[i0], xs[i0 - 1])
-        b = xs[i1] if i1 == samples - 1 else refine(xs[i1], xs[i1 + 1])
+    for i0, i1 in zip(firsts, lasts):
+        a = float(xs[0]) if i0 == 0 else refine(i0, i0 - 1)
+        b = float(xs[end]) if i1 == end else refine(i1, i1 + 1)
         if b > a:
             out.append((a, b))
     return tuple(out)
 
 
+def sublevel_intervals(phi: Potential, level: float, domain):
+    """Intervals of ``{Phi <= level}`` inside ``domain`` by scan plus bisection."""
+    xs = np.linspace(domain[0], domain[1], _SCAN_SAMPLES)
+    return _sublevel(phi, xs, phi.value(xs), level)
+
+
 def stationary_patch(phi: Potential, volume: float, domain) -> Patch:
-    """Sublevel set ``{Phi <= C}`` with prescribed volume, as a patch."""
+    """Sublevel set ``{Phi <= C}`` with prescribed volume, as a patch.
+
+    Raises ``ValueError`` for a volume the domain cannot hold or the scan
+    cannot resolve."""
     if volume <= 0:
         raise ValueError("volume must be positive")
     lo, hi = domain
+    xs = np.linspace(lo, hi, _SCAN_SAMPLES)
+    vals = phi.value(xs)  # one scan for every level
 
     def vol(level):
-        return sum(b - a for a, b in sublevel_intervals(phi, level, domain))
+        return sum(b - a for a, b in _sublevel(phi, xs, vals, level))
 
     c_hi = float(max(phi.value(lo), phi.value(hi)))
     if vol(c_hi) < volume:
         raise ValueError("requested volume is not attainable inside the domain")
-    c_lo = float(np.min(phi.value(np.linspace(lo, hi, 8192))))
+    c_lo = float(np.min(vals))
+    floor = vol(c_lo)  # no scan point lies in a smaller sublevel set
+    if floor > volume:
+        raise ValueError(f"requested volume {volume:g} is below {floor:g}, "
+                         f"the least the {_SCAN_SAMPLES}-point scan resolves")
     for _ in range(200):
         c_mid = 0.5 * (c_lo + c_hi)
         # a step that leaves the bracket unchanged repeats forever: stop
@@ -149,7 +170,7 @@ def stationary_patch(phi: Potential, volume: float, domain) -> Patch:
             if c_mid == c_hi:
                 break
             c_hi = c_mid
-    return Patch(sublevel_intervals(phi, c_hi, domain))
+    return Patch(_sublevel(phi, xs, vals, c_hi))
 
 
 def quadratic_interval_flow(a0, b0, q, t):

@@ -9,6 +9,7 @@ the simulation lives on), not on all of R^d.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -16,30 +17,34 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .model import _locked
+
 # 5-point Gauss-Legendre on [-1, 1]: exact for polynomials up to degree 9,
 # which covers every catalog entry (max degree 4) with room for custom ones.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 class _NodeConstants(NamedTuple):
-    """The per-node constants of the rule, each shaped ``(5, 1, ...)`` to
-    broadcast against a point set ``gl_points(a, b)``."""
+    """The per-node constants of the rule.  The node axis of each comes
+    after its stacking axis, if it has one; ``_per_node`` appends the unit
+    axes that broadcast it against a point set ``gl_points(a, b)``."""
 
-    nodes: np.ndarray         # xi
-    weights: np.ndarray       # w_i
-    half_weights: np.ndarray  # 0.5 * w_i, the weight share of a derivative
-    one_minus: np.ndarray     # 1 - xi
-    one_plus: np.ndarray      # 1 + xi
-    la: np.ndarray            # (1 - xi) / 2, the weight of endpoint a
-    lb: np.ndarray            # (1 + xi) / 2, the weight of endpoint b
+    nodes: np.ndarray            # xi
+    weights: np.ndarray          # w_i
+    half_weights: np.ndarray     # w_i / 2, the weight share of d2_*
+    quarter_weights: np.ndarray  # w_i / 4, the weight share of d_a, d_b
+    ends: np.ndarray             # (1 - xi, 1 + xi): d_a, d_b per node
+    hess_left: np.ndarray        # (la, la, lb) times (la, lb, lb) is
+    hess_right: np.ndarray       # d2_aa, d2_ab, d2_bb per node, with
+                                 # la = (1 - xi) / 2, lb = (1 + xi) / 2
 
 
-_GL_CONSTANTS = _NodeConstants(
-    _GL_NODES, _GL_WEIGHTS, 0.5 * _GL_WEIGHTS, 1.0 - _GL_NODES,
-    1.0 + _GL_NODES, 0.5 * (1.0 - _GL_NODES), 0.5 * (1.0 + _GL_NODES))
-# the same as (5, 1) columns, built once for the (5, n) point sets of the
-# solver, which evaluates thousands of them per run
-_GL_COLUMNS = _NodeConstants(*(c[:, None] for c in _GL_CONSTANTS))
+_LA, _LB = 0.5 * (1.0 - _GL_NODES), 0.5 * (1.0 + _GL_NODES)
+# read-only: ``_per_node`` hands the same arrays to every caller
+_GL_CONSTANTS = _NodeConstants(*map(_locked, (
+    _GL_NODES, _GL_WEIGHTS, 0.5 * _GL_WEIGHTS, 0.25 * _GL_WEIGHTS,
+    np.stack([1.0 - _GL_NODES, 1.0 + _GL_NODES]),
+    np.stack([_LA, _LA, _LB]), np.stack([_LA, _LB, _LB]))))
 
 _SCAN_POINTS = 10_000
 
@@ -114,23 +119,23 @@ class Potential:
         Degenerate intervals fall back to the point value.
         """
         v = self.value(pts)
-        return 0.5 * _node_sum(_per_node(v.ndim).weights * v)
+        return 0.5 * _node_sum(_per_node(v.ndim).weights * v, 0)
 
     def avg_grad(self, pts):
-        """Partial derivatives of ``avg`` w.r.t. the endpoints ``a``, ``b``."""
+        """Partial derivatives of ``avg`` w.r.t. the endpoints ``a``, ``b``,
+        stacked on axis 0."""
         g = self.grad(pts)
         k = _per_node(g.ndim)
-        t = k.half_weights * g * 0.5
-        return _node_sum(t * k.one_minus), _node_sum(t * k.one_plus)
+        # w_i / 4 * g has the bits of (w_i / 2 * g) / 2: halving is exact
+        # above the subnormal range
+        return _node_sum(k.quarter_weights * g * k.ends, 1)
 
     def avg_hess(self, pts):
-        """Second partials of ``avg``: (d2_aa, d2_ab, d2_bb)."""
+        """Second partials of ``avg``, ``(d2_aa, d2_ab, d2_bb)`` stacked on
+        axis 0."""
         c = self.d2(pts)
         k = _per_node(c.ndim)
-        la, lb = k.la, k.lb
-        t = k.half_weights * c
-        ta = t * la
-        return _node_sum(ta * la), _node_sum(ta * lb), _node_sum(t * lb * lb)
+        return _node_sum(k.half_weights * c * k.hess_left * k.hess_right, 1)
 
     def grad_sup(self):
         """``max |Phi'|`` over the working domain."""
@@ -176,29 +181,26 @@ def gl_points(a, b):
     return mid + half * _per_node(mid.ndim + 1).nodes
 
 
+@functools.cache
 def _per_node(ndim):
     """The per-node constants shaped for a node-stacked array of ``ndim``
-    dimensions."""
-    if ndim == 2:
-        return _GL_COLUMNS
-    shape = (-1,) + (1,) * (ndim - 1)
-    return _NodeConstants(*(c.reshape(shape) for c in _GL_CONSTANTS))
+    dimensions, built once per ``ndim``: the solver evaluates thousands of
+    (5, n) point sets per run."""
+    return _NodeConstants(*(c.reshape(c.shape + (1,) * (ndim - 1))
+                            for c in _GL_CONSTANTS))
 
 
-def _node_sum(terms):
-    """Sum over the node axis, node by node from 0.0.
+def _node_sum(terms, axis):
+    """Sum over the node axis ``axis``, node by node from 0.0.
 
     The fixed order and starting value keep the averages bit-identical to
-    a plain per-node loop.  numpy reduces a C-contiguous array over axis 0
-    row by row (pairwise summation applies to the contiguous axis only,
-    and a 1-D array of five entries is below its block size), so one
-    ``add.reduce`` from ``initial=0.0`` adds in the loop's order.
+    a plain per-node loop.  numpy reduces a C-contiguous array over an
+    axis that is not its last one row by row, and over its last one (five
+    nodes, with nothing after them) by a plain loop, as five entries are
+    below the block size of its pairwise summation; so one ``add.reduce``
+    from ``initial=0.0`` adds in the loop's order.
     """
-    return np.add.reduce(terms, axis=0, initial=0.0)
-
-
-def _scan(domain, n=_SCAN_POINTS):
-    return np.linspace(domain[0], domain[1], n)
+    return np.add.reduce(terms, axis=axis, initial=0.0)
 
 
 def _global_min_on_reals(coef):
@@ -299,7 +301,7 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
         coef = coef.copy()
         coef[0] -= inf_phi
 
-    xs = _scan(domain)
+    xs = np.linspace(domain[0], domain[1], _SCAN_POINTS)
     if dim > 1:
         xs = xs[xs >= 0] if domain[0] < 0 else xs
     dcoef, d2coef = npoly.polyder(coef), npoly.polyder(coef, 2)

@@ -157,6 +157,103 @@ class TestStationaryProfiles:
         assert patch.volume == pytest.approx(0.5, rel=1e-9)
 
 
+    def test_volume_below_the_scan_resolution_raises(self):
+        # a sublevel set narrower than the scan spacing (9 / 8191) holds no
+        # scan point; the bisection used to stop at the least scanned
+        # value and return a patch 11 times the requested 1e-4
+        phi = potential_catalog("quadratic", q=1.0)
+        with pytest.raises(ValueError, match="8192-point scan"):
+            stationary_patch(phi, 1e-4, (-4.5, 4.5))
+        # just above the resolution the patch has the requested volume
+        (a, b), = stationary_patch(phi, 2e-3, (-4.5, 4.5)).intervals
+        assert b - a == pytest.approx(2e-3, rel=1e-9)
+
+    def test_finite_m_level_constant_for_an_unnormalized_potential(self):
+        # a linear potential has no finite infimum, so it is not shifted to
+        # a least value of 0; the level bisection used to start at 0, above
+        # the level of this mass, and the mass snap hid the wrong profile
+        phi = potential_catalog("linear", g=1.0, domain=(-4.0, 4.0))
+        g = GridSpec(-4.0, 4.0, 800)
+        m = 3.0
+        rho = energy_minimizer_profile(m, phi, 0.5, g)
+        assert rho.mass == pytest.approx(0.5, rel=1e-12)
+        on = rho.values > 0.0
+        level = m / (m - 1.0) * rho.values[on] ** (m - 1.0) \
+            + phi.value(g.centers[on])
+        assert np.ptp(level) <= 1e-9
+
+
+def _sublevel_reference(phi, level, domain, samples=8192):
+    """Intervals of ``{Phi <= level}`` with the runs grouped index by
+    index and the endpoints bisected on numpy scalars through
+    ``Potential.value``: the reference ``sublevel_intervals`` must match."""
+    lo, hi = domain
+    xs = np.linspace(lo, hi, samples)
+    idx = np.flatnonzero(phi.value(xs) <= level)
+    if idx.size == 0:
+        return ()
+    runs = []
+    start = prev = idx[0]
+    for i in idx[1:]:
+        if i == prev + 1:
+            prev = i
+        else:
+            runs.append((start, prev))
+            start = prev = i
+    runs.append((start, prev))
+
+    def refine(x_in, x_out):
+        for _ in range(80):
+            mid = 0.5 * (x_in + x_out)
+            if phi.value(mid) <= level:
+                if mid == x_in:
+                    break
+                x_in = mid
+            else:
+                if mid == x_out:
+                    break
+                x_out = mid
+        return 0.5 * (x_in + x_out)
+
+    out = []
+    for i0, i1 in runs:
+        a = xs[i0] if i0 == 0 else refine(xs[i0], xs[i0 - 1])
+        b = xs[i1] if i1 == samples - 1 else refine(xs[i1], xs[i1 + 1])
+        if b > a:
+            out.append((a, b))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("kind,params,domain", [
+    ("quadratic", {"q": 1.0}, (-4.5, 4.5)),
+    ("shifted-quadratic", {"q": 1.3, "c": -0.4, "b": 2.0}, (-3.0, 3.0)),
+    ("quartic-well", {"a": 1.0, "b": -1.0}, (-3.0, 3.0)),
+    ("quartic-well", {"a": 2.0, "b": -3.0, "c": 0.4}, (-2.0, 2.5)),
+    ("linear", {"g": -0.7}, (-2.0, 1.0)),
+    ("custom-polynomial", {"coef": [0.3, -0.1, 0.5, 0.0, 0.125]}, (-4.0, 3.0)),
+])
+def test_sublevel_intervals_match_per_index_grouping(kind, params, domain, rng):
+    # levels below the least value (no interval), between the wells of a
+    # double well (two), above the domain's ends (the whole domain, or runs
+    # touching its ends), and random ones, among them exact scan values
+    phi = potential_catalog(kind, params, domain=domain)
+    vals = phi.value(np.linspace(*domain, 8192))
+    levels = [float(vals.min()) - 1.0, float(vals.max()) + 1.0,
+              float(vals.min()), float(vals[0]), float(vals[-1])]
+    levels += rng.uniform(vals.min(), vals.max(), 20).tolist()
+    levels += rng.choice(vals, 10).tolist()
+    counts = set()
+    for level in levels:
+        got = sublevel_intervals(phi, level, domain)
+        ref = _sublevel_reference(phi, level, domain)
+        assert [tuple(map(float, ab)) for ab in ref] == list(got), level
+        counts.add(len(got))
+    if kind == "quartic-well":
+        assert 2 in counts
+    volume = 0.25 * (domain[1] - domain[0])
+    assert stationary_patch(phi, volume, domain).volume == \
+        pytest.approx(volume, rel=1e-9)
+
 class TestQuadraticIntervalFlow:
     def test_initial_time(self):
         assert quadratic_interval_flow(0.5, 2.0, 1.3, 0.0) == (0.5, 2.0)

@@ -240,28 +240,34 @@ def _node_sum_loop(terms):
     return acc
 
 
+def _signed_terms(rng, shape):
+    """Mixed magnitudes and signs make the rounding of a sum depend on its
+    order, and signed zeros (whole columns of -0.0 among them) the sign of
+    a zero sum."""
+    terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
+    terms[rng.random(shape) < 0.1] = 0.0
+    terms[rng.random(shape) < 0.1] = -0.0
+    if len(shape) > 1:
+        terms[..., 0] = -0.0
+    return terms
+
+
 def test_node_sum_bit_identical_to_per_node_loop(rng):
     # terms shaped like the point sets of a scalar, a 1-D and a 2-D interval
-    # argument, of a broadcast pair, and a stride-0 broadcast view; mixed
-    # magnitudes and signs make the rounding depend on the order, and signed
-    # zeros (whole columns of -0.0 among them) the sign of a zero sum
+    # argument, of a broadcast pair, and a stride-0 broadcast view
     a, b = rng.uniform(-2.0, 1.0, (3, 4)), rng.uniform(1.0, 2.0, (1, 4))
     assert gl_points(a[:, :1], b).shape == (5, 3, 4)
     for shape in ((5,), (5, 64), (5, 3, 4), (5, 1)):
         for _ in range(100):
-            terms = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, shape)
-            terms[rng.random(shape) < 0.1] = 0.0
-            terms[rng.random(shape) < 0.1] = -0.0
-            if len(shape) > 1:
-                terms[:, 0] = -0.0
-            assert np.asarray(_node_sum(terms)).tobytes() == \
+            terms = _signed_terms(rng, shape)
+            assert np.asarray(_node_sum(terms, 0)).tobytes() == \
                 np.asarray(_node_sum_loop(terms)).tobytes(), shape
         zeros = np.full(shape, -0.0)
-        assert np.asarray(_node_sum(zeros)).tobytes() == \
+        assert np.asarray(_node_sum(zeros, 0)).tobytes() == \
             np.asarray(_node_sum_loop(zeros)).tobytes(), shape
     column = rng.normal(size=(5, 1)) * 10.0 ** rng.integers(-8, 9, (5, 1))
     view = np.broadcast_to(column, (5, 7))
-    assert _node_sum(view).tobytes() == _node_sum_loop(view).tobytes()
+    assert _node_sum(view, 0).tobytes() == _node_sum_loop(view).tobytes()
     # and through the interval data, on the point sets themselves
     phi = potential_catalog("quartic-well", a=1.0, b=-1.0, c=0.3)
     for x0, x1 in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b), (a[:, :1], b)):
@@ -272,10 +278,30 @@ def test_node_sum_bit_identical_to_per_node_loop(rng):
             np.asarray(0.5 * _node_sum_loop(w * v)).tobytes()
 
 
+def test_stacked_node_sum_bit_identical_to_per_node_loop(rng):
+    # the derivatives reduce a (k, 5, ...) stack over axis 1 in one call:
+    # each of the k sums must keep the bits of its own per-node loop,
+    # whether the node axis is the last one (a scalar interval argument)
+    # or rows are reduced over the interval axes after it
+    for k in (2, 3):
+        for shape in ((k, 5), (k, 5, 1), (k, 5, 64), (k, 5, 199),
+                      (k, 5, 3, 4)):
+            for _ in range(50):
+                terms = _signed_terms(rng, shape)
+                ref = np.stack([np.asarray(_node_sum_loop(t)) for t in terms])
+                got = np.asarray(_node_sum(terms, 1))
+                assert got.shape == ref.shape and \
+                    got.tobytes() == ref.tobytes(), shape
+            zeros = np.full(shape, -0.0)
+            assert np.asarray(_node_sum(zeros, 1)).tobytes() == \
+                np.stack([_node_sum_loop(t) for t in zeros]).tobytes(), shape
+
+
 def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
-    # the per-node constants are built once, not per call; the point sets
-    # and the interval data keep the bits of the formulas that built them
-    # on every call, for scalar, 1-D and 2-D interval arguments
+    # the per-node constants are built once, not per call, and each
+    # derivative is one stacked product and one reduce; the point sets
+    # and the interval data keep the bits of the separate per-call
+    # formulas, for scalar, 1-D and 2-D interval arguments
     nodes, weights = np.polynomial.legendre.leggauss(5)
 
     def per_node(const, pts):
@@ -294,13 +320,14 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
             la = per_node(0.5 * (1.0 - nodes), c)
             lb = per_node(0.5 * (1.0 + nodes), c)
             tc = per_node(0.5 * weights, c) * c
-            ref = (0.5 * _node_sum(per_node(weights, v) * v),
-                   _node_sum(t * per_node(1.0 - nodes, g)),
-                   _node_sum(t * per_node(1.0 + nodes, g)),
-                   _node_sum(tc * la * la), _node_sum(tc * la * lb),
-                   _node_sum(tc * lb * lb))
+            ref = (0.5 * _node_sum_loop(per_node(weights, v) * v),
+                   _node_sum_loop(t * per_node(1.0 - nodes, g)),
+                   _node_sum_loop(t * per_node(1.0 + nodes, g)),
+                   _node_sum_loop(tc * la * la), _node_sum_loop(tc * la * lb),
+                   _node_sum_loop(tc * lb * lb))
             got = (phi.avg(pts), *phi.avg_grad(pts), *phi.avg_hess(pts))
             for r, y in zip(ref, got, strict=True):
+                assert np.shape(y) == np.shape(r), kind
                 assert np.asarray(y).tobytes() == np.asarray(r).tobytes(), kind
 
 
