@@ -111,8 +111,9 @@ def _movement_value(d, w):
 
 def _movement_grad(d, w):
     g = np.zeros(d.size)
-    g[:-1] += w / 3.0 * (2.0 * d[:-1] + d[1:])
-    g[1:] += w / 3.0 * (d[:-1] + 2.0 * d[1:])
+    two_d = 2.0 * d
+    g[:-1] += w / 3.0 * (two_d[:-1] + d[1:])
+    g[1:] += w / 3.0 * (d[:-1] + two_d[1:])
     return g
 
 
@@ -136,6 +137,9 @@ def _objective(state, w, m, phi, h):
 
 
 def _gradient(state, w, m, phi, h):
+    """Gradient of the step objective.  At finite m its gap powers, and
+    the Hessian's, may overflow: the caller's ``np.errstate`` decides
+    whether that warns."""
     _, d, gaps, pts = state
     g = np.zeros(d.size)
     da, db = w * phi.avg_grad(pts)
@@ -143,9 +147,7 @@ def _gradient(state, w, m, phi, h):
     g[1:] += db
     g += _movement_grad(d, w) / (2.0 * h)
     if not math.isinf(m):
-        dens = w / gaps
-        with np.errstate(over="ignore"):
-            sp = -dens ** m
+        sp = -(w / gaps) ** m
         g[:-1] -= sp
         g[1:] += sp
     return g
@@ -165,9 +167,7 @@ def _hessian(state, w, m, phi, h):
     hd[1:] += w / (3.0 * h)
     ho += w / (6.0 * h)
     if not math.isinf(m):
-        dens = w / gaps
-        with np.errstate(over="ignore"):
-            spp = m * dens ** (m + 1.0) / w
+        spp = m * (w / gaps) ** (m + 1.0) / w
         hd[:-1] += spp
         hd[1:] += spp
         ho -= spp
@@ -235,10 +235,12 @@ def _line_search(state, step, slope, gnorm, args, f=None):
     fails.  ``args`` are the objective's trailing arguments ``(w, m, phi,
     h)``; ``f`` is the objective at ``state`` when the caller has it.
 
-    Returns ``(state_new, g_new, f_new)``: the trial, its gradient, and
-    its objective when the Armijo test accepted it (else None, as nothing
-    evaluated it).  When backtracking runs out the tiny step is taken
-    untested.
+    Returns ``(state_new, g_new, gnorm_new, f_new)``: the trial, its
+    gradient and that gradient's max-norm, and its objective when the
+    Armijo test accepted it (else None, as nothing evaluated it).  A
+    non-finite gradient has a NaN or infinite norm, which fails the
+    gradient test against the caller's finite ``gnorm``.  When
+    backtracking runs out the tiny step is taken untested.
     """
     x, d, gaps, _ = state
     dgap = step[1:] - step[:-1]
@@ -247,23 +249,21 @@ def _line_search(state, step, slope, gnorm, args, f=None):
     if shrink.any():
         alpha = min(1.0, 0.95 * float((gaps[shrink] / -dgap[shrink]).min()))
     while True:
-        trial = _newton_state(x + alpha * step, d + alpha * step,
-                              gaps + alpha * dgap)
+        s = alpha * step
+        trial = _newton_state(x + s, d + s, gaps + alpha * dgap)
         g_new = _gradient(trial, *args)
-        if not alpha > 1e-16:
-            return trial, g_new, None
-        if np.isfinite(g_new).all() and \
-                float(np.abs(g_new).max()) <= (1.0 - 0.5 * alpha) * gnorm:
-            return trial, g_new, None
+        gnorm_new = float(np.abs(g_new).max())
+        if not alpha > 1e-16 or gnorm_new <= (1.0 - 0.5 * alpha) * gnorm:
+            return trial, g_new, gnorm_new, None
         if f is None:
             f = _objective(state, *args)
         f_new = _objective(trial, *args)
         if f_new <= f + ARMIJO * alpha * slope:
-            return trial, g_new, f_new
+            return trial, g_new, gnorm_new, f_new
         alpha *= BACKTRACK
 
 
-def _solve_finite_m(y, w, m, phi, h, opts, predictor):
+def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
     """Damped Newton; the gap powers act as an interior barrier.
 
     The iterate is the triple ``(x, d, gaps)``: the nodes, the
@@ -274,36 +274,48 @@ def _solve_finite_m(y, w, m, phi, h, opts, predictor):
     ``m * n**2`` into a residual floor above ``tol_grad``.  A
     ``predictor`` displacement ``p`` starts the iterate at ``(y + p, p,
     diff(y) + diff(p))`` when those gaps are all positive; otherwise, and
-    without one, Newton starts at ``y``.  Returns at ``kkt_residual <=
-    tol_grad`` or raises after ``max_iterations`` Newton steps: the nodes,
-    the KKT residual, and the number of steps taken as the iteration
-    count.
+    without one, Newton starts at ``y``; ``gaps_y`` are the gaps of ``y``.
+    Returns at ``kkt_residual <= tol_grad`` or raises after
+    ``max_iterations`` Newton steps: the nodes, the KKT residual, and the
+    number of steps taken as the iteration count.  A start whose gap
+    powers overflow raises ``ValueError``.  A trial's gap powers may
+    overflow to inf, and two adjacent ones then cancel to NaN; the line
+    search rejects both, so one ``np.errstate`` over the whole solve
+    ignores overflow and invalid values.
     """
     args = (w, m, phi, h)
-    gaps_y = y[1:] - y[:-1]
     gaps0 = None if predictor is None \
         else gaps_y + (predictor[1:] - predictor[:-1])
     if gaps0 is not None and (gaps0 > 0.0).all():
         state = _newton_state(y + predictor, predictor, gaps0)
     else:
         state = _newton_state(y.copy(), np.zeros_like(y), gaps_y)
-    g = _gradient(state, *args)
-    gnorm = float(np.abs(g).max())
-    f = None  # objective at ``state``, when a line search evaluated it
-    it = 0
-    while gnorm / w > opts.tol_grad:
-        if it == opts.max_iterations:
-            raise JkoConvergenceError(
-                f"step did not converge in {opts.max_iterations} iterations "
-                f"(KKT residual {gnorm / w:.3e}, tol {opts.tol_grad:.1e})")
-        it += 1
-        hd, ho = _hessian(state, *args)
-        step = _solve_tridiag(hd, ho, -g)
-        if not np.isfinite(step).all() or float(np.dot(step, g)) >= 0.0:
-            step = -g / hd.max()  # gradient fallback, crudely scaled
-        state, g, f = _line_search(state, step, float(np.dot(step, g)),
-                                   gnorm, args, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _gradient(state, *args)
         gnorm = float(np.abs(g).max())
+        if not math.isfinite(gnorm):
+            raise ValueError(
+                f"infeasible start: the gap powers overflow at m = {m:g} "
+                f"(smallest gap {float(state[2].min()):.3e}, "
+                f"cell mass {w:.3e})")
+        f = None  # objective at ``state``, when a line search evaluated it
+        it = 0
+        while gnorm / w > opts.tol_grad:
+            if it == opts.max_iterations:
+                raise JkoConvergenceError(
+                    f"step did not converge in {opts.max_iterations} "
+                    f"iterations (KKT residual {gnorm / w:.3e}, "
+                    f"tol {opts.tol_grad:.1e})")
+            it += 1
+            hd, ho = _hessian(state, *args)
+            step = _solve_tridiag(hd, ho, -g)
+            # the finiteness test first: a non-finite step needs no slope
+            if not np.isfinite(step).all() or \
+                    (slope := float(np.dot(step, g))) >= 0.0:
+                step = -g / hd.max()  # gradient fallback, crudely scaled
+                slope = float(np.dot(step, g))
+            state, g, gnorm, f = _line_search(state, step, slope, gnorm,
+                                              args, f)
     return state[0], gnorm / w, it
 
 
@@ -314,11 +326,11 @@ def _blocks_from_active(active):
     return ids
 
 
-def _snap_active(x, active, w):
-    """Rebuild rigid blocks at exact spacing ``w``, preserving block means."""
-    if not active.any():
+def _snap_active(x, ids, w):
+    """Rebuild rigid blocks at exact spacing ``w``, preserving block means;
+    ``ids`` are the node block ids from ``_blocks_from_active``."""
+    if ids[-1] == x.size - 1:  # no active gap: every node its own block
         return x
-    ids = _blocks_from_active(active)
     counts = np.bincount(ids)
     mean_x = np.bincount(ids, weights=x) / counts
     # a block of k nodes from index s has its mean node at s + (k - 1) / 2,
@@ -327,17 +339,18 @@ def _snap_active(x, active, w):
     return mean_x[ids] + w * (np.arange(x.size) - center[ids])
 
 
-def _multipliers(g, active, ids):
-    """Constraint multipliers from blockwise gradient sums; ``ids`` are
-    the node block ids of ``active``.
+def _multipliers(g, inactive, ids):
+    """Constraint multipliers from blockwise gradient sums; ``inactive``
+    is the complement of the active-gap mask, and ``ids`` are its node
+    block ids.
 
     On a rigid block, stationarity stacks the node gradients into the
     chain of active-gap multipliers by partial summation.
     """
     cg = g.cumsum()
-    borders = np.flatnonzero(~active)
+    borders = np.flatnonzero(inactive)
     before = np.concatenate([[0.0], cg[borders]])
-    mu = np.where(active, -(cg[:-1] - before[ids[:-1]]), 0.0)
+    mu = np.where(inactive, 0.0, -(cg[:-1] - before[ids[:-1]]))
     return mu
 
 
@@ -350,7 +363,7 @@ def _kkt_residual(g, mu, w):
     return max(stat, neg) / w
 
 
-def _solve_congested(y, w, phi, h, opts):
+def _solve_congested(y, gaps, w, phi, h, opts):
     """Primal-dual active-set Newton for the m = inf step.
 
     Active gaps (at the congestion spacing ``w``) pool nodes into rigid
@@ -363,46 +376,57 @@ def _solve_congested(y, w, phi, h, opts):
     Adding before releasing matters: a release next to a violated gap
     sees a spurious negative multiplier.  The objective is convex for
     admissible h, so the final KKT point is the global step minimizer.
-    Returns the nodes, the KKT residual, the active count, and the number
-    of sweeps as the iteration count.
+    ``gaps`` are the gaps of ``y``.  Returns the nodes, the KKT residual,
+    the active count, and the number of sweeps as the iteration count.
     """
     args = (w, math.inf, phi, h)
     floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
     # a start that already keeps the spacing (every step of a trajectory
     # after the first) needs no projection: its active set is read off its
     # gaps, and the snap below moves it by round-off, as pooling would
-    x = y if (y[1:] - y[:-1] >= floor).all() else project_spacing(y, w)
-    active = x[1:] - x[:-1] <= w * (1.0 + 1e-12)
-    x = _snap_active(x, active, w)
+    x = y
+    if not (gaps >= floor).all():
+        x = project_spacing(y, w)
+        gaps = x[1:] - x[:-1]
+    active = gaps <= w * (1.0 + 1e-12)
+    ids = _blocks_from_active(active)
+    x = _snap_active(x, ids, w)
     state = _newton_state(x, x - y, x[1:] - x[:-1])
     g = _gradient(state, *args)
     for sweep in range(1, opts.max_iterations + 1):
-        ids = _blocks_from_active(active)
+        inactive = ~active
         nblocks = ids[-1] + 1
         hd, ho = _hessian(state, *args)
         hd_red = np.bincount(ids, weights=hd, minlength=nblocks)
         hd_red += 2.0 * np.bincount(ids[:-1][active], weights=ho[active],
                                     minlength=nblocks)
         g_red = np.bincount(ids, weights=g, minlength=nblocks)
-        x = x + _solve_tridiag(hd_red, ho[~active], -g_red)[ids]
+        x = x + _solve_tridiag(hd_red, ho[inactive], -g_red)[ids]
         gaps = x[1:] - x[:-1]
         state = _newton_state(x, x - y, gaps)
         g = _gradient(state, *args)
-        mu = _multipliers(g, active, ids)
+        mu = _multipliers(g, inactive, ids)
         res = _kkt_residual(g, mu, w)
-        violated = ~active & (gaps < floor)
+        violated = inactive & (gaps < floor)
         if not violated.any():
             if res <= opts.tol_grad:
                 return x, res, int(active.sum()), sweep
             active = active & (mu >= 0.0)
-        while violated.any():
-            active = active | violated
-            # snapping a grown block to spacing w can push its neighbours
-            # below w; adding them now keeps the sweep count independent of n
-            snapped = _snap_active(x, active, w)
-            violated = ~active & (snapped[1:] - snapped[:-1] < floor)
-        x = _snap_active(x, active, w)
-        state = _newton_state(x, x - y, x[1:] - x[:-1])
+            ids = _blocks_from_active(active)
+            x = _snap_active(x, ids, w)
+            gaps = x[1:] - x[:-1]
+        else:
+            newton_x = x
+            while violated.any():
+                active = active | violated
+                ids = _blocks_from_active(active)
+                # snapping a grown block to spacing w can push its neighbours
+                # below w; adding them now keeps the sweep count independent
+                # of n
+                x = _snap_active(newton_x, ids, w)
+                gaps = x[1:] - x[:-1]
+                violated = ~active & (gaps < floor)
+        state = _newton_state(x, x - y, gaps)
         g = _gradient(state, *args)
     raise JkoConvergenceError(
         f"congested step did not converge in {opts.max_iterations} sweeps "
@@ -429,8 +453,9 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     ValueError
         Step size outside the admissible convexity range, an infeasible
         start (m = inf with density above one; finite m with a collapsed
-        gap), a predictor of the wrong shape or not finite, or a result
-        whose support leaves the potential's working domain.
+        gap, or gap powers that overflow), a predictor of the wrong shape
+        or not finite, or a result whose support leaves the potential's
+        working domain.
     JkoConvergenceError
         The requested KKT residual was not reached; never silently
         accepted.
@@ -446,14 +471,18 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
         if predictor.shape != y.shape or not np.isfinite(predictor).all():
             raise ValueError(f"predictor must be a finite array of the nodes' "
                              f"shape {y.shape}")
+    gaps = y[1:] - y[:-1]
     if math.isinf(m):
-        if rho0.max_density > 1.0 + 1e-9:
+        # rho0.max_density, from the gaps at hand
+        gap_min = gaps.min()
+        if not gap_min > 0.0 or w / gap_min > 1.0 + 1e-9:
             raise ValueError("infeasible start: density exceeds one")
-        x, res, nact, iters = _solve_congested(y, w, phi, h, opts)
+        x, res, nact, iters = _solve_congested(y, gaps, w, phi, h, opts)
     else:
-        if (y[1:] - y[:-1] <= 0.0).any():
+        if (gaps <= 0.0).any():
             raise ValueError("infeasible start: collapsed gap at finite m")
-        x, res, iters = _solve_finite_m(y, w, m, phi, h, opts, predictor)
+        x, res, iters = _solve_finite_m(y, gaps, w, m, phi, h, opts,
+                                        predictor)
         nact = 0
     state = QuantileRep(rho0.total_mass, x)
     _check_domain(phi, state.nodes[0], state.nodes[-1])

@@ -131,12 +131,6 @@ def _sublevel(phi, xs, vals, level):
     return tuple(out)
 
 
-def sublevel_intervals(phi: Potential, level: float, domain):
-    """Intervals of ``{Phi <= level}`` inside ``domain`` by scan plus bisection."""
-    xs = np.linspace(domain[0], domain[1], _SCAN_SAMPLES)
-    return _sublevel(phi, xs, phi.value(xs), level)
-
-
 def stationary_patch(phi: Potential, volume: float, domain) -> Patch:
     """Sublevel set ``{Phi <= C}`` with prescribed volume, as a patch.
 

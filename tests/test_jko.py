@@ -354,6 +354,23 @@ class TestJkoStep:
         with pytest.raises(ValueError):
             jko_step(squeezed, math.inf, 0.01, quad_phi)
 
+    def test_overflowing_barrier_at_the_start_names_the_overflow(self):
+        # one gap of 1e-9 among gaps of 1e-2: (w / gap)**50 overflows at the
+        # start, which used to surface as the tridiagonal solve's complaint
+        # about infs; (w / gap)**10 does not, and that step converges.  Two
+        # such gaps side by side cancel to a NaN gradient, which used to
+        # return the start as a step with a NaN residual
+        phi = potential_catalog("quadratic", q=1.0)
+        for collapsed in (1, 2):
+            x = np.linspace(-1.0, 1.0, 201)
+            for j in range(100, 100 + collapsed):
+                x[j] = x[j - 1] + 1e-9
+            q0 = QuantileRep(1.0, x)
+            with pytest.raises(ValueError, match=r"overflow at m = 50 "
+                                                 r"\(smallest gap 1\.000e-09"):
+                jko_step(q0, 50.0, 1e-3, phi)
+        assert jko_step(q0, 10.0, 1e-3, phi).kkt_residual <= 1e-9
+
     def test_bad_m_rejected(self, g6, quad_phi):
         q0 = indicator_quantile(0, 1, g6)
         with pytest.raises(ValueError):
@@ -642,6 +659,32 @@ class TestSolverStarts:
             with pytest.raises(ValueError):
                 jko_step(q0, 6.0, 0.02, quad_phi, None, bad)
 
+    def test_finite_m_step_evaluates_each_derivative_once(self, monkeypatch):
+        # one Hessian per Newton step, and one gradient per point the solve
+        # builds: the start and every line-search trial, each one
+        # _newton_state; the cold congested steps backtrack
+        counts = dict.fromkeys(("_gradient", "_hessian", "_newton_state"), 0)
+        for name in counts:
+            def counted(*args, fn=getattr(jko, name), name=name):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(jko, name, counted)
+        phi, cases = _congested_cases()
+        lt_phi, lt_q0 = _longtime_case()
+        runs = [(q0, m, 0.5, phi) for q0 in cases[:2] for m in (10.0, 50.0)]
+        runs.append((lt_q0, 10.0, 1e-3, lt_phi))
+        backtracked = False
+        for q0, m, h, pot in runs:
+            for name in counts:
+                counts[name] = 0
+            out = jko_step(q0, m, h, pot)
+            trials = counts["_newton_state"] - 1
+            assert counts["_hessian"] == out.iterations
+            assert counts["_gradient"] == 1 + trials
+            assert trials >= out.iterations
+            backtracked |= trials > out.iterations
+        assert backtracked
+
     def test_spacing_projected_only_for_an_infeasible_start(
             self, g6, quad_phi, monkeypatch):
         calls = []
@@ -670,7 +713,8 @@ class TestSolverStarts:
 def _armijo_first_line_search(state, step, slope, gnorm, args, f=None):
     """The line search with the Armijo test first: the objective at the
     start and at every trial, the gradient only where Armijo fails.  It
-    takes no objective value from the caller and returns none."""
+    takes no objective value from the caller and returns none; the
+    returned gradient norm is taken here, once per return."""
     x, d, gaps, _ = state
     dgap = np.diff(step)
     shrink = dgap < 0.0
@@ -678,17 +722,21 @@ def _armijo_first_line_search(state, step, slope, gnorm, args, f=None):
     if np.any(shrink):
         alpha = min(1.0, 0.95 * float(np.min(gaps[shrink] / -dgap[shrink])))
     f = jko._objective(state, *args)
+
+    def accept(trial, g_new):
+        return trial, g_new, float(np.max(np.abs(g_new))), None
+
     while True:
         trial = jko._newton_state(x + alpha * step, d + alpha * step,
                                   gaps + alpha * dgap)
         if not alpha > 1e-16:
-            return trial, jko._gradient(trial, *args), None
+            return accept(trial, jko._gradient(trial, *args))
         if jko._objective(trial, *args) <= f + jko.ARMIJO * alpha * slope:
-            return trial, jko._gradient(trial, *args), None
+            return accept(trial, jko._gradient(trial, *args))
         g_new = jko._gradient(trial, *args)
         if np.all(np.isfinite(g_new)) and \
                 float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
-            return trial, g_new, None
+            return accept(trial, g_new)
         alpha *= jko.BACKTRACK
 
 
@@ -770,6 +818,25 @@ class TestLineSearch:
         self._assert_same_steps(fast, ref)
         assert counts == [4, 7] * len(cases)
         assert ref_counts == [4, 8] * len(cases)
+
+    def test_returned_norm_is_the_max_norm_of_the_returned_gradient(
+            self, monkeypatch):
+        # the Newton loop takes this norm in place of its own, so it must
+        # carry the bits of float(np.abs(g).max()) on either test's accept
+        phi, cases = _congested_cases()
+        search, returns = jko._line_search, []
+
+        def recorded(*args):
+            returns.append(search(*args))
+            return returns[-1]
+
+        monkeypatch.setattr(jko, "_line_search", recorded)
+        for q0 in cases[:2]:
+            for m in (10.0, 50.0):
+                jko_step(q0, m, 0.5, phi)
+        assert {f is None for *_, f in returns} == {True, False}
+        for _, g, gnorm, _ in returns:
+            assert gnorm.hex() == float(np.abs(g).max()).hex()
 
     def test_full_newton_steps_evaluate_no_objective(self, monkeypatch):
         # every Newton step of this cold step passes the gradient test at

@@ -5,12 +5,18 @@ import pytest
 
 from crowdflow.heleshaw import heleshaw_run
 from crowdflow.model import GridDensity, GridSpec
-from crowdflow.oracles import (barenblatt, barenblatt_halfwidth,
-                               energy_minimizer_profile,
-                               quadratic_interval_flow, stationary_patch,
-                               sublevel_intervals)
+from crowdflow.oracles import (_SCAN_SAMPLES, _sublevel, barenblatt,
+                               barenblatt_halfwidth, energy_minimizer_profile,
+                               quadratic_interval_flow, stationary_patch)
 from crowdflow.model import Patch
 from crowdflow.potentials import gl_points, potential_catalog
+
+
+def sublevel_intervals(phi, level, domain):
+    """Intervals of ``{Phi <= level}`` inside ``domain``: the scan and
+    bisection of ``stationary_patch`` at one level."""
+    xs = np.linspace(domain[0], domain[1], _SCAN_SAMPLES)
+    return _sublevel(phi, xs, phi.value(xs), level)
 
 
 class TestBarenblatt:
