@@ -40,6 +40,13 @@ def _positive(key, val):
     return val
 
 
+def _finite(key, val):
+    """``val`` if it is finite, else a ConfigError naming ``key``."""
+    if not math.isfinite(val):
+        raise ConfigError(f"key {key!r}: must be finite, got {val}")
+    return val
+
+
 def _at_least(key, val, lo):
     """``val`` if it is at least ``lo``, else a ConfigError naming ``key``:
     the check of every count and size."""
@@ -169,15 +176,15 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(
                     f"key {key!r}: boxes are 'a,b,height' triples") from exc
-            out.append((a, b, h))
+            out.append((_finite(key, a), _finite(key, b), _finite(key, h)))
         return out
 
     def shape_spec(self, key="init.boxes"):
         return {"boxes": self.boxes(key)}
 
     def grid_spec(self) -> GridSpec:
-        return GridSpec(self.get_float("grid.lo", -4.0),
-                        self.get_float("grid.hi", 4.0),
+        return GridSpec(_finite("grid.lo", self.get_float("grid.lo", -4.0)),
+                        _finite("grid.hi", self.get_float("grid.hi", 4.0)),
                         _at_least("grid.n", self.get_int("grid.n", 800), 1),
                         dim=_at_least("grid.dim", self.get_int("grid.dim", 1),
                                       1))
@@ -192,8 +199,9 @@ class ExperimentConfig:
                 params[name] = (self.get_floats(key) if name == "coef"
                                 else self.get_float(key))
         dom = self.get_floats("potential.domain", (-8.0, 8.0))
-        if len(dom) != 2 or not dom[1] > dom[0]:
-            raise ConfigError("potential.domain must be 'lo,hi' with lo < hi")
+        if len(dom) != 2 or not -math.inf < dom[0] < dom[1] < math.inf:
+            raise ConfigError("key 'potential.domain': must be 'lo,hi' with "
+                              f"finite lo < hi, got {dom}")
         try:
             return potential_catalog(kind, params, domain=tuple(dom),
                                      dim=self.get_int("grid.dim", 1))

@@ -118,6 +118,16 @@ def _setup(cfg: ExperimentConfig):
     return phi, grid, rho0
 
 
+def _patch0(cfg, grid):
+    """The patch of ``init.boxes``.  A patch is a set, the density 1 on
+    it, so every box height must be 1."""
+    boxes = cfg.boxes()
+    if any(h != 1.0 for _a, _b, h in boxes):
+        raise ConfigError("key 'init.boxes': a patch run needs every box "
+                          f"height to be 1, got {[h for *_, h in boxes]}")
+    return Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
+
+
 def _quantile0(cfg, rho0, require_feasible=True):
     n = _at_least("quantile.n", cfg.get_int("quantile.n", 400), 2)
     q0 = to_quantile(rho0, n)
@@ -345,8 +355,7 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Degenerate-diffusion supports against the tracked free boundary."""
     phi = cfg.potential()
     grid = cfg.grid_spec()
-    boxes = cfg.boxes()
-    patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
+    patch0 = _patch0(cfg, grid)
     rho0 = patch0.indicator(grid)
     m_list = _finite_m_list(cfg, "crossval")
     times = cfg.get_positive_floats("crossval.times", (0.25, 0.5, 1.0))
@@ -460,8 +469,7 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
                 ["x_center", "rho", "pressure"],
                 list(zip(rho.centers, rho.values, pressure(rho, m))))
     elif scheme == "heleshaw":
-        boxes = cfg.boxes()
-        patch0 = Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
+        patch0 = _patch0(cfg, grid)
         dt_fb = cfg.get_positive("heleshaw.dt", 1e-3)
         traj, volumes = heleshaw_run(patch0, phi, T, dt_fb,
                                      snapshot_times=snapshot_times)

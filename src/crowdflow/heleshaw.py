@@ -19,7 +19,7 @@ import numpy as np
 
 from numpy.polynomial import polynomial as npoly
 
-from .model import Patch, _check_positive, _snapshot_schedule
+from .model import Patch, _bisect, _check_positive, _snapshot_schedule
 from .potentials import Potential, _horner
 
 
@@ -196,23 +196,11 @@ def _admissible(ivs, dim: int) -> bool:
             and not (dim > 1 and ivs[0][0] < 0.0))
 
 
-def _contact_fraction(ivs, dim, rate, step, iters=80):
-    """The largest step fraction found admissible by bisection.
-
-    ``lo`` is admissible and ``hi`` is not, so once no float lies between
-    them (``mid`` equals one) every further iteration would leave both
-    unchanged, and the loop stops.
-    """
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if not _admissible(_rk4(ivs, dim, rate, step * mid), dim):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+def _contact_fraction(ivs, dim, rate, step):
+    """The largest step fraction that 80 halvings from the admissible
+    fraction 0 to the inadmissible 1 find admissible."""
+    return _bisect(lambda f: _admissible(_rk4(ivs, dim, rate, step * f), dim),
+                   0.0, 1.0, 80)[0]
 
 
 def _merge_touching(ivs: tuple) -> tuple:

@@ -31,6 +31,7 @@ from .energy import _check_domain, gap_energy
 from .model import (GridDensity, GridSpec, QuantileRep, _check_positive,
                     to_grid, to_quantile)
 from .potentials import Potential, gl_points
+from .transport import _cost
 
 
 BACKTRACK = 0.5   # line-search shrink factor
@@ -105,10 +106,6 @@ def project_spacing(x, gap):
 # objective assembly (all terms per-gap, Hessians tridiagonal)
 # ---------------------------------------------------------------------------
 
-def _movement_value(d, w):
-    d0, d1 = d[:-1], d[1:]
-    return w / 3.0 * (d0 * d0 + d0 * d1 + d1 * d1).sum()
-
 def _movement_grad(d, w):
     g = np.zeros(d.size)
     two_d = 2.0 * d
@@ -130,7 +127,7 @@ def _objective(state, w, m, phi, h):
     if not math.isinf(m) and (gaps <= 0.0).any():
         return math.inf
     val = w * phi.avg(pts).sum()
-    val += _movement_value(d, w) / (2.0 * h)
+    val += _cost(d, w) / (2.0 * h)
     if not math.isinf(m):
         val += gap_energy(w, gaps, m)
     return float(val)

@@ -31,6 +31,24 @@ def _check_positive(what, name, val):
                          f"{name} = {val}")
 
 
+def _bisect(inside, a, b, iters):
+    """The library's one bisection: at most ``iters`` halvings of the
+    bracket from ``a``, where ``inside`` holds, to ``b`` (on either side),
+    where it does not, stopping once the midpoint equals the end it would
+    replace, as no float lies between the ends.  Returns the last ends."""
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        if inside(mid):
+            if mid == a:
+                break
+            a = mid
+        else:
+            if mid == b:
+                break
+            b = mid
+    return a, b
+
+
 def _snapshot_schedule(T, snapshot_times):
     """Output times of a run to ``T``: the requested floats in ``(0, T]``
     (strictly increasing; 16 even times by default), then ``T`` if missing.
@@ -67,8 +85,9 @@ class GridSpec:
     _edge_areas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_cells < 1 or not self.x_hi > self.x_lo:
-            raise ValueError("grid needs x_hi > x_lo and at least one cell")
+        if self.n_cells < 1 or not -math.inf < self.x_lo < self.x_hi < math.inf:
+            raise ValueError("grid needs finite x_lo < x_hi and at least "
+                             "one cell")
         if self.dim > 1 and self.x_lo != 0.0:
             raise ValueError("radial grids must start at r = 0")
         d = self.dim
@@ -274,6 +293,8 @@ def make_grid_density(shape_spec, grid_spec: GridSpec) -> GridDensity:
     for a, b, h in boxes:
         if not b > a:
             raise ValueError("box must have positive length")
+        if not math.isfinite(h):
+            raise ValueError(f"box height must be finite, got {h}")
         if a < grid_spec.x_lo - 1e-12 or b > grid_spec.x_hi + 1e-12:
             raise ValueError("grid does not cover the requested shape")
         lo, hi = np.clip(e[:-1], a, b), np.clip(e[1:], a, b)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .model import GridDensity, GridSpec, Patch
+from .model import GridDensity, GridSpec, Patch, _bisect
 from .potentials import Potential, _horner
 
 
@@ -100,27 +100,16 @@ def _sublevel(phi, xs, vals, level):
     idx = np.flatnonzero(vals <= level)
     if idx.size == 0:
         return ()
-    coef = phi.coef.tolist()
     cut = np.flatnonzero(np.diff(idx) > 1)
     firsts = idx[np.concatenate(([0], cut + 1))].tolist()
     lasts = idx[np.concatenate((cut, [idx.size - 1]))].tolist()
     end = xs.size - 1
 
     def refine(i_in, i_out):
-        # root of Phi - level between a point inside and a point outside;
-        # a step that leaves the bracket unchanged repeats forever, so stop
-        x_in, x_out = float(xs[i_in]), float(xs[i_out])
-        for _ in range(80):
-            mid = 0.5 * (x_in + x_out)
-            if _horner(coef, mid) <= level:
-                if mid == x_in:
-                    break
-                x_in = mid
-            else:
-                if mid == x_out:
-                    break
-                x_out = mid
-        return 0.5 * (x_in + x_out)
+        # root of Phi - level between a point inside and a point outside
+        a, b = _bisect(lambda x: _horner(phi._ccoef, x) <= level,
+                       float(xs[i_in]), float(xs[i_out]), 80)
+        return 0.5 * (a + b)
 
     out = []
     for i0, i1 in zip(firsts, lasts):
@@ -153,17 +142,7 @@ def stationary_patch(phi: Potential, volume: float, domain) -> Patch:
     if floor > volume:
         raise ValueError(f"requested volume {volume:g} is below {floor:g}, "
                          f"the least the {_SCAN_SAMPLES}-point scan resolves")
-    for _ in range(200):
-        c_mid = 0.5 * (c_lo + c_hi)
-        # a step that leaves the bracket unchanged repeats forever: stop
-        if vol(c_mid) < volume:
-            if c_mid == c_lo:
-                break
-            c_lo = c_mid
-        else:
-            if c_mid == c_hi:
-                break
-            c_hi = c_mid
+    _, c_hi = _bisect(lambda c: vol(c) < volume, c_lo, c_hi, 200)
     return Patch(_sublevel(phi, xs, vals, c_hi))
 
 

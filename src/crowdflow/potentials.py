@@ -58,33 +58,46 @@ class Potential:
     coef : ndarray
         Polynomial coefficients, low order first; shifted so that a finite
         infimum over R is exactly zero.
-    lam : float
-        Greatest ``lam`` with ``Phi'' >= lam`` on the working domain
-        (the semi-convexity modulus; exact for quadratic wells).
-    positive_laplacian : bool
-        Radial Laplacian strictly positive on the working domain.
     domain : tuple
-        Working domain the flags and scans refer to.
+        Working domain the flags and scans refer to; both ends finite.
     dim : int
         Ambient dimension used for the (radial) Laplacian.
+    lam : float
+        Derived: the least ``Phi''`` on a ``_SCAN_POINTS`` scan of the
+        working domain (the semi-convexity modulus; exact for quadratic
+        wells).
+    positive_laplacian : bool
+        Derived: the Laplacian ``lap`` is strictly positive on that scan.
+
+    A radial profile (``dim > 1``) is scanned on ``r >= 0`` only.
     """
 
     coef: np.ndarray
-    lam: float
-    positive_laplacian: bool
     domain: tuple = (-8.0, 8.0)
     dim: int = 1
+    lam: float = field(init=False)
+    positive_laplacian: bool = field(init=False)
     _ccoef: tuple = field(init=False, repr=False)
     _dcoef: tuple = field(init=False, repr=False)
     _d2coef: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        lo, hi = self.domain = tuple(self.domain)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"potential domain must be finite, got "
+                             f"{self.domain}")
         self.coef = np.asarray(self.coef, dtype=float)
         # Python floats: the Horner kernel multiplies them into arrays
         # without the per-coefficient cost of numpy scalars
         self._ccoef = tuple(self.coef.tolist())
         self._dcoef = tuple(npoly.polyder(self.coef).tolist())
         self._d2coef = tuple(npoly.polyder(self.coef, 2).tolist())
+        xs = np.linspace(lo, hi, _SCAN_POINTS)
+        if self.dim > 1 and lo < 0:
+            xs = xs[xs >= 0]
+        # a quadratic's constant curvature q comes out of the scan exactly
+        self.lam = float(np.min(self.d2(xs)))
+        self.positive_laplacian = bool(np.min(self.lap(xs)) > 0.0)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -104,7 +117,13 @@ class Potential:
         form requires a profile centered at the origin and is regularized
         at ``r = 0`` by its even-profile limit ``d * Phi''(0)``.
         """
-        return _laplacian(x, self._dcoef, self._d2coef, self.dim)
+        d, d2 = self.dim, self.d2(x)
+        if d == 1:
+            return d2
+        x = np.asarray(x, dtype=float)
+        r = np.where(x == 0.0, 1.0, x)
+        out = d2 + (d - 1) * self.grad(x) / r
+        return np.where(x == 0.0, d * _horner(self._d2coef, 0.0), out)
 
     # -- interval data -------------------------------------------------------
     #
@@ -143,19 +162,9 @@ class Potential:
         return float(np.max(np.abs(self.grad(xs))))
 
 
-def _laplacian(x, dcoef, d2coef, d):
-    """Radial Laplacian of the polynomial with derivatives ``dcoef``, ``d2coef``."""
-    x = np.asarray(x, dtype=float)
-    d2 = npoly.polyval(x, d2coef)
-    if d == 1:
-        return d2
-    r = np.where(x == 0.0, 1.0, x)
-    out = d2 + (d - 1) * npoly.polyval(x, dcoef) / r
-    return np.where(x == 0.0, d * npoly.polyval(0.0, d2coef), out)
-
-
 def _horner(c, x):
-    """``numpy.polynomial.polynomial.polyval(x, c)`` without its set-up.
+    """``numpy.polynomial.polynomial.polyval(x, c)`` without its set-up:
+    the package's one polynomial evaluator.
 
     The same operations in the same order, so the result is bit-identical:
     polyval starts from ``c[-1] + x * 0``, which times ``x`` is ``c[-1] * x``
@@ -224,7 +233,7 @@ def _global_min_on_reals(coef):
     crit = crit[np.abs(crit.imag) < 1e-10].real
     if crit.size == 0:
         return -math.inf
-    return float(np.min(npoly.polyval(crit, coef)))
+    return float(np.min(_horner(tuple(coef.tolist()), crit)))
 
 
 # the parameters each catalog kind reads; any other name is an error
@@ -260,8 +269,8 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
     Raises
     ------
     ValueError
-        Unknown kind, a parameter the kind does not read, or malformed
-        parameters.  A quadratic with ``q <= 0`` is *not* an error: it is
+        Unknown kind, a parameter the kind does not read, malformed
+        parameters, or a domain end that is not finite.  A quadratic with ``q <= 0`` is *not* an error: it is
         returned with ``positive_laplacian=False``.
     """
     params = dict(params or {})
@@ -287,38 +296,19 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
             raise ValueError("quartic-well needs a positive quartic coefficient")
         # a/4 (x-c)^4 + b/2 (x-c)^2, expanded
         base = np.array([0.0, 0.0, 0.5 * b, 0.0, 0.25 * a])
-        coef = base if c == 0.0 else _compose_shift(base, c)
+        # Horner in the shifted variable x - c
+        coef = base if c == 0.0 else _horner(
+            tuple(base.tolist()), npoly.Polynomial([-c, 1.0])).coef
     elif kind == "linear":
         g = float(params.get("g", 1.0))
         coef = np.array([0.0, g])
     else:  # custom-polynomial
-        coef = np.asarray(params.get("coef", None), dtype=float)
-        if coef is None or coef.ndim != 1 or coef.size < 1:
+        coef = np.asarray(params.get("coef"), dtype=float)
+        if coef.ndim != 1 or coef.size < 1:
             raise ValueError("custom-polynomial needs a 1D 'coef' array")
 
     inf_phi = _global_min_on_reals(coef)
     if math.isfinite(inf_phi) and inf_phi != 0.0:
         coef = coef.copy()
         coef[0] -= inf_phi
-
-    xs = np.linspace(domain[0], domain[1], _SCAN_POINTS)
-    if dim > 1:
-        xs = xs[xs >= 0] if domain[0] < 0 else xs
-    dcoef, d2coef = npoly.polyder(coef), npoly.polyder(coef, 2)
-    # a quadratic's constant curvature q comes out of the scan exactly
-    lam = float(np.min(npoly.polyval(xs, d2coef)))
-    positive_laplacian = bool(np.min(_laplacian(xs, dcoef, d2coef, dim)) > 0.0)
-    return Potential(coef=coef, lam=lam, positive_laplacian=positive_laplacian,
-                     domain=tuple(domain), dim=dim)
-
-
-def _compose_shift(coef, c):
-    """Coefficients of p(x - c) given those of p(x)."""
-    out = np.zeros(1)
-    # Horner in the shifted variable
-    for a in coef[::-1]:
-        out = npoly.polymul(out, np.array([-c, 1.0]))
-        if out.size == 0:
-            out = np.zeros(1)
-        out[0] += a
-    return out
+    return Potential(coef, domain, dim)

@@ -24,16 +24,19 @@ def _check_pair(a: QuantileRep, b: QuantileRep):
         raise ValueError("node counts differ")
 
 
-def w2_cost_squared(xa: np.ndarray, xb: np.ndarray, w: float) -> float:
-    """Exact integral of ``|Xa(s) - Xb(s)|^2`` over mass levels.
-
-    ``xa`` and ``xb`` sample piecewise-linear inverse CDFs at common
-    levels spaced by ``w``; the difference is linear on each level cell,
-    so the cell integral is ``w/3 * (d0^2 + d0*d1 + d1^2)``.
-    """
-    d = np.asarray(xa, dtype=float) - np.asarray(xb, dtype=float)
+def _cost(d, w):
+    """Exact integral of the square of the piecewise-linear function with
+    values ``d`` at levels spaced by ``w``: ``w/3 * (d0^2 + d0*d1 + d1^2)``
+    per level cell."""
     d0, d1 = d[:-1], d[1:]
-    return float(w / 3.0 * np.sum(d0 * d0 + d0 * d1 + d1 * d1))
+    return w / 3.0 * np.sum(d0 * d0 + d0 * d1 + d1 * d1)
+
+
+def w2_cost_squared(xa: np.ndarray, xb: np.ndarray, w: float) -> float:
+    """Exact integral of ``|Xa(s) - Xb(s)|^2`` over mass levels, for
+    inverse CDFs ``Xa``, ``Xb`` sampled at common levels spaced by ``w``."""
+    return float(_cost(np.asarray(xa, dtype=float)
+                       - np.asarray(xb, dtype=float), w))
 
 
 def w2_distance(a: QuantileRep, b: QuantileRep) -> float:

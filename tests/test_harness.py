@@ -88,7 +88,11 @@ class TestConfig:
     # integer" (seed), "need at least two quantile cells", "mass ratio too
     # extreme", "converge-h needs at least two halvings", "support
     # threshold must be positive" and "Hausdorff distance needs nonempty
-    # patches" (eps_supp).  The m rows exited 2 without naming the key
+    # patches" (eps_supp).  The m rows exited 2 without naming the key.
+    # A non-finite domain, grid bound or box once warned, then gave a nan
+    # modulus (jko and pme exited 0), "positive Laplacian" (heleshaw) or
+    # "density values must be nonnegative"; a patch run read no box height,
+    # so a height other than 1 exited 0
     @pytest.mark.parametrize("kind, extra, key, bads", [
         ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
          ("0", "-0.01", "nan", "inf")),
@@ -120,13 +124,31 @@ class TestConfig:
         ("converge-m", "m.list = {}\n", "m.list", ("1,4,8", "nan,4")),
         ("longtime", "init2.boxes = 2,3,1\nm.list = {}\n", "m.list",
          ("0.5,inf",)),
+        ("single-run", "potential.domain = {}\n", "potential.domain",
+         ("-inf,8", "-8,inf", "nan,8")),
+        ("single-run", "run.scheme = pme\nm = 3\npotential.domain = {}\n",
+         "potential.domain", ("-inf,8",)),
+        ("single-run", "run.scheme = heleshaw\npotential.domain = {}\n",
+         "potential.domain", ("-inf,8",)),
+        ("single-run", "grid.lo = {}\n", "grid.lo", ("-inf", "nan")),
+        ("single-run", "grid.hi = {}\n", "grid.hi", ("inf",)),
+        ("single-run", "init.boxes = {}\n", "init.boxes",
+         ("1,2,inf", "1,2,nan", "-inf,2,1")),
+        ("longtime", "init2.boxes = {}\n", "init2.boxes", ("2,3,inf",)),
+        ("crossval", "m.list = 4,8\ninit.boxes = {}\n", "init.boxes",
+         ("1,2,0.5", "1,2,1;2.5,3,2")),
+        ("single-run", "run.scheme = heleshaw\ninit.boxes = {}\n",
+         "init.boxes", ("1,2,0.5",)),
     ], ids=["single-run-pme.dt", "crossval-pme.dt", "jko-run.T",
             "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
             "crossval-heleshaw.dt", "crossval-times", "crossval-m.list",
             "compare-trials", "compare-seed", "jko-quantile.n",
             "compare-quantile.n", "converge-h-h.halvings", "grid.n",
             "grid.dim", "crossval-pme.eps_supp", "jko-m", "pme-m",
-            "converge-m-m.list", "longtime-m.list"])
+            "converge-m-m.list", "longtime-m.list", "jko-potential.domain",
+            "pme-potential.domain", "heleshaw-potential.domain", "grid.lo",
+            "grid.hi", "init.boxes", "init2.boxes", "crossval-init.boxes",
+            "heleshaw-init.boxes"])
     def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
                                           extra, key, bads):
         for bad in bads:

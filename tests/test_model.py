@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from crowdflow.energy import internal_energy
 from crowdflow.model import (GridDensity, GridSpec, Patch, QuantileRep,
-                             make_grid_density, to_grid, to_quantile)
+                             _bisect, make_grid_density, to_grid,
+                             to_quantile)
 
 from conftest import indicator, random_density
 
@@ -58,6 +59,16 @@ class TestMakeGridDensity:
         g = GridSpec(-2, 2, 100)
         with pytest.raises(ValueError):
             make_grid_density({"boxes": [(0, 1, -2.0)]}, g)
+
+    @pytest.mark.parametrize("height", [math.inf, -math.inf, math.nan])
+    def test_non_finite_height_rejected_without_warning(self, height):
+        # an infinite height once gave inf * 0 = nan in the uncovered cells:
+        # a RuntimeWarning, then "density values must be nonnegative"
+        g = GridSpec(-2, 2, 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="height must be finite"):
+                make_grid_density({"boxes": [(0, 1, height)]}, g)
 
 
 class TestQuantileConversions:
@@ -272,7 +283,46 @@ class TestTypes:
                 stored[0] = 2.0
         assert pickle.loads(pickle.dumps(q)).total_mass == q.total_mass
 
+    @pytest.mark.parametrize("lo,hi", [(-math.inf, 4.0), (-4.0, math.inf),
+                                       (math.nan, 4.0), (-math.inf, math.inf)])
+    def test_grid_rejects_non_finite_bounds_without_warning(self, lo, hi):
+        # an infinite bound once made linspace warn and fill the edges
+        # with nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite x_lo < x_hi"):
+                GridSpec(lo, hi, 10)
+
     def test_radial_grid_measures(self):
         g = GridSpec(0.0, 1.0, 4, dim=3)
         total = g.cell_measures.sum()
         assert total == pytest.approx(4.0 / 3.0 * math.pi, rel=1e-12)
+
+
+class TestBisect:
+    def test_stops_on_a_bracket_of_adjacent_floats(self):
+        # the midpoint of two adjacent floats rounds to one of them; a
+        # halving that replaced that end by itself would repeat forever
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        for a, b in ((lo, hi), (hi, lo)):
+            calls = []
+
+            def inside(x, a=a):
+                calls.append(x)
+                return x == a
+
+            assert _bisect(inside, a, b, 80) == (a, b)
+            assert len(calls) == 1
+
+    def test_halves_toward_the_boundary_within_its_cap(self):
+        calls = []
+
+        def inside(x):
+            calls.append(x)
+            return x <= 0.3
+
+        assert _bisect(inside, 0.0, 1.0, 3) == (0.25, 0.375)
+        assert calls == [0.5, 0.25, 0.375]
+        # from the other side, at full precision: ends one float apart
+        a, b = _bisect(lambda x: x >= 0.3, 1.0, 0.0, 200)
+        assert (b, a) == (math.nextafter(0.3, 0.0), 0.3)

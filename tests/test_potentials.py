@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from crowdflow.potentials import (_GL_WEIGHTS, _node_sum, gl_points,
+from crowdflow.potentials import (_GL_WEIGHTS, _KIND_PARAMS, _SCAN_POINTS,
+                                  Potential, _node_sum, gl_points,
                                   potential_catalog)
 
 
@@ -39,6 +41,119 @@ def test_pointwise_evaluation_bit_identical_to_polyval(kind, params, rng):
         for x in (pts, pts[1], -1.25, 0.0):
             assert np.asarray(method(x)).tobytes() == \
                 np.asarray(npoly.polyval(x, coef)).tobytes(), (method, x)
+
+
+def _compose_shift(coef, c):
+    """Coefficients of p(x - c) given those of p(x), built by polynomial
+    products: the quartic well's shift before the catalog took it by
+    Horner's rule in the shifted variable."""
+    out = np.zeros(1)
+    for a in coef[::-1]:
+        out = npoly.polymul(out, np.array([-c, 1.0]))
+        if out.size == 0:
+            out = np.zeros(1)
+        out[0] += a
+    return out
+
+
+def _reference_infimum(coef):
+    """Infimum of the polynomial over R, evaluated with ``polyval``."""
+    c = np.trim_zeros(coef, "b")
+    if c.size <= 1:
+        return float(c[0]) if c.size else 0.0
+    if c.size % 2 == 0 or c[-1] <= 0:
+        return -math.inf
+    crit = npoly.polyroots(npoly.polyder(c))
+    crit = crit[np.abs(crit.imag) < 1e-10].real
+    return float(np.min(npoly.polyval(crit, c))) if crit.size else -math.inf
+
+
+def _polyval_reference(kind, p, domain, dim):
+    """``coef``, ``lam``, the Laplacian flag and the Laplacian of a catalog
+    entry, as the catalog computed them outside ``Potential``: by
+    ``polyval``, with ``_compose_shift`` for the quartic well."""
+    if kind in ("quadratic", "shifted-quadratic"):
+        q, c, b = p["q"], p["c"], p.get("b", 0.0)
+        coef = np.array([0.5 * q * c * c + b, -q * c, 0.5 * q])
+    elif kind == "quartic-well":
+        coef = np.array([0.0, 0.0, 0.5 * p["b"], 0.0, 0.25 * p["a"]])
+        if p["c"] != 0.0:
+            coef = _compose_shift(coef, p["c"])
+    elif kind == "linear":
+        coef = np.array([0.0, p["g"]])
+    else:
+        coef = np.array(p["coef"], dtype=float)
+    low = _reference_infimum(coef)
+    if math.isfinite(low) and low != 0.0:
+        coef = coef.copy()
+        coef[0] -= low
+    dcoef, d2coef = npoly.polyder(coef), npoly.polyder(coef, 2)
+
+    def lap(x):
+        x = np.asarray(x, dtype=float)
+        d2 = npoly.polyval(x, d2coef)
+        if dim == 1:
+            return d2
+        r = np.where(x == 0.0, 1.0, x)
+        out = d2 + (dim - 1) * npoly.polyval(x, dcoef) / r
+        return np.where(x == 0.0, dim * npoly.polyval(0.0, d2coef), out)
+
+    xs = np.linspace(domain[0], domain[1], _SCAN_POINTS)
+    if dim > 1:
+        xs = xs[xs >= 0] if domain[0] < 0 else xs
+    lam = float(np.min(npoly.polyval(xs, d2coef)))
+    return coef, lam, bool(np.min(lap(xs)) > 0.0), lap
+
+
+def _draw_params(kind, rng):
+    u = rng.uniform
+    return {"quadratic": lambda: {"q": u(-2, 3), "c": u(-2, 2)},
+            "shifted-quadratic": lambda: {"q": u(-2, 3), "c": u(-2, 2),
+                                          "b": u(-3, 3)},
+            "quartic-well": lambda: {"a": u(0.1, 2), "b": u(-2, 2),
+                                     "c": u(-3, 3) if u() < 0.8 else 0.0},
+            "linear": lambda: {"g": u(-2, 2)},
+            "custom-polynomial": lambda: {
+                "coef": u(-1, 1, rng.integers(1, 8)).tolist()}}[kind]()
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_PARAMS))
+def test_derived_data_bit_identical_to_polyval_reference(kind, rng):
+    # the potential derives lam and the flag itself, by the Horner kernel;
+    # coef, both and the Laplacian keep the bits of the polyval reference
+    for _ in range(200):
+        dim = int(rng.integers(1, 4))
+        lo = rng.uniform(-8.0, 2.0)
+        domain = (lo, max(lo, 0.0) + rng.uniform(0.5, 6.0))
+        params = _draw_params(kind, rng)
+        phi = potential_catalog(kind, params, domain=domain, dim=dim)
+        coef, lam, flag, lap = _polyval_reference(kind, params, domain, dim)
+        assert phi.coef.tobytes() == coef.tobytes(), params
+        assert np.float64(phi.lam).tobytes() == np.float64(lam).tobytes()
+        assert phi.positive_laplacian is flag
+        xs = np.concatenate(([0.0, -0.0], rng.uniform(*domain, 32)))
+        for x in (xs, 0.0, float(xs[-1])):
+            assert np.asarray(phi.lap(x)).tobytes() == \
+                np.asarray(lap(x)).tobytes(), (params, x)
+
+
+@pytest.mark.parametrize("domain", [(-math.inf, 8.0), (-8.0, math.inf),
+                                    (math.nan, 8.0)])
+def test_non_finite_domain_rejected_without_warning(domain):
+    # an infinite end once made the modulus scan warn and return lam = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="domain must be finite"):
+            potential_catalog("quadratic", q=1.0, domain=domain)
+        with pytest.raises(ValueError, match="domain must be finite"):
+            Potential([0.0, 0.0, 0.5], domain)
+
+
+def test_derived_data_is_not_a_constructor_argument():
+    phi = Potential([0.0, 0.0, 1.5], (-2.0, 2.0), 2)
+    assert (phi.lam, phi.positive_laplacian) == (3.0, True)
+    with pytest.raises(TypeError):
+        Potential([0.0, 0.0, 1.5], lam=3.0)
 
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)

@@ -61,6 +61,16 @@ def test_unused_import_check_sees_a_dead_import():
     assert _unused_imports(src) == [(2, "math"), (3, "dataclass")]
 
 
+def test_one_polynomial_evaluator():
+    # potentials._horner evaluates every polynomial of the package; numpy's
+    # polyval, a second evaluator, once computed the potential's modulus
+    # and flags
+    uses = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if getattr(node, "attr", getattr(node, "id", None)) == "polyval"]
+    assert uses == []
+
+
 _GETTERS = {name for name, val in vars(ExperimentConfig).items()
             if callable(val)}
 
