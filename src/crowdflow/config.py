@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .model import GridSpec
+from .model import GridDensity, GridSpec, make_grid_density
 from .potentials import potential_catalog
 
 
@@ -182,12 +182,27 @@ class ExperimentConfig:
     def shape_spec(self, key="init.boxes"):
         return {"boxes": self.boxes(key)}
 
+    def grid_density(self, key, grid: GridSpec) -> GridDensity:
+        """The boxes of ``key`` averaged onto ``grid``.  A box the grid does
+        not cover, or a negative or empty density, is an error of ``key``."""
+        shape = self.shape_spec(key)
+        try:
+            return make_grid_density(shape, grid)
+        except ValueError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
+
     def grid_spec(self) -> GridSpec:
-        return GridSpec(_finite("grid.lo", self.get_float("grid.lo", -4.0)),
-                        _finite("grid.hi", self.get_float("grid.hi", 4.0)),
-                        _at_least("grid.n", self.get_int("grid.n", 800), 1),
-                        dim=_at_least("grid.dim", self.get_int("grid.dim", 1),
-                                      1))
+        lo = _finite("grid.lo", self.get_float("grid.lo", -4.0))
+        hi = _finite("grid.hi", self.get_float("grid.hi", 4.0))
+        n = _at_least("grid.n", self.get_int("grid.n", 800), 1)
+        dim = _at_least("grid.dim", self.get_int("grid.dim", 1), 1)
+        if not lo < hi:
+            raise ConfigError(f"key 'grid.lo': must be below key "
+                              f"'grid.hi', got {lo} and {hi}")
+        if dim > 1 and lo != 0.0:
+            raise ConfigError(f"key 'grid.lo': a radial grid (grid.dim = "
+                              f"{dim}) starts at r = 0, got {lo}")
+        return GridSpec(lo, hi, n, dim=dim)
 
     def potential(self):
         kind = self.get("potential.kind", "quadratic")

@@ -114,8 +114,7 @@ class ExperimentReport:
 def _setup(cfg: ExperimentConfig):
     phi = cfg.potential()
     grid = cfg.grid_spec()
-    rho0 = make_grid_density(cfg.shape_spec(), grid)
-    return phi, grid, rho0
+    return phi, grid, cfg.grid_density("init.boxes", grid)
 
 
 def _patch0(cfg, grid):
@@ -125,7 +124,10 @@ def _patch0(cfg, grid):
     if any(h != 1.0 for _a, _b, h in boxes):
         raise ConfigError("key 'init.boxes': a patch run needs every box "
                           f"height to be 1, got {[h for *_, h in boxes]}")
-    return Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
+    try:
+        return Patch(tuple((a, b) for a, b, _h in boxes), dim=grid.dim)
+    except ValueError as exc:  # overlapping or unsorted boxes
+        raise ConfigError(f"key 'init.boxes': {exc}") from exc
 
 
 def _quantile0(cfg, rho0, require_feasible=True):
@@ -267,7 +269,7 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
     q0 = _quantile0(cfg, rho0)
-    rho02 = make_grid_density(cfg.shape_spec("init2.boxes"), grid)
+    rho02 = cfg.grid_density("init2.boxes", grid)
     q02 = to_quantile(rho02, q0.n)
 
     report = ExperimentReport("longtime", config_hash=cfg.hash())
@@ -353,10 +355,8 @@ def _random_restriction(rng, big: GridDensity, grid):
 
 def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     """Degenerate-diffusion supports against the tracked free boundary."""
-    phi = cfg.potential()
-    grid = cfg.grid_spec()
+    phi, grid, rho0 = _setup(cfg)  # the indicator of the patch
     patch0 = _patch0(cfg, grid)
-    rho0 = patch0.indicator(grid)
     m_list = _finite_m_list(cfg, "crossval")
     times = cfg.get_positive_floats("crossval.times", (0.25, 0.5, 1.0))
     dt_fb = cfg.get_positive("heleshaw.dt", 1e-3)
@@ -372,9 +372,13 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     traj, _ = heleshaw_run(patch0, phi, times[-1], dt_fb, snapshot_times=times)
     patches = dict(traj)
 
-    runs = [dict(snaps) for snaps, _ in _pmap(
-        pme_run, [(rho0, m, phi, times[-1], dt, times) for m in m_list],
-        workers)]
+    # the exponents step as one stack; with workers, as one contiguous
+    # chunk of it per worker
+    n_chunks = min(workers, len(m_list))
+    cuts = [i * len(m_list) // n_chunks for i in range(n_chunks + 1)]
+    chunks = _pmap(pme_run, [(rho0, m_list[a:b], phi, times[-1], dt, times)
+                             for a, b in zip(cuts, cuts[1:])], workers)
+    runs = [dict(snaps) for chunk, _ in chunks for snaps in chunk]
     rows = []
     for m, snap in zip(m_list, runs):
         for t in times:
@@ -449,8 +453,8 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     elif scheme == "pme":
         m = cfg.get_m(default=2.0)
         dt = cfg.get_positive("pme.dt", _PME_DT)
-        snaps, steps = pme_run(rho0, m, phi, T, dt,
-                               snapshot_times=snapshot_times)
+        (snaps,), steps = pme_run(rho0, [m], phi, T, dt,
+                                  snapshot_times=snapshot_times)
         # W2 between consecutive snapshots goes through their quantiles,
         # which exist in 1D only
         n_q = min(max(grid.n_cells // 2, 16), 400)

@@ -16,6 +16,15 @@ sum to the cell measures, because the fluxes telescope: every iterate
 keeps the mass, and the Picard iterate, taken with secant coefficients
 ``(u_{j+1}^m - u_j^m) / (u_{j+1} - u_j) >= 0`` whenever a Newton iterate
 goes negative, is nonnegative by construction.  Nothing is clipped.
+
+A run steps a stack of states, one row per exponent, in lockstep: each
+Newton iteration does its array work once for the whole stack, then
+solves each row's system by its own sweep.  The rows share no outcome.
+A row leaves the stack once its own step passes the stopping test, and
+counts its own iterations against ``MAX_ITERATIONS``; the rows whose
+solve fails are stepped again, as a sub-stack, in two half steps.  So
+every row takes the operations its run alone would take, in the same
+order, and its states are bit for bit those of that run.
 """
 
 from __future__ import annotations
@@ -106,81 +115,117 @@ class _Stencil:
     The edge velocity ``-Phi'`` is evaluated once, here: its positive part
     carries mass rightward out of the cell left of each interior edge, its
     negative part leftward out of the cell on the right.  A run builds one
-    stencil and steps raw value arrays through it.
+    stencil and steps a ``(k, n)`` stack of value rows through it, row
+    ``i`` under exponent ``m[i]``.
     """
 
     def __init__(self, grid: GridSpec, phi: Potential):
-        vel = -phi.grad(grid.edges)[1:-1]
-        areas = grid.edge_areas[1:-1]
-        self.meas = grid.cell_measures
-        self.meas_list = self.meas.tolist()
+        # one-row arrays: against a stack of one row, numpy takes its fast
+        # path for operands of one shape
+        vel = -phi.grad(grid.edges)[None, 1:-1]
+        areas = grid.edge_areas[None, 1:-1]
+        self.meas = grid.cell_measures[None]
+        self.meas_list = grid.cell_measures.tolist()
         self.diff = areas / grid.dx
         self.right = areas * np.maximum(vel, 0.0)
         self.left = areas * np.maximum(-vel, 0.0)
 
-    def step(self, v: np.ndarray, m: float, dt: float,
+    def step(self, v: np.ndarray, m: np.ndarray, dt: float,
              depth: int = 0) -> np.ndarray:
-        """One backward-Euler step of ``dt`` from ``v``.
+        """One backward-Euler step of ``dt`` from each row of ``v``.
 
-        A step whose solve fails is split into two half steps, down to
-        ``MAX_HALVINGS`` halvings; below that it raises.
+        The rows whose solve fails are stepped again, as one sub-stack, in
+        two half steps, down to ``MAX_HALVINGS`` halvings; below that it
+        raises.
         """
-        u = self._solve(v, m, dt)
-        if u is not None:
+        u, ok = self._solve(v, m, dt)
+        if ok.all():
             return u
         if depth == MAX_HALVINGS:
             raise PmeStabilityError(
                 f"backward-Euler step did not converge at dt = {dt:.3e}, "
                 f"{depth} halvings below the requested step")
+        bad = ~ok
         half = 0.5 * dt
-        return self.step(self.step(v, m, half, depth + 1), m, half, depth + 1)
+        u[bad] = self.step(self.step(v[bad], m[bad], half, depth + 1),
+                           m[bad], half, depth + 1)
+        return u
 
-    def _solve(self, v: np.ndarray, m: float, dt: float):
-        """The implicit state after ``dt``, or None if the solve fails.
+    def _solve(self, v: np.ndarray, m: np.ndarray, dt: float):
+        """``(u, ok)``: the implicit state of each row after ``dt``, and
+        whether its solve succeeded; a failed row of ``u`` is meaningless.
 
         Newton on the residual ``meas (u - v) - dt div F(u)``, started at
         ``v``.  A Newton iterate with a negative value is replaced by the
         Picard iterate from the same point; a non-finite iterate, or no
-        convergence within ``MAX_ITERATIONS``, fails the solve.
+        convergence within ``MAX_ITERATIONS``, fails the row.  The rows
+        share each iteration's array work but not its outcome: a row
+        leaves the stack once its own step passes the test, or fails.
         """
         meas, meas_list = self.meas, self.meas_list
         c_diff = dt * self.diff
         c_right, c_left = dt * self.right, dt * self.left
-        rhs_picard = None
+        out = np.empty_like(v)
+        ok = np.zeros(len(v), dtype=bool)
+        rows = list(range(len(v)))  # the rows of out still being solved
+        m_list = m.tolist()
+        m = m[:, None]
         u = v
         # u ** m may overflow for a wild iterate; it is rejected by value
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(MAX_ITERATIONS):
-                um1 = u ** (m - 1.0)
+                # one power per row, by a float: numpy takes u ** 2.0 and
+                # u ** 0.5 as a square and a square root, but a power by a
+                # column of exponents through pow, which can differ in the
+                # last bit
+                um1 = np.array([row ** (m_i - 1.0)
+                                for row, m_i in zip(u, m_list)])
                 deriv = m * um1
                 w = um1 * u
-                dw = w[1:] - w[:-1]
-                flux = c_diff * dw - c_right * u[:-1] + c_left * u[1:]
+                dw = w[:, 1:] - w[:, :-1]
+                flux = c_diff * dw - c_right * u[:, :-1] + c_left * u[:, 1:]
                 res = meas * (v - u)
-                res[:-1] += flux
-                res[1:] -= flux
-                fwd = (c_diff * deriv[:-1] + c_right).tolist()
-                bwd = (c_diff * deriv[1:] + c_left).tolist()
-                delta = np.array(_solve_balanced(meas_list, fwd, bwd,
-                                                 res.tolist()))
+                res[:, :-1] += flux
+                res[:, 1:] -= flux
+                delta = np.empty_like(u)
+                for i, system in enumerate(zip(
+                        (c_diff * deriv[:, :-1] + c_right).tolist(),
+                        (c_diff * deriv[:, 1:] + c_left).tolist(),
+                        res.tolist())):
+                    delta[i] = _solve_balanced(meas_list, *system)
                 new = u + delta
                 if not new.min() >= 0.0:
-                    du = u[1:] - u[:-1]
-                    coef = c_diff * np.where(du != 0.0, dw / du, deriv[:-1])
-                    if rhs_picard is None:
-                        rhs_picard = (meas * v).tolist()
-                    fwd = (coef + c_right).tolist()
-                    bwd = (coef + c_left).tolist()
-                    new = np.array(_solve_balanced(meas_list, fwd, bwd,
-                                                   rhs_picard))
-                    delta = new - u
-                size = float(abs(delta).max())
-                if not size < math.inf:  # NaN fails too
-                    return None
+                    neg = [i for i, low in enumerate(new.min(axis=1).tolist())
+                           if not low >= 0.0]
+                    du = u[neg, 1:] - u[neg, :-1]
+                    coef = c_diff * np.where(du != 0.0, dw[neg] / du,
+                                             deriv[neg, :-1])
+                    for i, system in zip(neg, zip(
+                            (coef + c_right).tolist(),
+                            (coef + c_left).tolist(),
+                            (meas * v[neg]).tolist())):
+                        new[i] = _solve_balanced(meas_list, *system)
+                        delta[i] = new[i] - u[i]
                 u = new
-                if size <= TOL_STEP * float(u.max()):
-                    return u
-        return None
+                left = []
+                for i, (size, top) in enumerate(zip(
+                        abs(delta).max(axis=1).tolist(),
+                        u.max(axis=1).tolist())):
+                    if not size < math.inf:  # NaN fails too
+                        continue
+                    if size <= TOL_STEP * top:
+                        out[rows[i]] = u[i]
+                        ok[rows[i]] = True
+                    else:
+                        left.append(i)
+                if len(left) == len(rows):
+                    continue
+                if not left:
+                    break
+                rows = [rows[i] for i in left]
+                m_list = [m_list[i] for i in left]
+                u, v, m = u[left], v[left], m[left]
+        return out, ok
 
 
 def pme_step(rho: GridDensity, m: float, phi: Potential,
@@ -188,28 +233,37 @@ def pme_step(rho: GridDensity, m: float, phi: Potential,
     """One backward-Euler step of ``dt``, halved as often as it must be."""
     _check_exponent(m)
     _check_positive("time step", "dt", dt)
-    return rho.with_values(_Stencil(rho.grid, phi).step(rho.values, m, dt))
+    u = _Stencil(rho.grid, phi).step(rho.values[None], np.array([m]), dt)
+    return rho.with_values(u[0])
 
 
-def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
+def pme_run(rho0: GridDensity, m_list, phi: Potential, T: float,
             dt: float, snapshot_times=None):
-    """Advance to time ``T`` in backward-Euler steps of ``dt``.
+    """Advance to time ``T`` under each exponent of ``m_list``, in
+    backward-Euler steps of ``dt``.
 
-    Returns ``(snapshots, steps)``: snapshots is a list of ``(t,
-    GridDensity)`` including the initial and final states, and ``steps``
-    the number of steps taken up to each snapshot.  The snapshot times
-    are ``model._snapshot_schedule(T, snapshot_times)``; the step that
-    would pass one, or stop within ``1e-9 dt`` of it, is fitted to land on
-    it exactly.  Between snapshots the run steps the value array, with the
-    same update as ``pme_step``.
+    Returns ``(runs, steps)``: ``runs[i]`` is the list of ``(t,
+    GridDensity)`` snapshots under ``m_list[i]``, including the initial
+    and final states, and ``steps`` the number of steps taken up to each
+    snapshot, the same for every exponent.  The snapshot times are
+    ``model._snapshot_schedule(T, snapshot_times)``; the step that would
+    pass one, or stop within ``1e-9 dt`` of it, is fitted to land on it
+    exactly.  The exponents step as one stack of value rows, with the
+    same update as ``pme_step``, so each run is bit for bit the run of
+    its exponent alone.
     """
-    _check_exponent(m)
+    m = np.array(m_list, dtype=float)
+    if m.ndim != 1 or not m.size:
+        raise ValueError(f"pme_run takes a nonempty list of exponents, got "
+                         f"{m_list!r}")
+    for m_i in m.tolist():
+        _check_exponent(m_i)
     _check_positive("time step", "dt", dt)
     schedule = _snapshot_schedule(T, snapshot_times)
     stencil = _Stencil(rho0.grid, phi)
-    v = rho0.values
+    v = np.tile(rho0.values, (m.size, 1))
     t = 0.0
-    snapshots = [(0.0, rho0)]
+    runs = [[(0.0, rho0)] for _ in range(m.size)]
     steps = [0]
     step_count = 0
     for t_snap in schedule:
@@ -218,9 +272,10 @@ def pme_run(rho0: GridDensity, m: float, phi: Potential, T: float,
             v = stencil.step(v, m, t_snap - t if last else dt)
             t = t_snap if last else t + dt
             step_count += 1
-        snapshots.append((t, rho0.with_values(v)))
+        for run, row in zip(runs, v):
+            run.append((t, rho0.with_values(row)))
         steps.append(step_count)
-    return snapshots, steps
+    return runs, steps
 
 
 def pressure(rho: GridDensity, m: float) -> np.ndarray:

@@ -46,8 +46,9 @@ def test_criterion_01_barenblatt_oracle():
     for n in (750, 1500, 3000):          # dx: 8e-3, 4e-3, 2e-3
         grid = GridSpec(-3.0, 3.0, n)
         _, dens0 = barenblatt(grid.centers, 0.0, tau, C, m)
-        snaps, _ = pme_run(GridDensity(grid, dens0), m, ZERO, T, grid.dx / 2,
-                           snapshot_times=np.linspace(0, T, 3)[1:])
+        (snaps,), _ = pme_run(GridDensity(grid, dens0), [m], ZERO, T,
+                              grid.dx / 2,
+                              snapshot_times=np.linspace(0, T, 3)[1:])
         _, exact = barenblatt(grid.centers, T, tau, C, m)
         errs.append(float(np.sum(np.abs(snaps[-1][1].values - exact)) * grid.dx))
     order = math.log2(errs[0] / errs[-1]) / 2.0

@@ -92,7 +92,9 @@ class TestConfig:
     # A non-finite domain, grid bound or box once warned, then gave a nan
     # modulus (jko and pme exited 0), "positive Laplacian" (heleshaw) or
     # "density values must be nonnegative"; a patch run read no box height,
-    # so a height other than 1 exited 0
+    # so a height other than 1 exited 0.  A box off the grid, a negative or
+    # zero box, overlapping patch boxes, grid.lo >= grid.hi and a radial grid
+    # off r = 0 once exited 2 with a message that named no key
     @pytest.mark.parametrize("kind, extra, key, bads", [
         ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
          ("0", "-0.01", "nan", "inf")),
@@ -139,6 +141,17 @@ class TestConfig:
          ("1,2,0.5", "1,2,1;2.5,3,2")),
         ("single-run", "run.scheme = heleshaw\ninit.boxes = {}\n",
          "init.boxes", ("1,2,0.5",)),
+        ("single-run", "init.boxes = {}\n", "init.boxes",
+         ("5,6,1", "-4,0,1")),
+        ("crossval", "m.list = 4,8\ngrid.hi = 2.5\ninit.boxes = {}\n",
+         "init.boxes", ("1,3,1",)),
+        ("crossval", "m.list = 4,8\ninit.boxes = {}\n", "init.boxes",
+         ("1,2,1;1.5,2.5,1", "2,3,1;1,1.5,1")),
+        ("single-run", "grid.lo = {}\n", "grid.lo", ("5", "3")),
+        ("single-run", "grid.dim = 3\ngrid.lo = {}\n", "grid.lo",
+         ("-3", "0.5")),
+        ("single-run", "init.boxes = {}\n", "init.boxes",
+         ("1,2,-1", "1,2,0")),
     ], ids=["single-run-pme.dt", "crossval-pme.dt", "jko-run.T",
             "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
             "crossval-heleshaw.dt", "crossval-times", "crossval-m.list",
@@ -148,7 +161,10 @@ class TestConfig:
             "converge-m-m.list", "longtime-m.list", "jko-potential.domain",
             "pme-potential.domain", "heleshaw-potential.domain", "grid.lo",
             "grid.hi", "init.boxes", "init2.boxes", "crossval-init.boxes",
-            "heleshaw-init.boxes"])
+            "heleshaw-init.boxes", "init.boxes-off-grid",
+            "crossval-init.boxes-off-grid", "crossval-init.boxes-overlap",
+            "grid.lo-not-below-grid.hi", "radial-grid.lo",
+            "init.boxes-not-positive"])
     def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
                                           extra, key, bads):
         for bad in bads:
@@ -515,8 +531,8 @@ class TestDrivers:
                                  cur.excess_mass()))
                 prev = cur
         else:
-            snaps, steps = crowdflow.pme_run(
-                rho0, m, phi, 0.2, 0.01,
+            (snaps,), steps = crowdflow.pme_run(
+                rho0, [m], phi, 0.2, 0.01,
                 snapshot_times=np.linspace(0.0, 0.2, 5)[1:])
             assert steps == [0, 5, 10, 15, 20]
             for k, ((t, rho), step) in enumerate(zip(snaps, steps)):

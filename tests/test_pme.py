@@ -55,7 +55,7 @@ class TestStableDt:
             warnings.simplefilter("error")
             for call in (lambda: stable_dt(rho, math.inf, quad_phi),
                          lambda: pme_step(rho, math.inf, quad_phi, 1e-4),
-                         lambda: pme_run(rho, math.inf, quad_phi, 0.1, 0.01),
+                         lambda: pme_run(rho, [math.inf], quad_phi, 0.1, 0.01),
                          lambda: pressure(rho, math.inf)):
                 with pytest.raises(ValueError, match="m = inf is the hard "
                                    "constraint of the jko scheme"):
@@ -87,7 +87,7 @@ class TestPmeStep:
     def test_step_size_must_be_positive_and_finite(self, quad_phi, bad):
         rho = indicator(0, 1, GridSpec(-3, 3, 100))
         for call in (lambda: pme_step(rho, 2.0, quad_phi, bad),
-                     lambda: pme_run(rho, 2.0, quad_phi, 0.1, bad)):
+                     lambda: pme_run(rho, [2.0], quad_phi, 0.1, bad)):
             with pytest.raises(ValueError, match="time step must be positive"):
                 call()
 
@@ -112,7 +112,7 @@ class TestPmeStep:
         assert tried == [0.01 * 0.5 ** k for k in range(MAX_HALVINGS + 1)]
         tried.clear()
         with pytest.raises(PmeStabilityError):
-            pme_run(rho, 2.0, quad_phi, 0.1, 0.01, snapshot_times=[0.1])
+            pme_run(rho, [2.0], quad_phi, 0.1, 0.01, snapshot_times=[0.1])
         assert len(tried) == MAX_HALVINGS + 1 and tried[1] == 0.005
 
     def test_negative_newton_iterate_replaced_by_picard(self, monkeypatch,
@@ -127,14 +127,14 @@ class TestPmeStep:
         solve = pme._Stencil._solve
 
         def recorded(self, v, m, dt):
-            out = solve(self, v, m, dt)
-            failed.append(out is None)
-            return out
+            u, ok = solve(self, v, m, dt)
+            failed.append(not ok.all())
+            return u, ok
 
         monkeypatch.setattr(pme._Stencil, "_solve", recorded)
         rho = indicator(1, 2, GridSpec(-0.5, 2.5, 72))
-        snaps, _ = pme_run(rho, 63.5, quad_phi, 1.0, 5e-3,
-                           snapshot_times=(0.25, 0.5, 1.0))
+        (snaps,), _ = pme_run(rho, [63.5], quad_phi, 1.0, 5e-3,
+                              snapshot_times=(0.25, 0.5, 1.0))
         assert len(failed) == 200 and not any(failed)
         mass = np.array([r.mass for _, r in snaps])
         assert np.max(np.abs(mass - mass[0])) <= 1e-14 * mass[0]
@@ -169,8 +169,12 @@ class TestPmeStep:
         rho = indicator(0, 1, GridSpec(-3, 3, 100))
         half = pme_step(pme_step(rho, 4.0, quad_phi, 0.01), 4.0, quad_phi, 0.01)
         solve = pme._Stencil._solve
-        monkeypatch.setattr(pme._Stencil, "_solve", lambda self, v, m, dt:
-                            None if dt == 0.02 else solve(self, v, m, dt))
+
+        def failed_at_full_step(self, v, m, dt):
+            u, ok = solve(self, v, m, dt)
+            return u, ok & (dt != 0.02)
+
+        monkeypatch.setattr(pme._Stencil, "_solve", failed_at_full_step)
         assert np.array_equal(pme_step(rho, 4.0, quad_phi, 0.02).values,
                               half.values)
 
@@ -224,7 +228,7 @@ class TestPmeStep:
         assert calls == {"grad": 1, "stable_dt": 0, "pme_step": 0}
         monkeypatch.setattr(pme, "pme_step", counted("pme_step", pme_step))
         calls["grad"] = 0
-        pme_run(rho, 2.0, quad_phi, 20 * dt, dt,
+        pme_run(rho, [2.0], quad_phi, 20 * dt, dt,
                 snapshot_times=np.linspace(0, 20 * dt, 3)[1:])
         # one drift evaluation per run; the run steps arrays, not states
         assert calls == {"grad": 1, "stable_dt": 0, "pme_step": 0}
@@ -243,9 +247,10 @@ class TestPmeRun:
         rho0 = GridDensity(grid, np.where((c > 1.0) & (c < 2.0), 1.0, 0.0)
                            if grid.dim == 1 else np.where(c < 1.0, 0.8, 0.0))
         T, dt = 0.06, 0.007  # the last step before each snapshot is short
-        for m in (2.0, 4.0, 64.0):
-            snaps, _ = pme_run(rho0, m, phi, T, dt,
-                               snapshot_times=np.linspace(0, T, 4)[1:])
+        m_list = (2.0, 4.0, 64.0)
+        runs, _ = pme_run(rho0, m_list, phi, T, dt,
+                          snapshot_times=np.linspace(0, T, 4)[1:])
+        for m, snaps in zip(m_list, runs, strict=True):
             rho, t = rho0, 0.0
             for t_snap, snap in snaps[1:]:
                 while t < t_snap:
@@ -254,6 +259,54 @@ class TestPmeRun:
                     t = t_snap if last else t + dt
                 assert np.array_equal(snap.values, rho.values), (m, t_snap)
             assert not np.array_equal(rho.values, rho0.values)
+
+    @staticmethod
+    def _bits(runs):
+        # every snapshot's bytes, so that -0.0 and 0.0 differ too
+        return [[(t, rho.values.tobytes()) for t, rho in snaps]
+                for snaps in runs]
+
+    def test_stack_equals_one_exponent_at_a_time(self, quad_phi):
+        # crossval's physics: each exponent of the stack takes its own
+        # Newton iterates, Picard replacements (m = 63.5 needs five) and
+        # stopping test, so its run is bit for bit its run alone.  m = 3
+        # and 1.5 take u ** 2.0 and u ** 0.5, which numpy computes as a
+        # square and a square root for a float exponent only
+        rho = indicator(1, 2, GridSpec(-0.5, 2.5, 72))
+        m_list = (4.0, 8.0, 16.0, 32.0, 64.0, 63.5, 3.0, 1.5)
+        times = (0.25, 0.5, 1.0)
+        runs, steps = pme_run(rho, m_list, quad_phi, 1.0, 5e-3, times)
+        alone = [pme_run(rho, [m], quad_phi, 1.0, 5e-3, times)
+                 for m in m_list]
+        assert self._bits(runs) == self._bits(r for (r,), _ in alone)
+        assert steps == [0, 50, 100, 200]
+        assert all(s == steps for _, s in alone)
+
+    def test_only_the_failed_row_halves(self, monkeypatch, quad_phi):
+        # a row whose solve fails at the full step is stepped again in half
+        # steps, alone; the other rows of the stack are not
+        import crowdflow.pme as pme
+
+        solve = pme._Stencil._solve
+        calls = []
+
+        def failed_at_m16(self, v, m, dt):
+            calls.append((m.tolist(), dt))
+            u, ok = solve(self, v, m, dt)
+            return u, ok & ~((m == 16.0) & (dt > 4e-3))
+
+        rho = indicator(1, 2, GridSpec(-0.5, 2.5, 72))
+        m_list = (4.0, 8.0, 16.0, 32.0, 64.0)
+        alone = [pme_run(rho, [m], quad_phi, 0.05, 5e-3, [0.05])[0][0]
+                 for m in m_list if m != 16.0]
+        monkeypatch.setattr(pme._Stencil, "_solve", failed_at_m16)
+        alone.insert(2, pme_run(rho, [16.0], quad_phi, 0.05, 5e-3,
+                                [0.05])[0][0])
+        calls.clear()
+        runs, _ = pme_run(rho, m_list, quad_phi, 0.05, 5e-3, [0.05])
+        assert self._bits(runs) == self._bits(alone)
+        assert [m for m, dt in calls if dt > 4e-3] == [list(m_list)] * 10
+        assert [m for m, dt in calls if dt < 4e-3] == [[16.0]] * 20
 
     def test_default_step_lands_on_the_crossval_times(self, quad_phi,
                                                        monkeypatch):
@@ -266,26 +319,32 @@ class TestPmeRun:
         monkeypatch.setattr(pme._Stencil, "step", lambda self, v, m, dt:
                             steps.append(dt) or step(self, v, m, dt))
         rho = indicator(1, 2, GridSpec(-0.5, 2.5, 72))
-        snaps, counts = pme_run(rho, 8.0, quad_phi, 1.0, 5e-3,
-                                snapshot_times=(0.25, 0.5, 1.0))
+        (snaps,), counts = pme_run(rho, [8.0], quad_phi, 1.0, 5e-3,
+                                   snapshot_times=(0.25, 0.5, 1.0))
         assert [t for t, _ in snaps] == [0.0, 0.25, 0.5, 1.0]
         assert counts == [0, 50, 100, 200]
         assert len(steps) == 200
         assert max(abs(h - 5e-3) for h in steps) <= 1e-9 * 5e-3
 
+    @pytest.mark.parametrize("m_list", [2.0, [], [[2.0, 4.0]]])
+    def test_exponents_must_be_a_nonempty_list(self, quad_phi, m_list):
+        rho = indicator(0, 1, GridSpec(-3, 3, 100))
+        with pytest.raises(ValueError, match="nonempty list of exponents"):
+            pme_run(rho, m_list, quad_phi, 0.1, 0.01)
+
     def test_decreasing_snapshot_times_rejected(self, quad_phi):
         rho = indicator(0, 1, GridSpec(-3, 3, 100))
         with pytest.raises(ValueError, match="snapshot_times must be strictly"):
-            pme_run(rho, 2.0, quad_phi, 1.0, 0.01,
+            pme_run(rho, [2.0], quad_phi, 1.0, 0.01,
                     snapshot_times=(0.5, 0.25, 1.0))
         with pytest.raises(ValueError, match="snapshot_times must be strictly"):
-            pme_run(rho, 2.0, quad_phi, 1.0, 0.01, snapshot_times=(0.5, 0.5))
+            pme_run(rho, [2.0], quad_phi, 1.0, 0.01, snapshot_times=(0.5, 0.5))
 
     def test_free_energy_nonincreasing(self, quad_phi):
         g = GridSpec(-3, 3, 300)
         rho = indicator(0.5, 1.5, g)
-        snaps, _ = pme_run(rho, 3.0, quad_phi, 0.4, 5e-3,
-                           snapshot_times=np.linspace(0, 0.4, 9)[1:])
+        (snaps,), _ = pme_run(rho, [3.0], quad_phi, 0.4, 5e-3,
+                              snapshot_times=np.linspace(0, 0.4, 9)[1:])
         E = np.array([free_energy(r, 3.0, quad_phi).total for _, r in snaps])
         assert np.all(np.diff(E) <= 1e-8 * (1.0 + abs(E[0])))
         mass = np.array([r.mass for _, r in snaps])
@@ -294,7 +353,7 @@ class TestPmeRun:
     def test_mass_drift_budget(self, quad_phi):
         g = GridSpec(-3, 3, 300)
         rho = indicator(0.5, 1.5, g)
-        snaps, _ = pme_run(rho, 4.0, quad_phi, 0.2, 5e-3)
+        (snaps,), _ = pme_run(rho, [4.0], quad_phi, 0.2, 5e-3)
         mass = np.array([r.mass for _, r in snaps])
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
 
@@ -336,8 +395,8 @@ class TestPmeRun:
         g = GridSpec(-3, 3, 400)
         rho = indicator(0.5, 1.5, g)
         m = 4.0
-        snaps, _ = pme_run(rho, m, quad_phi, 0.2, 5e-3,
-                           snapshot_times=np.linspace(0, 0.2, 5)[1:])
+        (snaps,), _ = pme_run(rho, [m], quad_phi, 0.2, 5e-3,
+                              snapshot_times=np.linspace(0, 0.2, 5)[1:])
         vmax = float(np.max(np.abs(quad_phi.grad(g.edges))))
         for (t0, r0), (t1, r1) in zip(snaps, snaps[1:]):
             lo0, hi0 = r0.support_extent()
@@ -359,7 +418,8 @@ class TestPmeRun:
                                  (576, 200, 1e-3)):
             g = GridSpec(-0.5, 2.5, n_grid)
             rho0 = indicator(1, 2, g)
-            snaps, _ = pme_run(rho0, m, quad_phi, T, h, snapshot_times=[T])
+            (snaps,), _ = pme_run(rho0, [m], quad_phi, T, h,
+                                  snapshot_times=[T])
             q_pme = to_quantile(snaps[-1][1], n_q)
             states = jko_trajectory(to_quantile(rho0, n_q), m, h,
                                     quad_phi, T)
@@ -403,9 +463,9 @@ class TestPressureAndSupport:
     def test_barenblatt_support_halfwidth(self):
         m, tau, C, t = 2.0, 1.0, 0.5, 1.0
         g = GridSpec(-4, 4, 800)
-        snaps, _ = pme_run(
+        (snaps,), _ = pme_run(
             GridDensity(g, barenblatt(g.centers, 0.0, tau, C, m)[1]),
-            m, ZERO, t, g.dx / 2, snapshot_times=np.linspace(0, t, 3)[1:])
+            [m], ZERO, t, g.dx / 2, snapshot_times=np.linspace(0, t, 3)[1:])
         (a, b), = support_set(snaps[-1][1], 1e-8).intervals
         hw = barenblatt_halfwidth(t, tau, C, m)
         assert abs(b - hw) <= 2.5 * g.dx
@@ -418,8 +478,8 @@ class TestRadial:
         g = GridSpec(0.0, 2.0, 200, dim=3)
         vals = np.where(g.centers < 1.0, 0.5, 0.0)
         rho = GridDensity(g, vals)
-        snaps, _ = pme_run(rho, 3.0, phi, 0.05, 1e-3,
-                           snapshot_times=np.linspace(0, 0.05, 5)[1:])
+        (snaps,), _ = pme_run(rho, [3.0], phi, 0.05, 1e-3,
+                              snapshot_times=np.linspace(0, 0.05, 5)[1:])
         mass = np.array([r.mass for _, r in snaps])
         assert np.max(np.abs(mass - mass[0])) <= 1e-10 * mass[0]
         assert snaps[-1][1].values.min() >= 0.0
@@ -459,10 +519,10 @@ def test_run_commutes_with_mirroring(c1, c2, c3, c4, lo, width, height, m):
     v = np.zeros(grid.n_cells)
     v[lo:lo + width] = height
     times = (0.01, 0.03, 0.05)
-    run, _ = pme_run(GridDensity(grid, v), m, phi, 0.05, 5e-3,
-                     snapshot_times=times)
-    run_m, _ = pme_run(GridDensity(grid, v[::-1]), m, phi_m, 0.05, 5e-3,
-                       snapshot_times=times)
+    (run,), _ = pme_run(GridDensity(grid, v), [m], phi, 0.05, 5e-3,
+                        snapshot_times=times)
+    (run_m,), _ = pme_run(GridDensity(grid, v[::-1]), [m], phi_m, 0.05,
+                          5e-3, snapshot_times=times)
     for (t, rho), (t_m, rho_m) in zip(run, run_m, strict=True):
         assert t_m == t
         err = np.abs(rho_m.values[::-1] - rho.values).max()
@@ -480,8 +540,8 @@ def test_run_commutes_with_translation(s, m):
     for shift, phi in ((0.0, potential_catalog("quadratic", q=1.0)),
                        (s, potential_catalog("shifted-quadratic", q=1.0, c=s))):
         rho0 = GridDensity(GridSpec(-3.0 + shift, 3.0 + shift, 60), v)
-        runs.append(pme_run(rho0, m, phi, 0.05, 5e-3,
-                            snapshot_times=(0.01, 0.03))[0])
+        runs.append(pme_run(rho0, [m], phi, 0.05, 5e-3,
+                            snapshot_times=(0.01, 0.03))[0][0])
     for (t, rho), (t_s, rho_s) in zip(*runs, strict=True):
         assert t_s == t
         assert np.abs(rho_s.values - rho.values).max() \
