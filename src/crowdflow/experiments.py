@@ -31,14 +31,20 @@ from .pme import pme_run, pressure, support_set
 from .transport import w2_distance
 
 
-def write_csv(path, header, rows):
-    """Deterministic CSV writer (repr-exact floats, atomic replace)."""
+def _write_atomic(path, text):
+    """The package's one file writer: ``text`` to ``path`` by a temporary
+    file and a rename, so a reader never sees a partial file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write(text)
     os.replace(tmp, path)
+
+
+def write_csv(path, header, rows):
+    """Deterministic CSV writer (repr-exact floats, atomic replace)."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row)
+                                  for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _fmt(v):
@@ -82,11 +88,8 @@ class ExperimentReport:
                 "crowdflow": __version__,
             },
         }
-        tmp = os.path.join(outdir, "report.json.tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, os.path.join(outdir, "report.json"))
+        _write_atomic(os.path.join(outdir, "report.json"),
+                      json.dumps(doc, indent=2, sort_keys=True) + "\n")
         if plots:
             self._emit_plots(outdir)
 
@@ -101,10 +104,9 @@ class ExperimentReport:
                 continue
             pts = [(float(r[0]), float(r[1])) for r in numeric]
             positive = all(x > 0 and y > 0 for x, y in pts)
-            line_chart(os.path.join(outdir, f"{name}.svg"),
-                       [(header[1], pts)], title=name,
-                       xlabel=header[0], ylabel=header[1],
-                       logx=positive, logy=positive)
+            _write_atomic(os.path.join(outdir, f"{name}.svg"),
+                          line_chart(pts, name, header[0], header[1],
+                                     positive))
 
 
 # ---------------------------------------------------------------------------

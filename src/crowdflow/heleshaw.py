@@ -49,8 +49,7 @@ def _radial_cumulative_poly(phi: Potential, d: int) -> tuple:
     is itself a polynomial (the gradient vanishes at the center), so the
     flux integrals below are exact; no quadrature, no cancellation.
     """
-    d2 = npoly.polyder(phi.coef, 2)
-    d1 = npoly.polyder(phi.coef, 1)
+    d2, d1 = np.array(phi._d2coef), np.array(phi._dcoef)
     top = max(d2.size + d - 1, d1.size + d - 2, 1)
     j = np.zeros(top)
     j[d - 1:d - 1 + d2.size] += d2

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _check_domain, gap_energy
+from .energy import EPS_FEAS, _check_domain, gap_energy
 from .model import (GridDensity, GridSpec, QuantileRep, _check_positive,
                     to_grid, to_quantile)
 from .potentials import Potential, gl_points
@@ -36,6 +36,7 @@ from .transport import _cost
 
 BACKTRACK = 0.5   # line-search shrink factor
 ARMIJO = 1e-4     # sufficient-decrease constant
+MAX_ITERATIONS = 500  # Newton steps (finite m) or sweeps (m = inf) per step
 
 
 class JkoConvergenceError(RuntimeError):
@@ -45,13 +46,10 @@ class JkoConvergenceError(RuntimeError):
 @dataclass
 class JkoOptions:
     tol_grad: float = 1e-9        # max KKT residual, in units of cell mass
-    max_iterations: int = 500
 
     def __post_init__(self):
         if not 0 < self.tol_grad < math.inf:  # NaN fails too
             raise ValueError("tol_grad must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -273,7 +271,7 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
     diff(y) + diff(p))`` when those gaps are all positive; otherwise, and
     without one, Newton starts at ``y``; ``gaps_y`` are the gaps of ``y``.
     Returns at ``kkt_residual <= tol_grad`` or raises after
-    ``max_iterations`` Newton steps: the nodes, the KKT residual, and the
+    ``MAX_ITERATIONS`` Newton steps: the nodes, the KKT residual, and the
     number of steps taken as the iteration count.  A start whose gap
     powers overflow raises ``ValueError``.  A trial's gap powers may
     overflow to inf, and two adjacent ones then cancel to NaN; the line
@@ -286,7 +284,7 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
     if gaps0 is not None and (gaps0 > 0.0).all():
         state = _newton_state(y + predictor, predictor, gaps0)
     else:
-        state = _newton_state(y.copy(), np.zeros_like(y), gaps_y)
+        state = _newton_state(y, np.zeros_like(y), gaps_y)
     with np.errstate(over="ignore", invalid="ignore"):
         g = _gradient(state, *args)
         gnorm = float(np.abs(g).max())
@@ -298,9 +296,9 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
         f = None  # objective at ``state``, when a line search evaluated it
         it = 0
         while gnorm / w > opts.tol_grad:
-            if it == opts.max_iterations:
+            if it == MAX_ITERATIONS:
                 raise JkoConvergenceError(
-                    f"step did not converge in {opts.max_iterations} "
+                    f"step did not converge in {MAX_ITERATIONS} "
                     f"iterations (KKT residual {gnorm / w:.3e}, "
                     f"tol {opts.tol_grad:.1e})")
             it += 1
@@ -390,7 +388,7 @@ def _solve_congested(y, gaps, w, phi, h, opts):
     x = _snap_active(x, ids, w)
     state = _newton_state(x, x - y, x[1:] - x[:-1])
     g = _gradient(state, *args)
-    for sweep in range(1, opts.max_iterations + 1):
+    for sweep in range(1, MAX_ITERATIONS + 1):
         inactive = ~active
         nblocks = ids[-1] + 1
         hd, ho = _hessian(state, *args)
@@ -426,7 +424,7 @@ def _solve_congested(y, gaps, w, phi, h, opts):
         state = _newton_state(x, x - y, gaps)
         g = _gradient(state, *args)
     raise JkoConvergenceError(
-        f"congested step did not converge in {opts.max_iterations} sweeps "
+        f"congested step did not converge in {MAX_ITERATIONS} sweeps "
         f"(KKT residual {res:.3e}, tol {opts.tol_grad:.1e})")
 
 
@@ -472,7 +470,7 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     if math.isinf(m):
         # rho0.max_density, from the gaps at hand
         gap_min = gaps.min()
-        if not gap_min > 0.0 or w / gap_min > 1.0 + 1e-9:
+        if not gap_min > 0.0 or w / gap_min > 1.0 + EPS_FEAS:
             raise ValueError("infeasible start: density exceeds one")
         x, res, nact, iters = _solve_congested(y, gaps, w, phi, h, opts)
     else:
@@ -551,7 +549,7 @@ def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
     if m1 > m2 + 1e-12:
         raise ValueError("mass of rho01 must not exceed mass of rho02")
     if math.isinf(m):
-        if max(np.max(rho01.values), np.max(rho02.values)) > 1.0 + 1e-9:
+        if max(np.max(rho01.values), np.max(rho02.values)) > 1.0 + EPS_FEAS:
             raise ValueError("m = inf comparison needs both densities <= 1")
 
     w = m2 / n_quantile

@@ -49,6 +49,15 @@ def _bisect(inside, a, b, iters):
     return a, b
 
 
+def _runs(idx, span):
+    """The library's one split of sorted indices ``idx`` (not empty) into
+    runs whose consecutive entries lie at most ``span`` apart: the first
+    and the last index of each run, as two lists of ints."""
+    cut = np.flatnonzero(np.diff(idx) > span)
+    return ([int(idx[0])] + idx[cut + 1].tolist(),
+            idx[cut].tolist() + [int(idx[-1])])
+
+
 def _snapshot_schedule(T, snapshot_times):
     """Output times of a run to ``T``: the requested floats in ``(0, T]``
     (strictly increasing; 16 even times by default), then ``T`` if missing.
@@ -96,6 +105,7 @@ class GridSpec:
             meas, areas = np.full(self.n_cells, self.dx), np.ones(e.size)
         else:
             meas = _ball_volume(d) * (e[1:] ** d - e[:-1] ** d)
+            # not d * _ball_volume(d): that rounds the last bit up at d = 3
             areas = (d * math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
                      * e ** (d - 1))
         for name, a in (("_edges", e), ("_cell_measures", meas),

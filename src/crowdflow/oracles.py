@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .model import GridDensity, GridSpec, Patch, _bisect
+from .model import GridDensity, GridSpec, Patch, _bisect, _runs
 from .potentials import Potential, _horner
 
 
@@ -47,10 +47,10 @@ def energy_minimizer_profile(m: float, phi: Potential, mass: float,
 
     Finite m: ``((m-1)/m (C - Phi)+)^(1/(m-1))``, the Euler-Lagrange level
     set ``m/(m-1) rho^(m-1) + Phi = C`` on the support, where the diffusive
-    and drift fluxes cancel pointwise; the level C is found by bisection
-    until the grid mass matches to 1e-12 relative.  m = inf: the indicator
-    of the sublevel set ``{Phi <= C}`` with volume equal to the mass,
-    cell-averaged (fractional boundary cells).
+    and drift fluxes cancel pointwise; the level C is the upper end of a
+    bracket on the grid mass, bisected until no float lies inside it.
+    m = inf: the indicator of the sublevel set ``{Phi <= C}`` with volume
+    equal to the mass, cell-averaged (fractional boundary cells).
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
@@ -67,21 +67,12 @@ def energy_minimizer_profile(m: float, phi: Potential, mass: float,
         return float(np.dot(profile(c), grid.cell_measures))
 
     c_hi = float(max(phi.value(grid.x_lo), phi.value(grid.x_hi)))
-    m_hi = mass_at(c_hi)
-    if m_hi < mass:
+    if mass_at(c_hi) < mass:
         raise ValueError("requested mass is not attainable inside the grid box")
     # no mass at or below the least value on the grid, which is below 0
     # for a potential without a finite infimum (linear)
     c_lo = min(0.0, float(phi_c.min()))
-    for _ in range(200):
-        c_mid = 0.5 * (c_lo + c_hi)
-        m_mid = mass_at(c_mid)
-        if m_mid < mass:
-            c_lo = c_mid
-        else:
-            c_hi, m_hi = c_mid, m_mid
-        if abs(m_hi - mass) <= 1e-12 * mass:
-            break
+    _, c_hi = _bisect(lambda c: mass_at(c) < mass, c_lo, c_hi, 200)
     rho = GridDensity(grid, profile(c_hi))
     # snap the level's residual quadrature error onto the amplitude
     return rho.with_values(rho.values * (mass / rho.mass))
@@ -100,9 +91,6 @@ def _sublevel(phi, xs, vals, level):
     idx = np.flatnonzero(vals <= level)
     if idx.size == 0:
         return ()
-    cut = np.flatnonzero(np.diff(idx) > 1)
-    firsts = idx[np.concatenate(([0], cut + 1))].tolist()
-    lasts = idx[np.concatenate((cut, [idx.size - 1]))].tolist()
     end = xs.size - 1
 
     def refine(i_in, i_out):
@@ -112,7 +100,7 @@ def _sublevel(phi, xs, vals, level):
         return 0.5 * (a + b)
 
     out = []
-    for i0, i1 in zip(firsts, lasts):
+    for i0, i1 in zip(*_runs(idx, 1)):
         a = float(xs[0]) if i0 == 0 else refine(i0, i0 - 1)
         b = float(xs[end]) if i1 == end else refine(i1, i1 + 1)
         if b > a:

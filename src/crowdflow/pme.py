@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .model import (EPS_SUPP, GridDensity, GridSpec, Patch, _check_positive,
+from .model import (GridDensity, GridSpec, Patch, _check_positive, _runs,
                     _snapshot_schedule)
 from .potentials import Potential
 
@@ -284,23 +284,13 @@ def pressure(rho: GridDensity, m: float) -> np.ndarray:
     return m / (m - 1.0) * rho.values ** (m - 1.0)
 
 
-def support_set(rho: GridDensity, eps: float = EPS_SUPP) -> Patch:
+def support_set(rho: GridDensity, eps: float) -> Patch:
     """Maximal intervals of cells above threshold, bridging one-cell gaps."""
     if not eps > 0:
         raise ValueError("support threshold must be positive")
-    mask = rho.values > eps
-    if not np.any(mask):
+    idx = np.flatnonzero(rho.values > eps)
+    if idx.size == 0:
         return Patch((), dim=rho.grid.dim)
-    idx = np.flatnonzero(mask)
-    runs = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i - prev <= 2:  # bridge single-cell gaps
-            prev = i
-        else:
-            runs.append((start, prev))
-            start = prev = i
-    runs.append((start, prev))
     e = rho.grid.edges
-    return Patch(tuple((float(e[a]), float(e[b + 1])) for a, b in runs),
-                 dim=rho.grid.dim)
+    return Patch(tuple((float(e[a]), float(e[b + 1]))
+                       for a, b in zip(*_runs(idx, 2))), dim=rho.grid.dim)

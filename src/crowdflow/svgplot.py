@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-import os
 
-_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLOR = "#1f77b4"
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
 
@@ -18,11 +17,7 @@ def _transform(vals, lo, hi, out_lo, out_hi, log):
     return [out_lo + (v - lo) / span * (out_hi - out_lo) for v in vals]
 
 
-def _bounds(series, idx, log):
-    vals = [p[idx] for _, pts in series for p in pts
-            if not log or p[idx] > 0]
-    if not vals:
-        vals = [1e-12, 1.0]
+def _bounds(vals):
     lo, hi = min(vals), max(vals)
     if lo == hi:
         pad = abs(lo) * 0.1 + 1e-12
@@ -48,16 +43,16 @@ def _ticks(lo, hi, log):
     return out
 
 
-def line_chart(path, series, title="", xlabel="", ylabel="",
-               logx=False, logy=False):
-    """Write a simple multi-series line chart.
-
-    ``series`` is a list of ``(label, points)`` with points ``(x, y)``.
+def line_chart(points, title, xlabel, ylabel, log):
+    """The SVG text of a line chart of one series of ``(x, y)`` points,
+    labelled ``ylabel`` in its legend; ``log`` puts both axes on a log
+    scale, which needs every coordinate positive.
     """
-    xlo, xhi = _bounds(series, 0, logx)
-    ylo, yhi = _bounds(series, 1, logy)
-    px = lambda xs: _transform(xs, xlo, xhi, _ML, _W - _MR, logx)
-    py = lambda ys: _transform(ys, ylo, yhi, _H - _MB, _MT, logy)
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    xlo, xhi = _bounds(xs)
+    ylo, yhi = _bounds(ys)
+    px = lambda v: _transform(v, xlo, xhi, _ML, _W - _MR, log)
+    py = lambda v: _transform(v, ylo, yhi, _H - _MB, _MT, log)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" '
              f'height="{_H}" viewBox="0 0 {_W} {_H}">',
@@ -67,7 +62,7 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
     # axes
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W-_ML-_MR}" '
                  f'height="{_H-_MT-_MB}" fill="none" stroke="#333"/>')
-    for tx in _ticks(xlo, xhi, logx):
+    for tx in _ticks(xlo, xhi, log):
         if not xlo <= tx <= xhi:
             continue
         (sx,) = px([tx])
@@ -75,7 +70,7 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
                      f'y2="{_H-_MB+5}" stroke="#333"/>')
         parts.append(f'<text x="{sx:.1f}" y="{_H-_MB+18}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{tx:.4g}</text>')
-    for ty in _ticks(ylo, yhi, logy):
+    for ty in _ticks(ylo, yhi, log):
         if not ylo <= ty <= yhi:
             continue
         (sy,) = py([ty])
@@ -88,24 +83,13 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
     parts.append(f'<text x="16" y="{_H/2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {_H/2:.0f})">{ylabel}</text>')
-    for k, (label, pts) in enumerate(series):
-        pts = [(x, y) for x, y in pts
-               if (not logx or x > 0) and (not logy or y > 0)]
-        if not pts:
-            continue
-        xs = px([p[0] for p in pts])
-        ys = py([p[1] for p in pts])
-        d = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-        color = _COLORS[k % len(_COLORS)]
-        parts.append(f'<polyline points="{d}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.6"/>')
-        ly = _MT + 16 + 16 * k
-        parts.append(f'<line x1="{_W-_MR-120}" y1="{ly-4}" x2="{_W-_MR-100}" '
-                     f'y2="{ly-4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_W-_MR-95}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
+    d = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px(xs), py(ys)))
+    parts.append(f'<polyline points="{d}" fill="none" stroke="{_COLOR}" '
+                 f'stroke-width="1.6"/>')
+    ly = _MT + 16  # the legend's one entry
+    parts.append(f'<line x1="{_W-_MR-120}" y1="{ly-4}" x2="{_W-_MR-100}" '
+                 f'y2="{ly-4}" stroke="{_COLOR}" stroke-width="2"/>')
+    parts.append(f'<text x="{_W-_MR-95}" y="{ly}" font-family="sans-serif" '
+                 f'font-size="11">{ylabel}</text>')
     parts.append("</svg>")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts))
-    os.replace(tmp, path)
+    return "\n".join(parts)

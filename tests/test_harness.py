@@ -373,7 +373,8 @@ class TestCli:
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch):
         # a budget of two Newton steps cannot reach a 1e-13 residual
         monkeypatch.setattr(crowdflow.jko, "JkoOptions", functools.partial(
-            crowdflow.jko.JkoOptions, tol_grad=1e-13, max_iterations=2))
+            crowdflow.jko.JkoOptions, tol_grad=1e-13))
+        monkeypatch.setattr(crowdflow.jko, "MAX_ITERATIONS", 2)
         cfgp = cfg_file(tmp_path, "m = 7\n")
         out = str(tmp_path / "nf")
         assert main(["single-run", "--config", cfgp, "--out", out]) == 3
@@ -459,7 +460,11 @@ class TestDrivers:
         for kind, table, extra in (
                 ("converge-m", "converge_m", "m.list = 4,8\nrun.T = 0.1\n"),
                 ("longtime", "longtime",
-                 "m.list = 10,inf\nsnapshots = 4\ninit2.boxes = 2,3,1\n")):
+                 "m.list = 10,inf\nsnapshots = 4\ninit2.boxes = 2,3,1\n"),
+                # three exponents in two chunks of the stacked pme_run
+                ("crossval", "crossval",
+                 "m.list = 4,8,16\ncrossval.times = 0.05,0.1\n"
+                 "pme.dt = 0.01\n")):
             text = BASE + extra
             rep1 = run_experiment(ExperimentConfig.from_text(text),
                                   kind=kind, workers=1)
@@ -636,9 +641,8 @@ def test_cold_start_loads_neither_scipy_linalg_nor_the_pool(tmp_path):
     assert got["iterations"] >= 1
 
 
-def test_svg_line_chart_self_contained(tmp_path):
-    path = str(tmp_path / "chart.svg")
-    line_chart(path, [("series", [(1, 1.0), (2, 0.5), (4, 0.27)])],
-               title="demo", xlabel="x", ylabel="y", logx=True, logy=True)
-    body = Path(path).read_text()
-    assert "<svg" in body and "polyline" in body and "</svg>" in body
+def test_svg_line_chart_self_contained():
+    body = line_chart([(1, 1.0), (2, 0.5), (4, 0.27)], "demo", "x", "y",
+                      True)
+    assert body.startswith("<svg") and body.endswith("</svg>")
+    assert body.count("<polyline") == 1 and ">y</text>" in body

@@ -323,15 +323,15 @@ class TestJkoStep:
             # 10 steps with a residual of 6.1e-10, every other n takes 11)
             assert max(iters) - min(iters) <= 1, (m, iters)
 
-    def test_unreachable_finite_m_tolerance_raises(self):
+    def test_unreachable_finite_m_tolerance_raises(self, monkeypatch):
         # this step stalls near a residual of 1e-11 in double precision: a
         # tighter tolerance must raise, not return the best iterate
+        monkeypatch.setattr(jko, "MAX_ITERATIONS", 50)
         grid = GridSpec(-4.0, 4.0, 4000)
         phi = potential_catalog("quadratic", q=4.0)
         q0 = indicator_quantile(-1.5, 1.5, grid, n=1600, height=0.6)
         with pytest.raises(JkoConvergenceError):
-            jko_step(q0, 50.0, 0.5, phi,
-                     JkoOptions(tol_grad=1e-12, max_iterations=50))
+            jko_step(q0, 50.0, 0.5, phi, JkoOptions(tol_grad=1e-12))
 
     def test_kkt_residual_reported_small(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=100)
@@ -382,11 +382,11 @@ class TestJkoStep:
         with pytest.raises(ValueError, match="tol_grad"):
             JkoOptions(tol_grad=tol)
 
-    def test_nonconvergence_is_loud(self, g6, quad_phi):
+    def test_nonconvergence_is_loud(self, g6, quad_phi, monkeypatch):
+        monkeypatch.setattr(jko, "MAX_ITERATIONS", 2)
         q0 = indicator_quantile(1, 2, g6, n=100)
         with pytest.raises(JkoConvergenceError):
-            jko_step(q0, 7.0, 0.01, quad_phi,
-                     JkoOptions(tol_grad=1e-13, max_iterations=2))
+            jko_step(q0, 7.0, 0.01, quad_phi, JkoOptions(tol_grad=1e-13))
 
     def test_mass_and_count_invariant(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=64)
@@ -871,21 +871,22 @@ def test_step_commutes_with_mirroring(c1, c2, c3, c4, degree, a, width,
     # admissible.  These steps take at most a dozen iterations; the cap
     # makes a broken solver fail fast instead of running out 500
     grid = GridSpec(-3.0, 3.0, 600)
-    opts = JkoOptions(max_iterations=50)
     coef = [0.0, c1, c2, c3, c4][:degree + 1]
     phi = potential_catalog("custom-polynomial", coef=coef, domain=(-3.0, 3.0))
     phi_m = potential_catalog("custom-polynomial", domain=(-3.0, 3.0),
                               coef=[-c if k % 2 else c for k, c in enumerate(coef)])
     q0 = indicator_quantile(a, a + width, grid, n=n, height=height)
     q0_m = QuantileRep(q0.total_mass, -q0.nodes[::-1])
-    for m in (3.0, 10.0, 50.0, math.inf):
-        out = jko_step(q0, m, h, phi, opts)
-        out_m = jko_step(q0_m, m, h, phi_m, opts)
-        assert out_m.iterations == out.iterations, m
-        # 3.5 ulps of the data scale measured over 200 random draws
-        scale = max(np.abs(q0.nodes).max(), np.abs(out.state.nodes).max())
-        err = np.abs(-out_m.state.nodes[::-1] - out.state.nodes).max()
-        assert err <= 16 * np.finfo(float).eps * scale, m
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jko, "MAX_ITERATIONS", 50)
+        for m in (3.0, 10.0, 50.0, math.inf):
+            out = jko_step(q0, m, h, phi)
+            out_m = jko_step(q0_m, m, h, phi_m)
+            assert out_m.iterations == out.iterations, m
+            # 3.5 ulps of the data scale measured over 200 random draws
+            scale = max(np.abs(q0.nodes).max(), np.abs(out.state.nodes).max())
+            err = np.abs(-out_m.state.nodes[::-1] - out.state.nodes).max()
+            assert err <= 16 * np.finfo(float).eps * scale, m
 
 
 @given(s=st.floats(-1.5, 1.5), q=st.floats(0.5, 2.0), c=st.floats(-0.5, 0.5),
@@ -899,19 +900,21 @@ def test_step_commutes_with_translation(s, q, c, a, width, height, n, h):
     # up to the roundings of the moved data, with the same iteration count
     # (4.5 ulps of the data scale measured over 200 random draws)
     grid = GridSpec(-3.0, 3.0, 600)
-    opts = JkoOptions(max_iterations=50)
     phi, phi_s = (potential_catalog("shifted-quadratic", q=q, c=center,
                                     domain=(-6.0, 6.0))
                   for center in (c, c + s))
     q0 = indicator_quantile(a, a + width, grid, n=n, height=height)
     q0_s = QuantileRep(q0.total_mass, q0.nodes + s)
-    for m in (10.0, math.inf):
-        out = jko_step(q0, m, h, phi, opts)
-        out_s = jko_step(q0_s, m, h, phi_s, opts)
-        assert out_s.iterations == out.iterations, m
-        scale = max(np.abs(q0_s.nodes).max(), np.abs(out_s.state.nodes).max())
-        err = np.abs(out_s.state.nodes - s - out.state.nodes).max()
-        assert err <= 16 * np.finfo(float).eps * scale, m
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jko, "MAX_ITERATIONS", 50)
+        for m in (10.0, math.inf):
+            out = jko_step(q0, m, h, phi)
+            out_s = jko_step(q0_s, m, h, phi_s)
+            assert out_s.iterations == out.iterations, m
+            scale = max(np.abs(q0_s.nodes).max(),
+                        np.abs(out_s.state.nodes).max())
+            err = np.abs(out_s.state.nodes - s - out.state.nodes).max()
+            assert err <= 16 * np.finfo(float).eps * scale, m
 
 
 # ---------------------------------------------------------------------------

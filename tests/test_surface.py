@@ -1,6 +1,6 @@
 """The package's surface: what the benchmark binds by name, no import that
-a module never uses, and no config key that is read but not registered, or
-registered but never read."""
+a module never uses, one writer of files, and no config key that is read
+but not registered, or registered but never read."""
 
 import ast
 import importlib.util
@@ -69,6 +69,45 @@ def test_one_polynomial_evaluator():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if getattr(node, "attr", getattr(node, "id", None)) == "polyval"]
     assert uses == []
+
+
+def _file_writes(source):
+    """``(line, call)`` of every ``open`` with a writing mode and every
+    ``os.replace`` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr == "replace"
+                and isinstance(f.value, ast.Name) and f.value.id == "os"):
+            found.append((node.lineno, "os.replace"))
+        elif isinstance(f, ast.Name) and f.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            if any(isinstance(mode, ast.Constant)
+                   and set(str(mode.value)) & set("wax+") for mode in modes):
+                found.append((node.lineno, "open"))
+    return found
+
+
+def test_one_writer_of_run_outputs():
+    # every CSV, report.json and SVG goes through experiments' one
+    # atomic-replace helper, so no other module can leave a partial file
+    # among a run's outputs
+    writes = {path.name: _file_writes(path.read_text(encoding="utf-8"))
+              for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in writes.items()
+            if found and name != "experiments.py"} == {}
+    assert sorted(call for _, call in writes["experiments.py"]) \
+        == ["open", "os.replace"]
+
+
+def test_file_write_scan_sees_writes():
+    src = ("import os\nopen(p)\nopen(p, 'rb')\nopen(p, 'w')\n"
+           "open(p, mode='a', encoding='utf-8')\nos.replace(a, b)\n"
+           "s.replace('x', 'y')\n")
+    assert _file_writes(src) == [(4, "open"), (5, "open"), (6, "os.replace")]
 
 
 _GETTERS = {name for name, val in vars(ExperimentConfig).items()
