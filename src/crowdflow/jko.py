@@ -457,8 +457,9 @@ def jko_step(rho0: QuantileRep, m, h: float, phi: Potential,
     """
     opts = opts or JkoOptions()
     _step_guard(h, phi)
-    if not (math.isinf(m) or m > 1):
-        raise ValueError("congestion exponent must satisfy m > 1")
+    if not m > 1:  # +inf passes; -inf and NaN fail
+        raise ValueError(f"congestion exponent must satisfy m > 1, "
+                         f"got m = {m}")
     y = rho0.nodes  # read-only; no solver writes to its start
     w = rho0.w
     if predictor is not None:
@@ -539,8 +540,9 @@ def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
     behind the property does not cover smaller exponents, so they are an
     experiment rather than an assertion here.
     """
-    if not math.isinf(m) and not m > 2:
-        raise ValueError("comparison verification requires m > 2 (or inf)")
+    if not m > 2:  # +inf passes; -inf and NaN fail
+        raise ValueError(f"comparison verification requires m > 2 (or inf), "
+                         f"got m = {m}")
     if rho01.grid != rho02.grid:
         raise ValueError("ordered pair must live on a common grid")
     if np.any(rho01.values > rho02.values + 1e-12):

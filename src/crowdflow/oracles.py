@@ -52,6 +52,8 @@ def energy_minimizer_profile(m: float, phi: Potential, mass: float,
     m = inf: the indicator of the sublevel set ``{Phi <= C}`` with volume
     equal to the mass, cell-averaged (fractional boundary cells).
     """
+    if not m > 1:  # +inf passes; -inf and NaN fail
+        raise ValueError(f"free energy minimizer requires m > 1, got m = {m}")
     if mass <= 0:
         raise ValueError("mass must be positive")
     if math.isinf(m):

@@ -69,7 +69,10 @@ class Potential:
     positive_laplacian : bool
         Derived: the Laplacian ``lap`` is strictly positive on that scan.
 
-    A radial profile (``dim > 1``) is scanned on ``r >= 0`` only.
+    A radial profile (``dim > 1``) is scanned on ``r >= 0`` only.  When
+    ``Phi''`` is constant, ``avg_hess`` is derived once per point-set shape
+    and held here; pickling rebuilds through the constructor, so no held
+    array travels.
     """
 
     coef: np.ndarray
@@ -80,6 +83,8 @@ class Potential:
     _ccoef: tuple = field(init=False, repr=False)
     _dcoef: tuple = field(init=False, repr=False)
     _d2coef: tuple = field(init=False, repr=False)
+    # (shape, avg_hess) of the last point set, for a constant Phi''
+    _hess_memo: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain = tuple(self.domain)
@@ -92,12 +97,18 @@ class Potential:
         self._ccoef = tuple(self.coef.tolist())
         self._dcoef = tuple(npoly.polyder(self.coef).tolist())
         self._d2coef = tuple(npoly.polyder(self.coef, 2).tolist())
+        self._hess_memo = (None, None)
         xs = np.linspace(lo, hi, _SCAN_POINTS)
         if self.dim > 1 and lo < 0:
             xs = xs[xs >= 0]
         # a quadratic's constant curvature q comes out of the scan exactly
         self.lam = float(np.min(self.d2(xs)))
         self.positive_laplacian = bool(np.min(self.lap(xs)) > 0.0)
+
+    def __reduce__(self):
+        # rebuild through the constructor, as GridSpec does: the copy
+        # derives its own data, and the held avg_hess stays behind
+        return Potential, (self.coef, self.domain, self.dim)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -151,7 +162,23 @@ class Potential:
 
     def avg_hess(self, pts):
         """Second partials of ``avg``, ``(d2_aa, d2_ab, d2_bb)`` stacked on
-        axis 0."""
+        axis 0.
+
+        With a constant ``Phi''`` (degree at most 2) they depend only on the
+        shape of ``pts``: the result is derived once per shape, held, and
+        returned read-only.  It has the bits of the per-call formula for
+        finite points, as ``_horner`` gives ``c + x * 0 == c`` there; a
+        non-finite point does not turn it NaN.
+        """
+        if len(self._d2coef) > 1:
+            return self._avg_hess(pts)
+        shape, hess = self._hess_memo
+        if shape != pts.shape:
+            hess = _locked(self._avg_hess(pts))
+            self._hess_memo = (pts.shape, hess)
+        return hess
+
+    def _avg_hess(self, pts):
         c = self.d2(pts)
         k = _per_node(c.ndim)
         return _node_sum(k.half_weights * c * k.hess_left * k.hess_right, 1)

@@ -372,9 +372,11 @@ class TestJkoStep:
         assert jko_step(q0, 10.0, 1e-3, phi).kkt_residual <= 1e-9
 
     def test_bad_m_rejected(self, g6, quad_phi):
+        # -inf once passed the guard and ran the m = +inf congested solver
         q0 = indicator_quantile(0, 1, g6)
-        with pytest.raises(ValueError):
-            jko_step(q0, 1.0, 0.01, quad_phi)
+        for m in (1.0, 0.5, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="m > 1, got m = "):
+                jko_step(q0, m, 0.01, quad_phi)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
     def test_tolerance_must_be_positive_and_finite(self, tol):
@@ -1070,9 +1072,11 @@ class TestComparison:
                 assert rep.passed, (m, rep.max_violation, rep.eps_cmp)
 
     def test_low_m_refused(self, g6, quad_phi):
+        # -inf once passed the guard and stepped both densities at m = +inf
         rho = indicator(0, 1, g6)
-        with pytest.raises(ValueError):
-            verify_comparison(rho, rho, 2.0, 0.01, quad_phi)
+        for m in (2.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"m > 2 .*got m = "):
+                verify_comparison(rho, rho, m, 0.01, quad_phi)
 
     def test_unordered_inputs_rejected(self, g6, quad_phi):
         r1 = indicator(0, 1, g6, height=0.9)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ class TestStationaryProfiles:
             energy_minimizer_profile(math.inf, quad_phi, 10.0, g)
         with pytest.raises(ValueError):
             energy_minimizer_profile(3.0, quad_phi, 100.0, g)
+
+    @pytest.mark.parametrize("m", [1.0, 0.5, -math.inf, math.nan])
+    def test_exponent_not_above_one_rejected(self, quad_phi, m):
+        # without a check, m = 1 divided by zero, m = 0.5 warned and went
+        # on, NaN failed on the density's sign and -inf built the m = +inf
+        # indicator
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="m > 1, got m = "):
+                energy_minimizer_profile(m, quad_phi, 1.0,
+                                         GridSpec(-4.0, 4.0, 80))
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 4.0])
     def test_quadratic_patch_is_centered_interval(self, q):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -416,16 +417,26 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
     # the per-node constants are built once, not per call, and each
     # derivative is one stacked product and one reduce; the point sets
     # and the interval data keep the bits of the separate per-call
-    # formulas, for scalar, 1-D and 2-D interval arguments
+    # formulas, for scalar, 1-D and 2-D interval arguments.  A constant
+    # Phi'' (degree <= 2) derives avg_hess once per point-set shape and
+    # hands it out read-only: the second call on a shape, and the first
+    # after the shape changed, keep the bits too
     nodes, weights = np.polynomial.legendre.leggauss(5)
 
     def per_node(const, pts):
         return const.reshape((-1,) + (1,) * (pts.ndim - 1))
 
     a, b = rng.uniform(-2.0, 1.0, (3, 4)), rng.uniform(1.0, 2.0, (3, 4))
-    for kind, params in ALL_KINDS:
+    shapes = ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b))
+    for kind, params in ALL_KINDS + [("custom-polynomial",
+                                      {"coef": [0.2, -0.3, 0.8]})]:
         phi = potential_catalog(kind, params)
-        for x0, x1 in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b)):
+        constant_d2 = len(phi._d2coef) == 1
+        assert constant_d2 == (kind in ("quadratic", "shifted-quadratic",
+                                        "linear")
+                               or len(params.get("coef", ())) == 3), kind
+        # every shape twice, so each is revisited after a change
+        for x0, x1 in 2 * shapes:
             mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
             ref_pts = mid + half * nodes.reshape((-1,) + (1,) * np.ndim(mid))
             pts = gl_points(x0, x1)
@@ -440,10 +451,39 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
                    _node_sum_loop(t * per_node(1.0 + nodes, g)),
                    _node_sum_loop(tc * la * la), _node_sum_loop(tc * la * lb),
                    _node_sum_loop(tc * lb * lb))
-            got = (phi.avg(pts), *phi.avg_grad(pts), *phi.avg_hess(pts))
-            for r, y in zip(ref, got, strict=True):
-                assert np.shape(y) == np.shape(r), kind
-                assert np.asarray(y).tobytes() == np.asarray(r).tobytes(), kind
+            for _ in range(2):
+                hess = phi.avg_hess(pts)
+                got = (phi.avg(pts), *phi.avg_grad(pts), *hess)
+                for r, y in zip(ref, got, strict=True):
+                    assert np.shape(y) == np.shape(r), kind
+                    assert np.asarray(y).tobytes() == \
+                        np.asarray(r).tobytes(), kind
+            if constant_d2:
+                assert hess is phi.avg_hess(pts)
+                with pytest.raises(ValueError, match="read-only"):
+                    hess[...] = 0.0
+
+
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_pickled_potential_rebuilds_without_its_held_hessian(kind, params):
+    # a potential travels to a worker as its constructor arguments: the
+    # held avg_hess stays behind, and the copy derives its own, with the
+    # same bits and read-only again
+    phi = potential_catalog(kind, params, domain=(-3.0, 3.0), dim=1)
+    pts = gl_points(np.linspace(-1.0, 0.9, 50), np.linspace(-0.9, 1.0, 50))
+    size = len(pickle.dumps(phi))
+    hess = phi.avg_hess(pts)
+    assert len(pickle.dumps(phi)) == size
+    clone = pickle.loads(pickle.dumps(phi))
+    assert clone._hess_memo == (None, None)
+    assert (clone.coef.tobytes(), clone.domain, clone.dim, clone.lam,
+            clone.positive_laplacian) == (phi.coef.tobytes(), phi.domain,
+                                          phi.dim, phi.lam,
+                                          phi.positive_laplacian)
+    got = clone.avg_hess(pts)
+    assert got.tobytes() == hess.tobytes()
+    if len(phi._d2coef) == 1:
+        assert not got.flags.writeable
 
 
 def test_unknown_kind_rejected():
