@@ -29,7 +29,7 @@ import numpy as np
 
 from .energy import EPS_FEAS, _check_domain, gap_energy
 from .model import (GridDensity, GridSpec, QuantileRep, _check_positive,
-                    to_grid, to_quantile)
+                    _locked, to_grid, to_quantile)
 from .potentials import Potential, gl_points
 from .transport import _cost
 
@@ -148,24 +148,55 @@ def _gradient(state, w, m, phi, h):
     return g
 
 
+# (avg_hess, w, h, (diag, offdiag)): the last constant part of the step
+# Hessian derived from a potential's held, read-only avg_hess.  Replaced
+# whole, so a reader unpacks one consistent entry; holding the avg_hess
+# array keeps its identity from being reused while it is the key
+_held_hessian = (None, None, None, None)
+
+
 def _hessian(state, w, m, phi, h):
-    """Tridiagonal Hessian of the step objective: (diag, offdiag)."""
-    _, d, gaps, pts = state
-    n1 = d.size
+    """Tridiagonal Hessian of the step objective: (diag, offdiag).
+
+    When ``phi.avg_hess`` returns its held read-only array (a constant
+    ``Phi''``), the constant part (potential and movement terms) is
+    derived once per that array, ``w`` and ``h``, held, and returned
+    read-only at m = inf; a finite-m step adds the barrier to a copy.
+    The same operations in the same order, so every bit is unchanged.
+    """
+    global _held_hessian
+    _, _, gaps, pts = state
+    hess = phi.avg_hess(pts)
+    if hess.flags.writeable:  # derived per call: nothing to hold
+        hd, ho = _hessian_constant_part(hess, w, h)
+    else:
+        held, held_w, held_h, pair = _held_hessian
+        if not (held is hess and held_w == w and held_h == h):
+            pair = tuple(map(_locked, _hessian_constant_part(hess, w, h)))
+            _held_hessian = (hess, w, h, pair)
+        if math.isinf(m):
+            return pair
+        hd, ho = pair[0].copy(), pair[1].copy()
+    if not math.isinf(m):
+        spp = m * (w / gaps) ** (m + 1.0) / w
+        hd[:-1] += spp
+        hd[1:] += spp
+        ho -= spp
+    return hd, ho
+
+
+def _hessian_constant_part(hess, w, h):
+    """The step Hessian without the barrier, from ``avg_hess`` ``hess``."""
+    n1 = hess.shape[1] + 1
     hd = np.zeros(n1)
     ho = np.zeros(n1 - 1)
-    haa, hab, hbb = w * phi.avg_hess(pts)
+    haa, hab, hbb = w * hess
     hd[:-1] += haa
     hd[1:] += hbb
     ho += hab
     hd[:-1] += w / (3.0 * h)
     hd[1:] += w / (3.0 * h)
     ho += w / (6.0 * h)
-    if not math.isinf(m):
-        spp = m * (w / gaps) ** (m + 1.0) / w
-        hd[:-1] += spp
-        hd[1:] += spp
-        ho -= spp
     return hd, ho
 
 
@@ -496,23 +527,25 @@ def _trajectory_steps(rho0, m, h, phi, n_steps):
     """The ``n_steps`` steps of a trajectory from ``rho0``, yielded one
     ``JkoStepResult`` at a time, so a caller keeps only what it reads.
 
-    Each step after the first takes the previous step's displacement as
-    its ``predictor``.  Steps go through the module's public ``jko_step``,
+    At finite m each step after the first takes the previous step's
+    displacement as its ``predictor``; the m = inf solver ignores one, so
+    none is built.  Steps go through the module's public ``jko_step``,
     with the default options.
     """
     opts = JkoOptions()
     cur, move = rho0, None
     for _ in range(n_steps):
         out = jko_step(cur, m, h, phi, opts, move)
-        move = out.state.nodes - cur.nodes
+        if not math.isinf(m):
+            move = out.state.nodes - cur.nodes
         cur = out.state
         yield out
 
 
 def jko_trajectory(rho0: QuantileRep, m, h: float, phi: Potential, T: float):
     """Piecewise-constant-in-time trajectory to horizon ``T``: the list of
-    states, the initial state included.  Each step after the first takes
-    the previous step's displacement as its ``predictor``.
+    states, the initial state included.  At finite m each step after the
+    first takes the previous step's displacement as its ``predictor``.
     """
     steps = _trajectory_steps(rho0, m, h, phi, _step_count(T, h, phi))
     return [rho0] + [out.state for out in steps]

@@ -49,7 +49,7 @@ _GL_CONSTANTS = _NodeConstants(*map(_locked, (
 _SCAN_POINTS = 10_000
 
 
-@dataclass
+@dataclass(eq=False)
 class Potential:
     """Drift potential :math:`\\Phi` with exact derivatives.
 
@@ -84,7 +84,7 @@ class Potential:
     _dcoef: tuple = field(init=False, repr=False)
     _d2coef: tuple = field(init=False, repr=False)
     # (shape, avg_hess) of the last point set, for a constant Phi''
-    _hess_memo: tuple = field(init=False, repr=False, compare=False)
+    _hess_memo: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.domain = tuple(self.domain)
@@ -104,6 +104,15 @@ class Potential:
         # a quadratic's constant curvature q comes out of the scan exactly
         self.lam = float(np.min(self.d2(xs)))
         self.positive_laplacian = bool(np.min(self.lap(xs)) > 0.0)
+
+    def __eq__(self, other):
+        # equal constructor arguments, ``coef`` by value; the derived data
+        # follows from them.  A generated ``__eq__`` would compare ``coef``
+        # inside a tuple, which raises for an array
+        if not isinstance(other, Potential):
+            return NotImplemented
+        return (self.domain == other.domain and self.dim == other.dim
+                and np.array_equal(self.coef, other.coef))
 
     def __reduce__(self):
         # rebuild through the constructor, as GridSpec does: the copy

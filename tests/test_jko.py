@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -592,6 +593,57 @@ def test_objective_derivatives_bit_identical_to_reference(rng):
                     assert ho.tobytes() == ro.tobytes(), label
 
 
+def test_held_step_hessian_bit_identical_to_reference(rng):
+    # a constant Phi'' holds the Hessian's constant part, keyed on the
+    # potential's held avg_hess, w and h: consecutive states change the
+    # potential (two of one shape), h or n, and each is read twice, so the
+    # second call reads the held part
+    phis = [potential_catalog("quadratic", q=1.0, domain=(-4.0, 4.0)),
+            potential_catalog("quadratic", q=2.5, c=0.7, domain=(-4.0, 4.0))]
+    for n in (7, 200, 64):
+        w = 1.0 / n
+        x = np.cumsum(rng.uniform(0.3, 1.7, n + 1) * w) - 0.6
+        state = jko._newton_state(x, rng.normal(scale=1e-3, size=n + 1),
+                                  x[1:] - x[:-1])
+        for h, phi in itertools.product((1e-3, 0.05), phis * 2):
+            for m in (2.5, 10.0, math.inf):
+                args = (w, m, phi, h)
+                rd, ro = _hessian_reference(state, *args)
+                first = jko._hessian(state, *args)
+                for hd, ho in (first, jko._hessian(state, *args)):
+                    assert hd.tobytes() == rd.tobytes(), (n, h, m)
+                    assert ho.tobytes() == ro.tobytes(), (n, h, m)
+                    if math.isinf(m):
+                        for a in (hd, ho):
+                            with pytest.raises(ValueError, match="read-only"):
+                                a[0] = 0.0
+                    else:
+                        # the caller's copy: writing into it reaches no
+                        # later call
+                        hd[...] = ho[...] = np.nan
+                if math.isinf(m):
+                    assert all(map(operator.is_, first, (hd, ho)))
+
+
+def test_per_call_avg_hess_gives_a_fresh_step_hessian(rng):
+    # a quartic well's avg_hess is derived per call, and so is the step
+    # Hessian, writable at every m
+    phi = potential_catalog("quartic-well", a=1.0, b=-1.0, domain=(-4.0, 4.0))
+    n = 64
+    x = np.cumsum(rng.uniform(0.3, 1.7, n + 1) / n) - 0.6
+    state = jko._newton_state(x, np.zeros(n + 1), x[1:] - x[:-1])
+    for m in (2.5, math.inf):
+        args = (1.0 / n, m, phi, 0.01)
+        rd, ro = _hessian_reference(state, *args)
+        first = jko._hessian(state, *args)
+        second = jko._hessian(state, *args)
+        for hd, ho in (first, second):
+            assert hd.tobytes() == rd.tobytes() and ho.tobytes() == ro.tobytes()
+            assert hd.flags.writeable and ho.flags.writeable
+        for a, b in zip(first, second):
+            assert not np.shares_memory(a, b)
+
+
 # ---------------------------------------------------------------------------
 # solver starts: no predictor, warm start, spacing projection
 # ---------------------------------------------------------------------------
@@ -1013,6 +1065,29 @@ class TestTrajectory:
             assert len(sampled) == idx.size and sampled[0] is q0
             for j, state in zip(idx, sampled):
                 assert state.nodes.tobytes() == states[j].nodes.tobytes()
+
+    def test_trajectory_predicts_only_at_finite_m(self, monkeypatch):
+        # each finite-m step after the first is handed the previous step's
+        # displacement; the m = inf solver ignores a predictor, so none is
+        # built
+        phi, q0 = _longtime_case()
+        seen = []
+
+        def spy(rho0, m, h, phi, opts=None, predictor=None):
+            seen.append(predictor)
+            return jko_step(rho0, m, h, phi, opts, predictor)
+
+        monkeypatch.setattr(jko, "jko_step", spy)
+        for m in (10.0, math.inf):
+            seen.clear()
+            states = jko_trajectory(q0, m, 1e-3, phi, 0.005)
+            assert len(seen) == 5 and seen[0] is None
+            for k, predictor in enumerate(seen[1:], 1):
+                if math.isinf(m):
+                    assert predictor is None
+                else:
+                    move = states[k].nodes - states[k - 1].nodes
+                    assert predictor.tobytes() == move.tobytes()
 
     def test_leaving_the_domain_raises_at_the_same_step(self, g6, monkeypatch):
         # a linear drift carries the state out of a narrow working domain;

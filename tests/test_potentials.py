@@ -486,6 +486,26 @@ def test_pickled_potential_rebuilds_without_its_held_hessian(kind, params):
         assert not got.flags.writeable
 
 
+@pytest.mark.parametrize("kind,params", ALL_KINDS)
+def test_potential_equality_is_by_value(kind, params):
+    # a pickled copy equals its original, held Hessian or not; any other
+    # coef, domain or dim does not, and no comparison raises
+    phi = potential_catalog(kind, params, domain=(-3.0, 3.0))
+    phi.avg_hess(gl_points(np.zeros(4), np.ones(4)))
+    clone = pickle.loads(pickle.dumps(phi))
+    assert clone == phi and phi == clone and not clone != phi
+    assert phi == Potential(phi.coef.copy(), phi.domain, phi.dim)
+    bumped = phi.coef.copy()
+    bumped[0] += 1.0
+    for other in (Potential(bumped, phi.domain, phi.dim),
+                  Potential(np.append(phi.coef, 1.0), phi.domain, phi.dim),
+                  Potential(phi.coef, (-3.0, 2.0), phi.dim),
+                  Potential(phi.coef, phi.domain, 3)):
+        assert phi != other and not other == phi
+    assert phi.__eq__(phi.coef) is NotImplemented
+    assert phi != phi.coef.tolist() and phi != kind
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         potential_catalog("cubic-nonsense", {})
