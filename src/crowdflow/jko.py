@@ -29,7 +29,7 @@ import numpy as np
 
 from .energy import EPS_FEAS, _check_domain, gap_energy
 from .model import (GridDensity, GridSpec, QuantileRep, _check_positive,
-                    _locked, to_grid, to_quantile)
+                    to_grid, to_quantile)
 from .potentials import Potential, gl_points
 from .transport import _cost
 
@@ -148,40 +148,39 @@ def _gradient(state, w, m, phi, h):
     return g
 
 
-# (avg_hess, w, h, (diag, offdiag)): the last constant part of the step
-# Hessian derived from a potential's held, read-only avg_hess.  Replaced
-# whole, so a reader unpacks one consistent entry; holding the avg_hess
-# array keeps its identity from being reused while it is the key
+# (avg_hess, w, h, (diag, offdiag)): the constant part of the step Hessian
+# last derived, read-only.  Replaced whole, so a reader unpacks one
+# consistent entry; holding the avg_hess array keeps its identity from being
+# reused while it is the key
 _held_hessian = (None, None, None, None)
 
 
 def _hessian(state, w, m, phi, h):
     """Tridiagonal Hessian of the step objective: (diag, offdiag).
 
-    When ``phi.avg_hess`` returns its held read-only array (a constant
-    ``Phi''``), the constant part (potential and movement terms) is
-    derived once per that array, ``w`` and ``h``, held, and returned
-    read-only at m = inf; a finite-m step adds the barrier to a copy.
-    The same operations in the same order, so every bit is unchanged.
+    The constant part (potential and movement terms) is held per
+    ``phi.avg_hess`` array (by identity), ``w`` and ``h``, so a potential
+    that holds its ``avg_hess`` (a constant ``Phi''``) derives it once; a
+    per-call ``avg_hess`` misses every time.  It is returned read-only at
+    m = inf; a finite-m step adds the barrier to a copy.  The same
+    operations in the same order, so every bit is unchanged.
     """
     global _held_hessian
     _, _, gaps, pts = state
     hess = phi.avg_hess(pts)
-    if hess.flags.writeable:  # derived per call: nothing to hold
-        hd, ho = _hessian_constant_part(hess, w, h)
-    else:
-        held, held_w, held_h, pair = _held_hessian
-        if not (held is hess and held_w == w and held_h == h):
-            pair = tuple(map(_locked, _hessian_constant_part(hess, w, h)))
-            _held_hessian = (hess, w, h, pair)
-        if math.isinf(m):
-            return pair
-        hd, ho = pair[0].copy(), pair[1].copy()
-    if not math.isinf(m):
-        spp = m * (w / gaps) ** (m + 1.0) / w
-        hd[:-1] += spp
-        hd[1:] += spp
-        ho -= spp
+    held, held_w, held_h, pair = _held_hessian
+    if not (held is hess and held_w == w and held_h == h):
+        pair = _hessian_constant_part(hess, w, h)
+        for a in pair:
+            a.setflags(write=False)
+        _held_hessian = (hess, w, h, pair)
+    if math.isinf(m):
+        return pair
+    hd, ho = pair[0].copy(), pair[1].copy()
+    spp = m * (w / gaps) ** (m + 1.0) / w
+    hd[:-1] += spp
+    hd[1:] += spp
+    ho -= spp
     return hd, ho
 
 

@@ -626,8 +626,8 @@ def test_held_step_hessian_bit_identical_to_reference(rng):
 
 
 def test_per_call_avg_hess_gives_a_fresh_step_hessian(rng):
-    # a quartic well's avg_hess is derived per call, and so is the step
-    # Hessian, writable at every m
+    # a quartic well's avg_hess is derived per call, so the held constant
+    # part misses on every call: fresh arrays with the reference bits
     phi = potential_catalog("quartic-well", a=1.0, b=-1.0, domain=(-4.0, 4.0))
     n = 64
     x = np.cumsum(rng.uniform(0.3, 1.7, n + 1) / n) - 0.6
@@ -639,7 +639,6 @@ def test_per_call_avg_hess_gives_a_fresh_step_hessian(rng):
         second = jko._hessian(state, *args)
         for hd, ho in (first, second):
             assert hd.tobytes() == rd.tobytes() and ho.tobytes() == ro.tobytes()
-            assert hd.flags.writeable and ho.flags.writeable
         for a, b in zip(first, second):
             assert not np.shares_memory(a, b)
 
