@@ -93,8 +93,8 @@ def project_spacing(x, gap):
     Shift by ``j * gap`` to reduce to isotonic regression, project by
     pool-adjacent-violators, and shift back.
     """
-    if gap < 0:
-        raise ValueError("spacing must be nonnegative")
+    if not 0 <= gap < math.inf:  # NaN fails too
+        raise ValueError(f"spacing must be nonnegative and finite, got {gap}")
     x = np.asarray(x, dtype=float)
     ramp = gap * np.arange(x.size)
     return pav_nondecreasing(x - ramp) + ramp
@@ -148,32 +148,33 @@ def _gradient(state, w, m, phi, h):
     return g
 
 
-# (avg_hess, w, h, (diag, offdiag)): the constant part of the step Hessian
-# last derived, read-only.  Replaced whole, so a reader unpacks one
-# consistent entry; holding the avg_hess array keeps its identity from being
-# reused while it is the key
-_held_hessian = (None, None, None, None)
+# (phi, gap count, w, h, (diag, offdiag)): the constant part of the step
+# Hessian last derived for a constant Phi'', read-only.  Replaced whole, so
+# a reader unpacks one consistent entry; holding phi keeps its identity from
+# being reused while it is the key
+_held_hessian = (None, None, None, None, None)
 
 
 def _hessian(state, w, m, phi, h):
     """Tridiagonal Hessian of the step objective: (diag, offdiag).
 
-    The constant part (potential and movement terms) is held per
-    ``phi.avg_hess`` array (by identity), ``w`` and ``h``, so a potential
-    that holds its ``avg_hess`` (a constant ``Phi''``) derives it once; a
-    per-call ``avg_hess`` misses every time.  It is returned read-only at
-    m = inf; a finite-m step adds the barrier to a copy.  The same
-    operations in the same order, so every bit is unchanged.
+    With a constant ``Phi''`` (degree at most 2) the constant part
+    (potential and movement terms) depends only on ``phi``, the gap count,
+    ``w`` and ``h``: it is held per that key, and derived per call for any
+    other potential.  It is returned read-only at m = inf; a finite-m step
+    adds the barrier to a copy.  The same operations in the same order, so
+    every bit is unchanged.
     """
     global _held_hessian
     _, _, gaps, pts = state
-    hess = phi.avg_hess(pts)
-    held, held_w, held_h, pair = _held_hessian
-    if not (held is hess and held_w == w and held_h == h):
-        pair = _hessian_constant_part(hess, w, h)
+    held, held_n, held_w, held_h, pair = _held_hessian
+    if not (held is phi and held_n == gaps.size and held_w == w
+            and held_h == h):
+        pair = _hessian_constant_part(phi.avg_hess(pts), w, h)
         for a in pair:
             a.setflags(write=False)
-        _held_hessian = (hess, w, h, pair)
+        if phi.coef.size <= 3:
+            _held_hessian = (phi, gaps.size, w, h, pair)
     if math.isinf(m):
         return pair
     hd, ho = pair[0].copy(), pair[1].copy()
@@ -558,7 +559,7 @@ class ComparisonReport:
 
 
 def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
-                      phi: Potential, n_quantile: int = 200) -> ComparisonReport:
+                      phi: Potential, n_quantile: int) -> ComparisonReport:
     """Order preservation of one step from ordered grid densities.
 
     Both densities are represented with a shared cell mass ``w`` (so the
@@ -585,6 +586,7 @@ def verify_comparison(rho01: GridDensity, rho02: GridDensity, m, h: float,
     if math.isinf(m):
         if max(np.max(rho01.values), np.max(rho02.values)) > 1.0 + EPS_FEAS:
             raise ValueError("m = inf comparison needs both densities <= 1")
+    _check_positive("quantile count", "n_quantile", n_quantile)
 
     w = m2 / n_quantile
     n1 = int(math.floor(m1 / w + 1e-9))

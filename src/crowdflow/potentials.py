@@ -69,10 +69,7 @@ class Potential:
     positive_laplacian : bool
         Derived: the Laplacian ``lap`` is strictly positive on that scan.
 
-    A radial profile (``dim > 1``) is scanned on ``r >= 0`` only.  When
-    ``Phi''`` is constant, ``avg_hess`` is derived once per point-set shape
-    and held here; pickling rebuilds through the constructor, so no held
-    array travels.
+    A radial profile (``dim > 1``) is scanned on ``r >= 0`` only.
     """
 
     coef: np.ndarray
@@ -83,8 +80,6 @@ class Potential:
     _ccoef: tuple = field(init=False, repr=False)
     _dcoef: tuple = field(init=False, repr=False)
     _d2coef: tuple = field(init=False, repr=False)
-    # (shape, avg_hess) of the last point set, for a constant Phi''
-    _hess_memo: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         lo, hi = self.domain = tuple(self.domain)
@@ -97,7 +92,6 @@ class Potential:
         self._ccoef = tuple(self.coef.tolist())
         self._dcoef = tuple(npoly.polyder(self.coef).tolist())
         self._d2coef = tuple(npoly.polyder(self.coef, 2).tolist())
-        self._hess_memo = (None, None)
         xs = np.linspace(lo, hi, _SCAN_POINTS)
         if self.dim > 1 and lo < 0:
             xs = xs[xs >= 0]
@@ -113,11 +107,6 @@ class Potential:
             return NotImplemented
         return (self.domain == other.domain and self.dim == other.dim
                 and np.array_equal(self.coef, other.coef))
-
-    def __reduce__(self):
-        # rebuild through the constructor, as GridSpec does: the copy
-        # derives its own data, and the held avg_hess stays behind
-        return Potential, (self.coef, self.domain, self.dim)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -171,23 +160,7 @@ class Potential:
 
     def avg_hess(self, pts):
         """Second partials of ``avg``, ``(d2_aa, d2_ab, d2_bb)`` stacked on
-        axis 0.
-
-        With a constant ``Phi''`` (degree at most 2) they depend only on the
-        shape of ``pts``: the result is derived once per shape, held, and
-        returned read-only.  It has the bits of the per-call formula for
-        finite points, as ``_horner`` gives ``c + x * 0 == c`` there; a
-        non-finite point does not turn it NaN.
-        """
-        if len(self._d2coef) > 1:
-            return self._avg_hess(pts)
-        shape, hess = self._hess_memo
-        if shape != pts.shape:
-            hess = _locked(self._avg_hess(pts))
-            self._hess_memo = (pts.shape, hess)
-        return hess
-
-    def _avg_hess(self, pts):
+        axis 0."""
         c = self.d2(pts)
         k = _per_node(c.ndim)
         return _node_sum(k.half_weights * c * k.hess_left * k.hess_right, 1)

@@ -92,8 +92,10 @@ class TestProjection:
             assert np.max(np.abs(ours - oracle)) < 1e-8
 
     def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            project_spacing(np.array([0.0, 1.0]), -0.1)
+        # NaN once returned all-NaN nodes, and inf warned, then did the same
+        for gap in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                project_spacing(np.array([0.0, 1.0, 2.0]), gap)
 
     def test_pav_matches_brute_force(self, rng):
         for _ in range(40):
@@ -595,7 +597,7 @@ def test_objective_derivatives_bit_identical_to_reference(rng):
 
 def test_held_step_hessian_bit_identical_to_reference(rng):
     # a constant Phi'' holds the Hessian's constant part, keyed on the
-    # potential's held avg_hess, w and h: consecutive states change the
+    # potential, the gap count, w and h: consecutive states change the
     # potential (two of one shape), h or n, and each is read twice, so the
     # second call reads the held part
     phis = [potential_catalog("quadratic", q=1.0, domain=(-4.0, 4.0)),
@@ -626,9 +628,11 @@ def test_held_step_hessian_bit_identical_to_reference(rng):
 
 
 def test_per_call_avg_hess_gives_a_fresh_step_hessian(rng):
-    # a quartic well's avg_hess is derived per call, so the held constant
-    # part misses on every call: fresh arrays with the reference bits
+    # a quartic well's Phi'' is not constant, so its Hessian's constant
+    # part is derived on every call: fresh arrays with the reference bits.
+    # It does not replace the held part of a quadratic called before it
     phi = potential_catalog("quartic-well", a=1.0, b=-1.0, domain=(-4.0, 4.0))
+    quad = potential_catalog("quadratic", q=1.0, domain=(-4.0, 4.0))
     n = 64
     x = np.cumsum(rng.uniform(0.3, 1.7, n + 1) / n) - 0.6
     state = jko._newton_state(x, np.zeros(n + 1), x[1:] - x[:-1])
@@ -641,6 +645,10 @@ def test_per_call_avg_hess_gives_a_fresh_step_hessian(rng):
             assert hd.tobytes() == rd.tobytes() and ho.tobytes() == ro.tobytes()
         for a, b in zip(first, second):
             assert not np.shares_memory(a, b)
+    quad_args = (1.0 / n, math.inf, quad, 0.01)
+    held = jko._hessian(state, *quad_args)
+    jko._hessian(state, 1.0 / n, math.inf, phi, 0.01)
+    assert all(map(operator.is_, held, jko._hessian(state, *quad_args)))
 
 
 # ---------------------------------------------------------------------------
@@ -1150,10 +1158,13 @@ class TestComparison:
         rho = indicator(0, 1, g6)
         for m in (2.0, -math.inf, math.nan):
             with pytest.raises(ValueError, match=r"m > 2 .*got m = "):
-                verify_comparison(rho, rho, m, 0.01, quad_phi)
+                verify_comparison(rho, rho, m, 0.01, quad_phi, n_quantile=200)
+        # a zero quantile count once divided by zero
+        with pytest.raises(ValueError, match="n_quantile = 0"):
+            verify_comparison(rho, rho, 10.0, 0.01, quad_phi, n_quantile=0)
 
     def test_unordered_inputs_rejected(self, g6, quad_phi):
         r1 = indicator(0, 1, g6, height=0.9)
         r2 = indicator(0, 1, g6, height=0.8)
         with pytest.raises(ValueError):
-            verify_comparison(r1, r2, 10.0, 0.01, quad_phi)
+            verify_comparison(r1, r2, 10.0, 0.01, quad_phi, n_quantile=200)

@@ -417,10 +417,9 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
     # the per-node constants are built once, not per call, and each
     # derivative is one stacked product and one reduce; the point sets
     # and the interval data keep the bits of the separate per-call
-    # formulas, for scalar, 1-D and 2-D interval arguments.  A constant
-    # Phi'' (degree <= 2) derives avg_hess once per point-set shape and
-    # hands it out read-only: the second call on a shape, and the first
-    # after the shape changed, keep the bits too
+    # formulas, for scalar, 1-D and 2-D interval arguments, on a second
+    # call and after the shape changed.  A coefficient count of at most 3
+    # is the constant-Phi'' signal the JKO step Hessian reads
     nodes, weights = np.polynomial.legendre.leggauss(5)
 
     def per_node(const, pts):
@@ -431,10 +430,9 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
     for kind, params in ALL_KINDS + [("custom-polynomial",
                                       {"coef": [0.2, -0.3, 0.8]})]:
         phi = potential_catalog(kind, params)
-        constant_d2 = len(phi._d2coef) == 1
-        assert constant_d2 == (kind in ("quadratic", "shifted-quadratic",
-                                        "linear")
-                               or len(params.get("coef", ())) == 3), kind
+        assert (phi.coef.size <= 3) == (
+            kind in ("quadratic", "shifted-quadratic", "linear")
+            or len(params.get("coef", ())) == 3), kind
         # every shape twice, so each is revisited after a change
         for x0, x1 in 2 * shapes:
             mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
@@ -458,38 +456,30 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
                     assert np.shape(y) == np.shape(r), kind
                     assert np.asarray(y).tobytes() == \
                         np.asarray(r).tobytes(), kind
-            if constant_d2:
-                assert hess is phi.avg_hess(pts)
-                with pytest.raises(ValueError, match="read-only"):
-                    hess[...] = 0.0
 
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_pickled_potential_rebuilds_without_its_held_hessian(kind, params):
-    # a potential travels to a worker as its constructor arguments: the
-    # held avg_hess stays behind, and the copy derives its own, with the
-    # same bits and read-only again
+    # a potential travels to a worker with its constructor arguments and
+    # derived data only, and the copy's avg_hess has the same bits
     phi = potential_catalog(kind, params, domain=(-3.0, 3.0), dim=1)
     pts = gl_points(np.linspace(-1.0, 0.9, 50), np.linspace(-0.9, 1.0, 50))
     size = len(pickle.dumps(phi))
     hess = phi.avg_hess(pts)
     assert len(pickle.dumps(phi)) == size
     clone = pickle.loads(pickle.dumps(phi))
-    assert clone._hess_memo == (None, None)
     assert (clone.coef.tobytes(), clone.domain, clone.dim, clone.lam,
             clone.positive_laplacian) == (phi.coef.tobytes(), phi.domain,
                                           phi.dim, phi.lam,
                                           phi.positive_laplacian)
     got = clone.avg_hess(pts)
     assert got.tobytes() == hess.tobytes()
-    if len(phi._d2coef) == 1:
-        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("kind,params", ALL_KINDS)
 def test_potential_equality_is_by_value(kind, params):
-    # a pickled copy equals its original, held Hessian or not; any other
-    # coef, domain or dim does not, and no comparison raises
+    # a pickled copy equals its original, after an avg_hess call too; any
+    # other coef, domain or dim does not, and no comparison raises
     phi = potential_catalog(kind, params, domain=(-3.0, 3.0))
     phi.avg_hess(gl_points(np.zeros(4), np.ones(4)))
     clone = pickle.loads(pickle.dumps(phi))
