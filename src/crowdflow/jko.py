@@ -36,6 +36,7 @@ from .transport import _cost
 
 BACKTRACK = 0.5   # line-search shrink factor
 ARMIJO = 1e-4     # sufficient-decrease constant
+GROWTH = 10.0     # largest gradient max-norm growth an Armijo accept allows
 MAX_ITERATIONS = 500  # Newton steps (finite m) or sweeps (m = inf) per step
 
 
@@ -254,19 +255,24 @@ def _line_search(state, step, slope, gnorm, args, f=None):
     is the full step, shortened to keep every gap positive.  A trial is
     accepted on decrease of the max-norm of its gradient, the test that
     holds near the optimum where the objective is flat to round-off, or
-    on Armijo decrease of the objective.  The first step length that
+    on Armijo decrease of the objective, provided its gradient max-norm
+    grew at most ``GROWTH`` times: an Armijo accept may not undo most of
+    the progress toward the exit test, which reads that norm (a cold
+    congested step would otherwise accept a 75-fold growth and spend
+    about four Newton steps winning it back).  The first step length that
     passes either test does not depend on which runs first, so the
     gradient, which the caller needs anyway, runs first; the objective
     (at ``state`` and at the trial) is evaluated only when that test
-    fails.  ``args`` are the objective's trailing arguments ``(w, m, phi,
-    h)``; ``f`` is the objective at ``state`` when the caller has it.
+    fails and the growth guard holds.  ``args`` are the objective's
+    trailing arguments ``(w, m, phi, h)``; ``f`` is the objective at
+    ``state`` when the caller has it.
 
     Returns ``(state_new, g_new, gnorm_new, f_new)``: the trial, its
     gradient and that gradient's max-norm, and its objective when the
     Armijo test accepted it (else None, as nothing evaluated it).  A
-    non-finite gradient has a NaN or infinite norm, which fails the
-    gradient test against the caller's finite ``gnorm``.  When
-    backtracking runs out the tiny step is taken untested.
+    non-finite gradient has a NaN or infinite norm, which fails both
+    tests against the caller's finite ``gnorm``.  When backtracking runs
+    out the tiny step is taken untested.
     """
     x, d, gaps, _ = state
     dgap = step[1:] - step[:-1]
@@ -281,11 +287,12 @@ def _line_search(state, step, slope, gnorm, args, f=None):
         gnorm_new = float(np.abs(g_new).max())
         if not alpha > 1e-16 or gnorm_new <= (1.0 - 0.5 * alpha) * gnorm:
             return trial, g_new, gnorm_new, None
-        if f is None:
-            f = _objective(state, *args)
-        f_new = _objective(trial, *args)
-        if f_new <= f + ARMIJO * alpha * slope:
-            return trial, g_new, gnorm_new, f_new
+        if gnorm_new <= GROWTH * gnorm:
+            if f is None:
+                f = _objective(state, *args)
+            f_new = _objective(trial, *args)
+            if f_new <= f + ARMIJO * alpha * slope:
+                return trial, g_new, gnorm_new, f_new
         alpha *= BACKTRACK
 
 
@@ -307,7 +314,9 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
     powers overflow raises ``ValueError``.  A trial's gap powers may
     overflow to inf, and two adjacent ones then cancel to NaN; the line
     search rejects both, so one ``np.errstate`` over the whole solve
-    ignores overflow and invalid values.
+    ignores overflow and invalid values.  Only its untested tiny step can
+    return a non-finite gradient, and that raises
+    ``JkoConvergenceError``: a NaN residual would pass the exit test.
     """
     args = (w, m, phi, h)
     gaps0 = None if predictor is None \
@@ -342,6 +351,11 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
                 slope = float(np.dot(step, g))
             state, g, gnorm, f = _line_search(state, step, slope, gnorm,
                                               args, f)
+            if not math.isfinite(gnorm):  # NaN would pass the loop test
+                raise JkoConvergenceError(
+                    f"non-finite gradient after {it} iterations "
+                    f"(KKT residual {gnorm / w:.3e}, "
+                    f"tol {opts.tol_grad:.1e})")
     return state[0], gnorm / w, it
 
 

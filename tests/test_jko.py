@@ -321,9 +321,9 @@ class TestJkoStep:
                 out = jko_step(q0, m, 0.5, phi, opts)
                 assert out.kkt_residual <= opts.tol_grad, (m, n)
                 iters.add(out.iterations)
-            # the count does not grow with n; a last Newton step can land
-            # just under tol_grad one step early (m = 10, n = 200 stops at
-            # 10 steps with a residual of 6.1e-10, every other n takes 11)
+            # the count does not grow with n (7 Newton steps at m = 10 and
+            # 8 at m = 50 at every n); a last Newton step can land just
+            # under tol_grad one step early
             assert max(iters) - min(iters) <= 1, (m, iters)
 
     def test_unreachable_finite_m_tolerance_raises(self, monkeypatch):
@@ -392,6 +392,21 @@ class TestJkoStep:
         q0 = indicator_quantile(1, 2, g6, n=100)
         with pytest.raises(JkoConvergenceError):
             jko_step(q0, 7.0, 0.01, quad_phi, JkoOptions(tol_grad=1e-13))
+
+    def test_non_finite_residual_is_loud(self, g6, quad_phi, monkeypatch):
+        # a NaN norm fails the loop's ``gnorm / w > tol`` test, so a line
+        # search that returned one (only its untested tiny step can) once
+        # ended Newton as converged, with kkt_residual = nan
+        search = jko._line_search
+
+        def nan_norm(*args):
+            state, g, _, f = search(*args)
+            return state, g, math.nan, f
+
+        monkeypatch.setattr(jko, "_line_search", nan_norm)
+        q0 = indicator_quantile(1, 2, g6, n=100)
+        with pytest.raises(JkoConvergenceError, match="KKT residual nan"):
+            jko_step(q0, 7.0, 0.01, quad_phi)
 
     def test_mass_and_count_invariant(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=64)
@@ -772,10 +787,11 @@ class TestSolverStarts:
 # ---------------------------------------------------------------------------
 
 def _armijo_first_line_search(state, step, slope, gnorm, args, f=None):
-    """The line search with the Armijo test first: the objective at the
-    start and at every trial, the gradient only where Armijo fails.  It
-    takes no objective value from the caller and returns none; the
-    returned gradient norm is taken here, once per return."""
+    """The line search with the Armijo test, and its gradient-growth
+    guard, first: the objective at the start and at every trial, then the
+    gradient, whose decrease is tested only where the guarded Armijo test
+    fails.  It takes no objective value from the caller and returns none;
+    the returned gradient norm is taken here, once per return."""
     x, d, gaps, _ = state
     dgap = np.diff(step)
     shrink = dgap < 0.0
@@ -792,12 +808,14 @@ def _armijo_first_line_search(state, step, slope, gnorm, args, f=None):
                                   gaps + alpha * dgap)
         if not alpha > 1e-16:
             return accept(trial, jko._gradient(trial, *args))
-        if jko._objective(trial, *args) <= f + jko.ARMIJO * alpha * slope:
-            return accept(trial, jko._gradient(trial, *args))
+        armijo = jko._objective(trial, *args) <= f + jko.ARMIJO * alpha * slope
         g_new = jko._gradient(trial, *args)
-        if np.all(np.isfinite(g_new)) and \
-                float(np.max(np.abs(g_new))) <= (1.0 - 0.5 * alpha) * gnorm:
-            return accept(trial, g_new)
+        if np.all(np.isfinite(g_new)):
+            gnorm_new = float(np.max(np.abs(g_new)))
+            if armijo and gnorm_new <= jko.GROWTH * gnorm:
+                return accept(trial, g_new)
+            if gnorm_new <= (1.0 - 0.5 * alpha) * gnorm:
+                return accept(trial, g_new)
         alpha *= jko.BACKTRACK
 
 
@@ -877,8 +895,28 @@ class TestLineSearch:
                 search(state, step, slope, gnorm, args))
         ref, ref_counts = run()
         self._assert_same_steps(fast, ref)
-        assert counts == [4, 7] * len(cases)
-        assert ref_counts == [4, 8] * len(cases)
+        assert counts == [2, 3] * len(cases)
+        assert ref_counts == [2, 4] * len(cases)
+
+    def test_cold_congested_steps_accept_no_jump_in_the_gradient(
+            self, monkeypatch):
+        # an Armijo accept once let the gradient max-norm grow 75-fold (n =
+        # 400, m = 10, second Newton step), and winning that back took
+        # about four more Newton steps: 10 to 12 per step instead of 7 or 8
+        phi, cases = _congested_cases()
+        search, growths = jko._line_search, []
+
+        def recorded(state, step, slope, gnorm, args, f=None):
+            out = search(state, step, slope, gnorm, args, f)
+            growths.append(out[2] <= jko.GROWTH * gnorm)
+            return out
+
+        monkeypatch.setattr(jko, "_line_search", recorded)
+        for q0 in cases:
+            for m, most in ((10.0, 7), (50.0, 8)):
+                out = jko_step(q0, m, 0.5, phi)
+                assert out.iterations <= most, (q0.n, m, out.iterations)
+        assert growths and all(growths)
 
     def test_returned_norm_is_the_max_norm_of_the_returned_gradient(
             self, monkeypatch):
