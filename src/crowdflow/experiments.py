@@ -98,11 +98,12 @@ class ExperimentReport:
         for name, (header, rows) in self.tables.items():
             if len(header) < 2 or not rows:
                 continue
-            numeric = [r for r in rows
-                       if all(isinstance(v, (int, float)) for v in r[:2])]
-            if not numeric:
+            # a chart axis needs finite values: longtime's m column holds inf
+            pts = [(float(r[0]), float(r[1])) for r in rows
+                   if all(isinstance(v, (int, float)) and math.isfinite(v)
+                          for v in r[:2])]
+            if not pts:
                 continue
-            pts = [(float(r[0]), float(r[1])) for r in numeric]
             positive = all(x > 0 and y > 0 for x, y in pts)
             _write_atomic(os.path.join(outdir, f"{name}.svg"),
                           line_chart(pts, name, header[0], header[1],
@@ -374,13 +375,10 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     traj, _ = heleshaw_run(patch0, phi, times[-1], dt_fb, snapshot_times=times)
     patches = dict(traj)
 
-    # the exponents step as one stack; with workers, as one contiguous
-    # chunk of it per worker
-    n_chunks = min(workers, len(m_list))
-    cuts = [i * len(m_list) // n_chunks for i in range(n_chunks + 1)]
-    chunks = _pmap(pme_run, [(rho0, m_list[a:b], phi, times[-1], dt, times)
-                             for a, b in zip(cuts, cuts[1:])], workers)
-    runs = [dict(snaps) for chunk, _ in chunks for snaps in chunk]
+    # the exponents step as one stack, whatever ``workers`` is: the whole
+    # stack is too little work to pay for a process pool
+    stack, _ = pme_run(rho0, m_list, phi, times[-1], dt, times)
+    runs = [dict(snaps) for snaps in stack]
     rows = []
     for m, snap in zip(m_list, runs):
         for t in times:

@@ -1,109 +1,74 @@
 """Quasi-static free-boundary patch dynamics.
 
-Inside a patch the pressure solves ``-u'' = Phi''`` with zero boundary
-values, so on an interval it is the chord of the potential minus the
-potential, and every boundary point moves with velocity ``-u' - Phi'``
-(one-sided derivative from inside).  In 1D that collapses to a single
-chord slope per interval: both endpoints translate together and each
-interval keeps its length exactly.  Radial mode (centered balls and
-annuli) evaluates the same law through exact flux integrals of the
-polynomial drift profile, so near-equilibrium velocities carry no
-quadrature cancellation.
+Inside a patch the pressure ``u`` solves ``-Laplacian(u) = Laplacian(Phi)``
+with zero boundary values, and every boundary point moves with velocity
+``-grad(u + Phi)`` (from inside).  So ``u + Phi`` is the harmonic
+extension of the boundary values of ``Phi``.  In 1D that is the chord of
+the potential: both endpoints of an interval translate together with its
+negated slope, and each interval keeps its length exactly.  Radial mode
+(centered balls and annuli) takes the closed form ``A + B psi(r)``, with
+``psi = log r`` (d = 2) or ``r^(2-d)`` (d >= 3).
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from numpy.polynomial import polynomial as npoly
-
 from .model import Patch, _bisect, _check_positive, _snapshot_schedule
 from .potentials import Potential, _horner
 
 
-def _shifted_poly_integral(coef, shift, a, b):
-    """Exact integral of ``sum_k coef[k] s^(k + shift)`` over ``[a, b]``.
+def _divided_difference(c, a, b):
+    """``(p(b) - p(a)) / (b - a)`` for the polynomial ``p`` with float
+    coefficients ``c``, low order first.
 
-    ``shift`` may be negative (Laurent terms); the ``s^-1`` term
-    integrates to a logarithm.  Requires ``a > 0`` when shift < 0.
+    Summed as ``sum_j c_j h_j`` with ``h_j = sum_{i<j} a^i b^(j-1-i)``,
+    which subtracts no close values, so a thin ``[a, b]`` keeps its digits.
     """
-    total = 0.0
-    for k, c in enumerate(coef):
-        if c == 0.0:
-            continue
-        p = k + shift
-        if p == -1:
-            total += c * math.log(b / a)
-        else:
-            total += c * (b ** (p + 1) - a ** (p + 1)) / (p + 1)
+    total, h, a_pow = 0.0, 0.0, 1.0
+    for c_j in c[1:]:
+        # h_j = b h_(j-1) + a^(j-1)
+        h, a_pow = b * h + a_pow, a_pow * a
+        total += c_j * h
     return total
-
-
-def _radial_cumulative_poly(phi: Potential, d: int) -> tuple:
-    """Antiderivative of ``s^(d-1) * Laplacian(Phi)(s)``, as a tuple of
-    floats, low order first.
-
-    For a polynomial radial profile, ``s^(d-1) Phi'' + (d-1) s^(d-2) Phi'``
-    is itself a polynomial (the gradient vanishes at the center), so the
-    flux integrals below are exact; no quadrature, no cancellation.
-    """
-    d2, d1 = np.array(phi._d2coef), np.array(phi._dcoef)
-    top = max(d2.size + d - 1, d1.size + d - 2, 1)
-    j = np.zeros(top)
-    j[d - 1:d - 1 + d2.size] += d2
-    if d >= 2:
-        if d1.size and abs(d1[0]) > 1e-13:
-            raise ValueError("radial profiles need a vanishing gradient "
-                             "at the center")
-        j[d - 2:d - 2 + d1.size] += (d - 1) * d1
-    return tuple(npoly.polyint(j).tolist())
-
-
-def _radial_flux_const(P: tuple, r1: float, r2: float, d: int) -> float:
-    """Integration constant A in ``u'(r) = (A - I(r)) / r^(d-1)``, where
-    ``I`` is the antiderivative ``P`` taken from ``r1``.
-
-    Ball (r1 == 0): regularity at the center forces A = 0.  Annulus: A is
-    fixed by matching the two zero boundary values.
-    """
-    if r1 == 0.0:
-        return 0.0
-    denom = _shifted_poly_integral((1.0,), 1 - d, r1, r2)
-    numer = _shifted_poly_integral(P, 1 - d, r1, r2) - _horner(P, r1) * denom
-    return numer / denom
 
 
 def _rate_function(phi: Potential, dim: int):
     """The endpoint rates ``rate(a, b) -> (da/dt, db/dt)`` of one interval,
     on Python floats.
 
-    In 1D both endpoints move with the negated chord slope, evaluated by
-    the Horner kernel of ``Potential.value``.  In radial mode the rates
-    are the exact flux integrals of the antiderivative ``P``, which is
-    built here, once for all the calls of a run.  The law is purely
-    per-interval: a wandering Runge-Kutta stage point may overlap a
-    neighbor harmlessly.
+    1D: the negated chord slope, by the Horner kernel of ``Potential.value``.
+    Radial: none on a ball, where the extension is the constant ``Phi(b)``;
+    ``-B psi'`` on an annulus, with ``B`` the quotient of the divided
+    differences of ``Phi`` and ``psi`` over ``[a, b]``.  The law is purely
+    per-interval, so a Runge-Kutta stage point may overlap a neighbor.
     """
+    c = phi._ccoef
     if dim == 1:
-        c = phi._ccoef
-
         def chord(a, b):
             v = -((_horner(c, b) - _horner(c, a)) / (b - a))
             return v, v
         return chord
 
-    P, dc = _radial_cumulative_poly(phi, dim), phi._dcoef
+    if abs(phi._dcoef[0]) > 1e-13:
+        raise ValueError("radial profiles need a vanishing gradient "
+                         "at the center")
+    k = dim - 2
+    r_k = (0.0,) * k + (1.0,)
 
-    def flux(r1, r2):
-        A = _radial_flux_const(P, r1, r2, dim)
-        du_outer = (A - (_horner(P, r2) - _horner(P, r1))) / r2 ** (dim - 1)
-        db = -du_outer - _horner(dc, r2)
-        if r1 == 0.0:
-            return 0.0, db
-        return -(A / r1 ** (dim - 1)) - _horner(dc, r1), db
-    return flux
+    def harmonic(a, b):
+        if a == 0.0:
+            return 0.0, 0.0
+        d_phi = _divided_difference(c, a, b)
+        if k == 0:
+            # psi = log r, psi' = 1 / r
+            B = d_phi / (math.log1p((b - a) / a) / (b - a))
+            return -B / a, -B / b
+        # psi = r^-k, psi' = -k r^(-k-1); the divided difference of r^-k
+        # is minus that of r^k over (ab)^k
+        B = -d_phi * (a * b) ** k / _divided_difference(r_k, a, b)
+        return k * B / a ** (k + 1), k * B / b ** (k + 1)
+    return harmonic
 
 
 def _rk4(ivs: tuple, dim: int, rate, dt: float):

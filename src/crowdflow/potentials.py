@@ -57,7 +57,8 @@ class Potential:
     ----------
     coef : ndarray
         Polynomial coefficients, low order first; shifted so that a finite
-        infimum over R is exactly zero.
+        infimum over R is exactly zero.  A read-only copy of the argument:
+        the derived data below are computed from it once.
     domain : tuple
         Working domain the flags and scans refer to; both ends finite.
     dim : int
@@ -86,7 +87,7 @@ class Potential:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"potential domain must be finite, got "
                              f"{self.domain}")
-        self.coef = np.asarray(self.coef, dtype=float)
+        self.coef = _locked(self.coef)
         # Python floats: the Horner kernel multiplies them into arrays
         # without the per-coefficient cost of numpy scalars
         self._ccoef = tuple(self.coef.tolist())
@@ -107,6 +108,11 @@ class Potential:
             return NotImplemented
         return (self.domain == other.domain and self.dim == other.dim
                 and np.array_equal(self.coef, other.coef))
+
+    def __reduce__(self):
+        # rebuild through the constructor, as GridSpec does, so the
+        # coefficients come back read-only
+        return Potential, (self.coef, self.domain, self.dim)
 
     # -- pointwise evaluation ------------------------------------------------
 

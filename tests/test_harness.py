@@ -400,6 +400,18 @@ class TestCli:
         body = Path(out, svgs[0]).read_text()
         assert body.startswith("<svg") and body.endswith("</svg>")
 
+    def test_longtime_plots_skip_the_infinite_exponent(self, tmp_path):
+        # longtime's first column holds m = inf, which no chart axis can
+        # place: its rows are left out of the chart, and the run still
+        # prints its verdicts and exits 0
+        cfgp = cfg_file(tmp_path, "m.list = 10,inf\nsnapshots = 4\n"
+                        "init2.boxes = 2,3,1\nrun.T = 0.05\n")
+        out = tmp_path / "lt"
+        assert main(["longtime", "--config", cfgp, "--out", str(out),
+                     "--plots"]) == 0
+        body = (out / "longtime.svg").read_text()
+        assert body.startswith("<svg") and body.endswith("</svg>")
+
 
 class TestDrivers:
     def test_converge_m_table_and_flags(self, tmp_path):
@@ -461,7 +473,7 @@ class TestDrivers:
                 ("converge-m", "converge_m", "m.list = 4,8\nrun.T = 0.1\n"),
                 ("longtime", "longtime",
                  "m.list = 10,inf\nsnapshots = 4\ninit2.boxes = 2,3,1\n"),
-                # three exponents in two chunks of the stacked pme_run
+                # three exponents in one stacked pme_run, whatever workers is
                 ("crossval", "crossval",
                  "m.list = 4,8,16\ncrossval.times = 0.05,0.1\n"
                  "pme.dt = 0.01\n")):

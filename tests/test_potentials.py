@@ -496,6 +496,21 @@ def test_potential_equality_is_by_value(kind, params):
     assert phi != phi.coef.tolist() and phi != kind
 
 
+def test_potential_holds_a_read_only_copy_of_its_coefficients():
+    # lam and the Horner coefficients are derived at construction, so coef
+    # must not follow later writes to the caller's array; an unpickled
+    # copy, as a worker receives it, stays read-only too
+    c = np.array([0.0, 0.0, 0.5])
+    phi = Potential(c)
+    c[2] = 2.0
+    assert phi.coef.tolist() == [0.0, 0.0, 0.5]
+    assert phi == Potential([0.0, 0.0, 0.5]) and phi.lam == 1.0
+    for p in (phi, pickle.loads(pickle.dumps(phi))):
+        assert not p.coef.flags.writeable
+        with pytest.raises(ValueError):
+            p.coef[2] = 2.0
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         potential_catalog("cubic-nonsense", {})
