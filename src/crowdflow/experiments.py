@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, _at_least
-from .energy import excess_mass, free_energy
+from .energy import EPS_FEAS, excess_mass, free_energy
 from .heleshaw import hausdorff_distance, heleshaw_run
 from .jko import (_step_count, _trajectory_steps, jko_trajectory,
                   verify_comparison)
@@ -94,20 +94,32 @@ class ExperimentReport:
             self._emit_plots(outdir)
 
     def _emit_plots(self, outdir):
+        """One chart per table.  A table with a ``t`` column charts the
+        column after it against ``t``, one series per ``m`` when it has an
+        ``m`` column; any other charts its second column against its first.
+        Rows with a value a chart axis cannot place are left out."""
         from .svgplot import line_chart
         for name, (header, rows) in self.tables.items():
             if len(header) < 2 or not rows:
                 continue
-            # a chart axis needs finite values: longtime's m column holds inf
-            pts = [(float(r[0]), float(r[1])) for r in rows
-                   if all(isinstance(v, (int, float)) and math.isfinite(v)
-                          for v in r[:2])]
-            if not pts:
+            xi = header.index("t") if "t" in header else 0
+            yi = xi + 1
+            mi = header.index("m") if "t" in header and "m" in header \
+                else None
+            series = {}
+            for r in rows:
+                if all(isinstance(v, (int, float)) and math.isfinite(v)
+                       for v in (r[xi], r[yi])):
+                    label = header[yi] if mi is None else f"m = {r[mi]:g}"
+                    series.setdefault(label, []).append(
+                        (float(r[xi]), float(r[yi])))
+            if not series:
                 continue
-            positive = all(x > 0 and y > 0 for x, y in pts)
+            positive = all(x > 0 and y > 0 for pts in series.values()
+                           for x, y in pts)
             _write_atomic(os.path.join(outdir, f"{name}.svg"),
-                          line_chart(pts, name, header[0], header[1],
-                                     positive))
+                          line_chart(list(series.items()), name, header[xi],
+                                     header[yi], positive))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +148,7 @@ def _patch0(cfg, grid):
 def _quantile0(cfg, rho0, require_feasible=True):
     n = _at_least("quantile.n", cfg.get_int("quantile.n", 400), 2)
     q0 = to_quantile(rho0, n)
-    if require_feasible and q0.max_density > 1.0 + 1e-6:
+    if require_feasible and q0.max_density > 1.0 + EPS_FEAS:
         raise ConfigError("initial density exceeds the congestion cap; "
                           "the hard-constraint runs need density <= 1")
     return q0
@@ -271,7 +283,7 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     T = cfg.get_positive("run.T", 5.0)
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
-    q0 = _quantile0(cfg, rho0)
+    q0 = _quantile0(cfg, rho0, require_feasible=math.inf in m_list)
     rho02 = cfg.grid_density("init2.boxes", grid)
     q02 = to_quantile(rho02, q0.n)
 

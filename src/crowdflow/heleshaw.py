@@ -112,7 +112,7 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
         raise ValueError("cannot evolve an empty patch")
     _check_positive("time step", "dt", dt)
     schedule = _snapshot_schedule(T, snapshot_times)
-    if patch0.dim == 1 and not phi.positive_laplacian:
+    if not phi.positive_laplacian:
         # the quasi-static law needs a strictly subharmonic potential on
         # the region swept by the patch; flagged at entry, not per step
         raise ValueError("patch dynamics require a potential with "

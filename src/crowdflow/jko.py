@@ -421,16 +421,13 @@ def _solve_congested(y, gaps, w, phi, h, opts):
     """
     args = (w, math.inf, phi, h)
     floor = w * (1.0 - 1e-12)  # inactive gaps below this are violated
-    # a start that already keeps the spacing (every step of a trajectory
-    # after the first) needs no projection: its active set is read off its
-    # gaps, and the snap below moves it by round-off, as pooling would
-    x = y
-    if not (gaps >= floor).all():
-        x = project_spacing(y, w)
-        gaps = x[1:] - x[:-1]
+    # the start's active set is read off its gaps: every gap at the spacing,
+    # or within the admissible 1 + EPS_FEAS density squeezed below it.  The
+    # snap moves a start that keeps the spacing by round-off; a neighbour it
+    # pushes below the floor is added by the first sweep's violated gaps
     active = gaps <= w * (1.0 + 1e-12)
     ids = _blocks_from_active(active)
-    x = _snap_active(x, ids, w)
+    x = _snap_active(y, ids, w)
     state = _newton_state(x, x - y, x[1:] - x[:-1])
     g = _gradient(state, *args)
     for sweep in range(1, MAX_ITERATIONS + 1):

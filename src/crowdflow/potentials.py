@@ -9,10 +9,8 @@ the simulation lives on), not on all of R^d.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -23,28 +21,17 @@ from .model import _locked
 # which covers every catalog entry (max degree 4) with room for custom ones.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
-
-class _NodeConstants(NamedTuple):
-    """The per-node constants of the rule.  The node axis of each comes
-    after its stacking axis, if it has one; ``_per_node`` appends the unit
-    axes that broadcast it against a point set ``gl_points(a, b)``."""
-
-    nodes: np.ndarray            # xi
-    weights: np.ndarray          # w_i
-    half_weights: np.ndarray     # w_i / 2, the weight share of d2_*
-    quarter_weights: np.ndarray  # w_i / 4, the weight share of d_a, d_b
-    ends: np.ndarray             # (1 - xi, 1 + xi): d_a, d_b per node
-    hess_left: np.ndarray        # (la, la, lb) times (la, lb, lb) is
-    hess_right: np.ndarray       # d2_aa, d2_ab, d2_bb per node, with
-                                 # la = (1 - xi) / 2, lb = (1 + xi) / 2
-
-
-_LA, _LB = 0.5 * (1.0 - _GL_NODES), 0.5 * (1.0 + _GL_NODES)
-# read-only: ``_per_node`` hands the same arrays to every caller
-_GL_CONSTANTS = _NodeConstants(*map(_locked, (
-    _GL_NODES, _GL_WEIGHTS, 0.5 * _GL_WEIGHTS, 0.25 * _GL_WEIGHTS,
-    np.stack([1.0 - _GL_NODES, 1.0 + _GL_NODES]),
-    np.stack([_LA, _LA, _LB]), np.stack([_LA, _LB, _LB]))))
+# The rule's per-node constants, node axis first, shaped (5, 1) or
+# (k, 5, 1) to broadcast against the (5, n) point set ``gl_points(a, b)``
+_NODES = _GL_NODES[:, None]         # xi
+_WEIGHTS = _GL_WEIGHTS[:, None]     # w_i
+_HALF_WEIGHTS = 0.5 * _WEIGHTS      # w_i / 2, the weight share of d2_*
+_QUARTER_WEIGHTS = 0.25 * _WEIGHTS  # w_i / 4, the weight share of d_a, d_b
+_ENDS = np.stack([1.0 - _NODES, 1.0 + _NODES])  # d_a, d_b per node
+# (la, la, lb) times (la, lb, lb) is d2_aa, d2_ab, d2_bb per node, with
+# la = (1 - xi) / 2, lb = (1 + xi) / 2
+_LA, _LB = 0.5 * (1.0 - _NODES), 0.5 * (1.0 + _NODES)
+_HESS_LEFT, _HESS_RIGHT = np.stack([_LA, _LA, _LB]), np.stack([_LA, _LB, _LB])
 
 _SCAN_POINTS = 10_000
 
@@ -142,9 +129,10 @@ class Potential:
 
     # -- interval data -------------------------------------------------------
     #
-    # The interval methods take the Gauss-Legendre point set
-    # ``gl_points(a, b)`` of the intervals ``[a, b]``, so a caller that
-    # needs several of them at one set of intervals builds the points once.
+    # The interval methods take the (5, n) Gauss-Legendre point set
+    # ``gl_points(a, b)`` of the n intervals ``[a[i], b[i]]``, so a caller
+    # that needs several of them at one set of intervals builds the points
+    # once.
 
     def avg(self, pts):
         """Exact average of the potential over each ``[a, b]`` (vectorized).
@@ -152,24 +140,20 @@ class Potential:
         Gauss-Legendre with 5 nodes; exact for the polynomial catalog.
         Degenerate intervals fall back to the point value.
         """
-        v = self.value(pts)
-        return 0.5 * _node_sum(_per_node(v.ndim).weights * v, 0)
+        return 0.5 * _node_sum(_WEIGHTS * self.value(pts), 0)
 
     def avg_grad(self, pts):
         """Partial derivatives of ``avg`` w.r.t. the endpoints ``a``, ``b``,
         stacked on axis 0."""
-        g = self.grad(pts)
-        k = _per_node(g.ndim)
         # w_i / 4 * g has the bits of (w_i / 2 * g) / 2: halving is exact
         # above the subnormal range
-        return _node_sum(k.quarter_weights * g * k.ends, 1)
+        return _node_sum(_QUARTER_WEIGHTS * self.grad(pts) * _ENDS, 1)
 
     def avg_hess(self, pts):
         """Second partials of ``avg``, ``(d2_aa, d2_ab, d2_bb)`` stacked on
         axis 0."""
-        c = self.d2(pts)
-        k = _per_node(c.ndim)
-        return _node_sum(k.half_weights * c * k.hess_left * k.hess_right, 1)
+        return _node_sum(_HALF_WEIGHTS * self.d2(pts) * _HESS_LEFT
+                         * _HESS_RIGHT, 1)
 
     def grad_sup(self):
         """``max |Phi'|`` over the working domain."""
@@ -194,24 +178,13 @@ def _horner(c, x):
 
 
 def gl_points(a, b):
-    """The 5 Gauss-Legendre points of every ``[a, b]``, stacked on axis 0.
+    """The 5 Gauss-Legendre points of the intervals ``[a[i], b[i]]`` of the
+    endpoint vectors ``a`` and ``b``: a (5, n) array, one row per node.
 
     One array for all nodes lets each polynomial be evaluated by a single
     Horner pass.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return mid + half * _per_node(mid.ndim + 1).nodes
-
-
-@functools.cache
-def _per_node(ndim):
-    """The per-node constants shaped for a node-stacked array of ``ndim``
-    dimensions, built once per ``ndim``: the solver evaluates thousands of
-    (5, n) point sets per run."""
-    return _NodeConstants(*(c.reshape(c.shape + (1,) * (ndim - 1))
-                            for c in _GL_CONSTANTS))
+    return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
 
 
 def _node_sum(terms, axis):
@@ -219,10 +192,9 @@ def _node_sum(terms, axis):
 
     The fixed order and starting value keep the averages bit-identical to
     a plain per-node loop.  numpy reduces a C-contiguous array over an
-    axis that is not its last one row by row, and over its last one (five
-    nodes, with nothing after them) by a plain loop, as five entries are
-    below the block size of its pairwise summation; so one ``add.reduce``
-    from ``initial=0.0`` adds in the loop's order.
+    axis that is not its last one row by row, and the node axis of a
+    ``(5, n)`` or ``(k, 5, n)`` stack is not, so one ``add.reduce`` from
+    ``initial=0.0`` adds in the loop's order.
     """
     return np.add.reduce(terms, axis=axis, initial=0.0)
 
@@ -254,7 +226,6 @@ def _global_min_on_reals(coef):
 # the parameters each catalog kind reads; any other name is an error
 _KIND_PARAMS = {
     "quadratic": ("q", "c"),
-    "shifted-quadratic": ("q", "c", "b"),
     "quartic-well": ("a", "b", "c"),
     "linear": ("g",),
     "custom-polynomial": ("coef",),
@@ -267,15 +238,14 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
     Parameters
     ----------
     kind : str
-        One of ``quadratic``, ``shifted-quadratic``, ``quartic-well``,
-        ``linear``, ``custom-polynomial``.
+        One of ``quadratic``, ``quartic-well``, ``linear``,
+        ``custom-polynomial``.
     params : dict, optional
         Kind-specific parameters; keyword arguments are merged in.
-        quadratic / shifted-quadratic: ``q`` (curvature), ``c`` (center),
-        and for the shifted kind an additive offset ``b`` that the (A2)-style
-        normalization removes again.  quartic-well: ``a`` (quartic), ``b``
-        (quadratic, may be negative for a double well), ``c``.  linear:
-        ``g`` (slope).  custom-polynomial: ``coef`` low-order-first.
+        quadratic: ``q`` (curvature), ``c`` (center).  quartic-well: ``a``
+        (quartic), ``b`` (quadratic, may be negative for a double well),
+        ``c``.  linear: ``g`` (slope).  custom-polynomial: ``coef``
+        low-order-first.
     domain : tuple
         Working domain for flag scans and the semi-convexity modulus.
     dim : int
@@ -297,12 +267,11 @@ def potential_catalog(kind, params=None, domain=(-8.0, 8.0), dim=1, **kw):
         raise ValueError(f"potential kind {kind!r} has no parameter "
                          f"{', '.join(map(repr, unread))}; it reads "
                          f"{', '.join(_KIND_PARAMS[kind])}")
-    if kind in ("quadratic", "shifted-quadratic"):
+    if kind == "quadratic":
         q = float(params.get("q", 1.0))
         c = float(params.get("c", 0.0))
-        b = float(params.get("b", 0.0)) if kind == "shifted-quadratic" else 0.0
-        # q/2 (x-c)^2 + b, expanded in x
-        coef = np.array([0.5 * q * c * c + b, -q * c, 0.5 * q])
+        # q/2 (x-c)^2, expanded in x
+        coef = np.array([0.5 * q * c * c, -q * c, 0.5 * q])
     elif kind == "quartic-well":
         a = float(params.get("a", 1.0))
         b = float(params.get("b", 0.0))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 
-_COLOR = "#1f77b4"
+# series colours, cycled
+_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 36, 52
 
@@ -43,12 +44,14 @@ def _ticks(lo, hi, log):
     return out
 
 
-def line_chart(points, title, xlabel, ylabel, log):
-    """The SVG text of a line chart of one series of ``(x, y)`` points,
-    labelled ``ylabel`` in its legend; ``log`` puts both axes on a log
-    scale, which needs every coordinate positive.
+def line_chart(series, title, xlabel, ylabel, log):
+    """The SVG text of a line chart of ``series``, a list of ``(label,
+    points)`` pairs: one polyline of ``(x, y)`` points and one legend entry
+    per series.  ``log`` puts both axes on a log scale, which needs every
+    coordinate positive.
     """
-    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    xs = [p[0] for _, pts in series for p in pts]
+    ys = [p[1] for _, pts in series for p in pts]
     xlo, xhi = _bounds(xs)
     ylo, yhi = _bounds(ys)
     px = lambda v: _transform(v, xlo, xhi, _ML, _W - _MR, log)
@@ -83,13 +86,17 @@ def line_chart(points, title, xlabel, ylabel, log):
     parts.append(f'<text x="16" y="{_H/2:.0f}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {_H/2:.0f})">{ylabel}</text>')
-    d = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px(xs), py(ys)))
-    parts.append(f'<polyline points="{d}" fill="none" stroke="{_COLOR}" '
-                 f'stroke-width="1.6"/>')
-    ly = _MT + 16  # the legend's one entry
-    parts.append(f'<line x1="{_W-_MR-120}" y1="{ly-4}" x2="{_W-_MR-100}" '
-                 f'y2="{ly-4}" stroke="{_COLOR}" stroke-width="2"/>')
-    parts.append(f'<text x="{_W-_MR-95}" y="{ly}" font-family="sans-serif" '
-                 f'font-size="11">{ylabel}</text>')
+    for k, (label, pts) in enumerate(series):
+        color = _COLORS[k % len(_COLORS)]
+        d = " ".join(f"{x:.2f},{y:.2f}" for x, y in
+                     zip(px([p[0] for p in pts]), py([p[1] for p in pts])))
+        parts.append(f'<polyline points="{d}" fill="none" stroke="{color}" '
+                     f'stroke-width="1.6"/>')
+        ly = _MT + 16 + 14 * k  # the series' legend entry
+        parts.append(f'<line x1="{_W-_MR-120}" y1="{ly-4}" '
+                     f'x2="{_W-_MR-100}" y2="{ly-4}" stroke="{color}" '
+                     'stroke-width="2"/>')
+        parts.append(f'<text x="{_W-_MR-95}" y="{ly}" '
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -401,9 +402,9 @@ class TestCli:
         assert body.startswith("<svg") and body.endswith("</svg>")
 
     def test_longtime_plots_skip_the_infinite_exponent(self, tmp_path):
-        # longtime's first column holds m = inf, which no chart axis can
-        # place: its rows are left out of the chart, and the run still
-        # prints its verdicts and exits 0
+        # longtime's m column holds m = inf, which no chart axis can
+        # place: the chart puts no m on an axis, and the run still prints
+        # its verdicts and exits 0
         cfgp = cfg_file(tmp_path, "m.list = 10,inf\nsnapshots = 4\n"
                         "init2.boxes = 2,3,1\nrun.T = 0.05\n")
         out = tmp_path / "lt"
@@ -411,6 +412,25 @@ class TestCli:
                      "--plots"]) == 0
         body = (out / "longtime.svg").read_text()
         assert body.startswith("<svg") and body.endswith("</svg>")
+
+    def test_longtime_plots_one_series_per_m_against_t(self, tmp_path):
+        # the chart's x axis is t, and each m, inf among them, is one
+        # polyline through every sampled time
+        cfgp = cfg_file(tmp_path, "m.list = 10,inf\nsnapshots = 4\n"
+                        "init2.boxes = 2,3,1\nrun.T = 0.05\n")
+        out = tmp_path / "lt"
+        assert main(["longtime", "--config", cfgp, "--out", str(out),
+                     "--plots"]) == 0
+        body = (out / "longtime.svg").read_text()
+        lines = re.findall(r'<polyline points="([^"]*)"', body)
+        assert len(lines) == 2
+        rows = (out / "longtime.csv").read_text().splitlines()[1:]
+        for m, pts in zip(("10", "inf"), lines, strict=True):
+            times = {r.split(",")[1] for r in rows if r.split(",")[0] == m}
+            xs = {p.split(",")[0] for p in pts.split()}
+            assert len(xs) == len(times) > 1, m
+        assert ">m = 10</text>" in body and ">m = inf</text>" in body
+        assert ">t</text>" in body and ">w2_to_stationary</text>" in body
 
 
 class TestDrivers:
@@ -460,6 +480,30 @@ class TestDrivers:
                      "--out", out]) == 2
         assert "missing required key 'init2.boxes'" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    def test_longtime_finite_m_admits_density_above_one(self, tmp_path):
+        # only the hard-constraint flow needs density <= 1: a finite-m
+        # sweep from boxes of height 1.5 runs and passes both verdicts
+        cfgp = cfg_file(tmp_path, "m.list = 10\ninit.boxes = 1,2,1.5\n"
+                        "init2.boxes = 2,3,1.5\nsnapshots = 4\n"
+                        "run.T = 0.05\n")
+        assert main(["longtime", "--config", cfgp,
+                     "--out", str(tmp_path / "lt")]) == 0
+
+    def test_longtime_rejects_a_start_above_the_cap_before_any_step(
+            self, monkeypatch):
+        # a start above the density one that jko_step admits (1 + EPS_FEAS)
+        # is a config error before the finite-m legs run, not a raise in
+        # the m = inf leg after them
+        steps = []
+        monkeypatch.setattr("crowdflow.jko.jko_step",
+                            lambda *a, **k: steps.append(a))
+        cfg = ExperimentConfig.from_text(
+            BASE + "m.list = 10,inf\ninit.boxes = 1,2,1.0000005\n"
+            "init2.boxes = 2,3,1\nsnapshots = 4\nrun.T = 0.05\n")
+        with pytest.raises(ConfigError, match="congestion cap"):
+            run_experiment(cfg, kind="longtime")
+        assert steps == []
 
     def test_longtime_requires_convexity(self):
         cfg = ExperimentConfig.from_text(
@@ -654,7 +698,7 @@ def test_cold_start_loads_neither_scipy_linalg_nor_the_pool(tmp_path):
 
 
 def test_svg_line_chart_self_contained():
-    body = line_chart([(1, 1.0), (2, 0.5), (4, 0.27)], "demo", "x", "y",
-                      True)
+    body = line_chart([("y", [(1, 1.0), (2, 0.5), (4, 0.27)])], "demo",
+                      "x", "y", True)
     assert body.startswith("<svg") and body.endswith("</svg>")
     assert body.count("<polyline") == 1 and ">y</text>" in body

@@ -161,7 +161,7 @@ class TestRun:
         # patch and well center moved by s: the chord slopes agree up to
         # rounding, so times and endpoints agree to a few ulps (4 and 7
         # times eps measured over 50 random shifts)
-        phi_s = potential_catalog("shifted-quadratic", q=1.0, c=s)
+        phi_s = potential_catalog("quadratic", q=1.0, c=s)
         patch = ((0.2, 0.8), (1.2, 2.0))
         traj, _ = heleshaw_run(Patch(patch), quad_phi, 1.0, 1e-2)
         traj_s, _ = heleshaw_run(Patch(tuple((a + s, b + s) for a, b in patch)),
@@ -262,6 +262,17 @@ class TestRadialRuns:
                                       abs=1e-4)
             vols = np.array([v for _, v in volumes])
             assert np.max(np.abs(vols - vols[0])) / vols[0] <= 1e-5
+
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_double_well_rejected_in_every_dimension(self, d):
+        # the quasi-static limit needs a strictly subharmonic drift in d
+        # dimensions: the double well's Laplacian is negative at the
+        # center, so the radial run is rejected as a 1D one is
+        well = potential_catalog("quartic-well", a=1.0, b=-1.0, dim=d)
+        assert not well.positive_laplacian
+        with pytest.raises(ValueError, match="positive Laplacian"):
+            heleshaw_run(Patch(((0.5, 1.0),), dim=d), well, 0.05, 1e-3)
 
 
 class TestHausdorff:

@@ -254,13 +254,20 @@ class TestJkoStep:
         from crowdflow.energy import free_energy as fe
         h = 0.02
         well = potential_catalog("quartic-well", a=1.0, b=-1.0)
-        for phi in (quad_phi,) * 5 + (well,) * 3:
-            base = indicator_quantile(0, 1, g6, n=12)
-            y = project_spacing(
-                np.sort(base.nodes + rng.normal(0, 0.1, base.n + 1)), base.w)
+        base = indicator_quantile(0, 1, g6, n=12)
+        starts = [project_spacing(np.sort(
+            base.nodes + rng.normal(0, 0.1, base.n + 1)), base.w)
+            for _ in range(8)]
+        # squeezed: every gap in [w / (1 + 1e-9), w (1 - 1e-12)), density
+        # above one by at most the admissible EPS_FEAS
+        starts.append(base.nodes[0] + np.concatenate([[0.0], np.cumsum(
+            base.w * (1.0 - rng.uniform(1e-12, 0.9e-9, base.n)))]))
+        for phi, y in zip((quad_phi,) * 5 + (well,) * 3 + (quad_phi,),
+                          starts, strict=True):
             q0 = QuantileRep(1.0, y)
             w = q0.w
             out = jko_step(q0, math.inf, h, phi)
+            self._assert_congested_step_converged(q0, out)
 
             def obj(x, phi=phi):
                 rep = QuantileRep(1.0, np.maximum.accumulate(x))
@@ -512,7 +519,7 @@ class TestTridiagonalSolve:
 CATALOG = [
     ("quadratic", {"q": 1.0}),
     ("quadratic", {"q": 2.5, "c": 0.7}),
-    ("shifted-quadratic", {"q": 1.3, "c": -0.4, "b": 2.0}),
+    ("custom-polynomial", {"coef": [2.104, 0.52, 0.65]}),
     ("quartic-well", {"a": 1.0, "b": 0.5, "c": 0.2}),
     ("quartic-well", {"a": 1.0, "b": -1.0}),
     ("linear", {"g": 1.0}),
@@ -763,23 +770,30 @@ class TestSolverStarts:
 
     def test_spacing_projected_only_for_an_infeasible_start(
             self, g6, quad_phi, monkeypatch):
+        # the solver projects no start it admits: a trajectory, and a start
+        # squeezed within the admissible density 1 + EPS_FEAS, go straight
+        # to the active set read off their gaps; a start above it is
+        # rejected before any solve
         calls = []
-
-        def counted(x, gap):
-            calls.append(gap)
-            return project_spacing(x, gap)
-
-        monkeypatch.setattr("crowdflow.jko.project_spacing", counted)
+        for name in ("project_spacing", "pav_nondecreasing"):
+            def counted(*args, fn=getattr(jko, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(jko, name, counted)
         q0 = indicator_quantile(1, 2, g6, n=50)
         jko_trajectory(q0, math.inf, 0.02, quad_phi, 0.2)
-        assert calls == []
         # gaps 1e-10 below the spacing: density one within the admissible
-        # 1e-9, but below the solver's floor, so the start is projected
+        # 1e-9, but below the solver's floor
         squeezed = QuantileRep(q0.total_mass,
                                q0.nodes[0] + (q0.nodes - q0.nodes[0]) * (1 - 1e-10))
         out = jko_step(squeezed, math.inf, 0.02, quad_phi)
-        assert calls == [q0.w]
         assert out.kkt_residual <= 1e-9
+        assert np.diff(out.state.nodes).min() >= q0.w * (1.0 - 1e-12)
+        over = QuantileRep(q0.total_mass,
+                           q0.nodes[0] + (q0.nodes - q0.nodes[0]) * (1 - 1e-8))
+        with pytest.raises(ValueError, match="density exceeds one"):
+            jko_step(over, math.inf, 0.02, quad_phi)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +1013,7 @@ def test_step_commutes_with_translation(s, q, c, a, width, height, n, h):
     # up to the roundings of the moved data, with the same iteration count
     # (4.5 ulps of the data scale measured over 200 random draws)
     grid = GridSpec(-3.0, 3.0, 600)
-    phi, phi_s = (potential_catalog("shifted-quadratic", q=q, c=center,
+    phi, phi_s = (potential_catalog("quadratic", q=q, c=center,
                                     domain=(-6.0, 6.0))
                   for center in (c, c + s))
     q0 = indicator_quantile(a, a + width, grid, n=n, height=height)

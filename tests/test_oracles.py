@@ -244,7 +244,9 @@ def _sublevel_reference(phi, level, domain, samples=8192):
 
 @pytest.mark.parametrize("kind,params,domain", [
     ("quadratic", {"q": 1.0}, (-4.5, 4.5)),
-    ("shifted-quadratic", {"q": 1.3, "c": -0.4, "b": 2.0}, (-3.0, 3.0)),
+    # 1.3/2 (x + 0.4)^2 + 2, named by its shape
+    pytest.param("custom-polynomial", {"coef": [2.104, 0.52, 0.65]},
+                 (-3.0, 3.0), id="shifted-quadratic-params1-domain1"),
     ("quartic-well", {"a": 1.0, "b": -1.0}, (-3.0, 3.0)),
     ("quartic-well", {"a": 2.0, "b": -3.0, "c": 0.4}, (-2.0, 2.5)),
     ("linear", {"g": -0.7}, (-2.0, 1.0)),

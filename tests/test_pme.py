@@ -567,7 +567,7 @@ def test_run_commutes_with_translation(s, m):
     v[20:35] = 0.8
     runs = []
     for shift, phi in ((0.0, potential_catalog("quadratic", q=1.0)),
-                       (s, potential_catalog("shifted-quadratic", q=1.0, c=s))):
+                       (s, potential_catalog("quadratic", q=1.0, c=s))):
         rho0 = GridDensity(GridSpec(-3.0 + shift, 3.0 + shift, 60), v)
         runs.append(pme_run(rho0, [m], phi, 0.05, 5e-3,
                             snapshot_times=(0.01, 0.03))[0][0])

@@ -15,7 +15,10 @@ from crowdflow.potentials import (_GL_WEIGHTS, _KIND_PARAMS, _SCAN_POINTS,
 ALL_KINDS = [
     ("quadratic", {"q": 1.0, "c": 0.0}),
     ("quadratic", {"q": 2.5, "c": 0.7}),
-    ("shifted-quadratic", {"q": 1.3, "c": -0.4, "b": 2.0}),
+    # 1.3/2 (x + 0.4)^2 + 2: the normalization removes the offset 2; the
+    # id names the case by its shape
+    pytest.param("custom-polynomial", {"coef": [2.104, 0.52, 0.65]},
+                 id="shifted-quadratic-params2"),
     ("quartic-well", {"a": 1.0, "b": 0.5, "c": 0.2}),
     ("quartic-well", {"a": 1.0, "b": -1.0, "c": 0.0}),
     ("linear", {"g": 1.0}),
@@ -73,9 +76,9 @@ def _polyval_reference(kind, p, domain, dim):
     """``coef``, ``lam``, the Laplacian flag and the Laplacian of a catalog
     entry, as the catalog computed them outside ``Potential``: by
     ``polyval``, with ``_compose_shift`` for the quartic well."""
-    if kind in ("quadratic", "shifted-quadratic"):
-        q, c, b = p["q"], p["c"], p.get("b", 0.0)
-        coef = np.array([0.5 * q * c * c + b, -q * c, 0.5 * q])
+    if kind == "quadratic":
+        q, c = p["q"], p["c"]
+        coef = np.array([0.5 * q * c * c, -q * c, 0.5 * q])
     elif kind == "quartic-well":
         coef = np.array([0.0, 0.0, 0.5 * p["b"], 0.0, 0.25 * p["a"]])
         if p["c"] != 0.0:
@@ -109,8 +112,6 @@ def _polyval_reference(kind, p, domain, dim):
 def _draw_params(kind, rng):
     u = rng.uniform
     return {"quadratic": lambda: {"q": u(-2, 3), "c": u(-2, 2)},
-            "shifted-quadratic": lambda: {"q": u(-2, 3), "c": u(-2, 2),
-                                          "b": u(-3, 3)},
             "quartic-well": lambda: {"a": u(0.1, 2), "b": u(-2, 2),
                                      "c": u(-3, 3) if u() < 0.8 else 0.0},
             "linear": lambda: {"g": u(-2, 2)},
@@ -209,7 +210,8 @@ def test_linear_is_unbounded_below():
 
 
 def test_shifted_quadratic_normalized_to_zero_infimum():
-    phi = potential_catalog("shifted-quadratic", q=1.3, c=-0.4, b=2.0)
+    # 1.3/2 (x + 0.4)^2 + 2, expanded
+    phi = potential_catalog("custom-polynomial", coef=[2.104, 0.52, 0.65])
     assert _scan_min(phi) >= -1e-12
     assert abs(phi.value(-0.4)) < 1e-12  # offset removed at the well bottom
 
@@ -329,23 +331,17 @@ def test_interval_data_exact_against_antiderivatives(kind, params, rng):
 
 
 def test_interval_data_shapes_match_pointwise_calls(rng):
+    # endpoint vectors of n intervals give n values of every datum, each
+    # equal to that of a one-interval call: the same per-point arithmetic
     phi = potential_catalog("quartic-well", a=1.0, b=0.5, c=0.1)
-    a = rng.uniform(-2.0, 1.0, (3, 4))
-    b = a + rng.uniform(0.0, 2.0, (3, 4))
-    scalar = [[_interval_data(phi, ai, bi) for ai, bi in zip(ra, rb)]
-              for ra, rb in zip(a, b)]
-    scalar = np.moveaxis(np.array(scalar), -1, 0)
-    for x0, x1, ref in ((a[0, 0], b[0, 0], scalar[:, 0, 0]),
-                        (a[1], b[1], scalar[:, 1]),
-                        (a, b, scalar),
-                        (a[:, :1], b, None)):
-        got = _interval_data(phi, x0, x1)
-        shape = np.broadcast_shapes(np.shape(x0), np.shape(x1))
-        for value in got:
-            assert np.shape(value) == shape
-        if ref is not None:
-            # same per-point arithmetic whatever the input shape
-            assert np.array_equal(np.array(got), ref)
+    a = rng.uniform(-2.0, 1.0, 12)
+    b = a + rng.uniform(0.0, 2.0, 12)
+    got = _interval_data(phi, a, b)
+    for value in got:
+        assert np.shape(value) == a.shape
+    single = [_interval_data(phi, a[i:i + 1], b[i:i + 1])
+              for i in range(a.size)]
+    assert np.array_equal(np.array(got), np.array(single)[..., 0].T)
 
 
 def _node_sum_loop(terms):
@@ -369,10 +365,10 @@ def _signed_terms(rng, shape):
 
 
 def test_node_sum_bit_identical_to_per_node_loop(rng):
-    # terms shaped like the point sets of a scalar, a 1-D and a 2-D interval
-    # argument, of a broadcast pair, and a stride-0 broadcast view
-    a, b = rng.uniform(-2.0, 1.0, (3, 4)), rng.uniform(1.0, 2.0, (1, 4))
-    assert gl_points(a[:, :1], b).shape == (5, 3, 4)
+    # terms of several shapes, among them the (5, n) point sets of n
+    # intervals, and a stride-0 broadcast view
+    a, b = rng.uniform(-2.0, 1.0, 4), rng.uniform(1.0, 2.0, 4)
+    assert gl_points(a, b).shape == (5, 4)
     for shape in ((5,), (5, 64), (5, 3, 4), (5, 1)):
         for _ in range(100):
             terms = _signed_terms(rng, shape)
@@ -386,10 +382,10 @@ def test_node_sum_bit_identical_to_per_node_loop(rng):
     assert _node_sum(view, 0).tobytes() == _node_sum_loop(view).tobytes()
     # and through the interval data, on the point sets themselves
     phi = potential_catalog("quartic-well", a=1.0, b=-1.0, c=0.3)
-    for x0, x1 in ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b), (a[:, :1], b)):
+    for x0, x1 in ((a, b), (a[:1], b[:1])):
         pts = gl_points(x0, x1)
         v = phi.value(pts)
-        w = _GL_WEIGHTS.reshape((-1,) + (1,) * (pts.ndim - 1))
+        w = _GL_WEIGHTS[:, None]
         assert np.asarray(phi.avg(pts)).tobytes() == \
             np.asarray(0.5 * _node_sum_loop(w * v)).tobytes()
 
@@ -417,23 +413,24 @@ def test_hoisted_node_constants_bit_identical_to_per_call_formulas(rng):
     # the per-node constants are built once, not per call, and each
     # derivative is one stacked product and one reduce; the point sets
     # and the interval data keep the bits of the separate per-call
-    # formulas, for scalar, 1-D and 2-D interval arguments, on a second
-    # call and after the shape changed.  A coefficient count of at most 3
-    # is the constant-Phi'' signal the JKO step Hessian reads
+    # formulas, for endpoint vectors of two lengths, on a second call and
+    # after the length changed.  A coefficient count of at most 3 is the
+    # constant-Phi'' signal the JKO step Hessian reads
     nodes, weights = np.polynomial.legendre.leggauss(5)
 
     def per_node(const, pts):
         return const.reshape((-1,) + (1,) * (pts.ndim - 1))
 
-    a, b = rng.uniform(-2.0, 1.0, (3, 4)), rng.uniform(1.0, 2.0, (3, 4))
-    shapes = ((a[0, 0], b[0, 0]), (a[0], b[0]), (a, b))
-    for kind, params in ALL_KINDS + [("custom-polynomial",
-                                      {"coef": [0.2, -0.3, 0.8]})]:
+    a, b = rng.uniform(-2.0, 1.0, 4), rng.uniform(1.0, 2.0, 4)
+    shapes = ((a, b), (a[:1], b[:1]))
+    cases = [getattr(case, "values", case) for case in ALL_KINDS]
+    for kind, params in cases + [("custom-polynomial",
+                                  {"coef": [0.2, -0.3, 0.8]})]:
         phi = potential_catalog(kind, params)
         assert (phi.coef.size <= 3) == (
-            kind in ("quadratic", "shifted-quadratic", "linear")
+            kind in ("quadratic", "linear")
             or len(params.get("coef", ())) == 3), kind
-        # every shape twice, so each is revisited after a change
+        # every length twice, so each is revisited after a change
         for x0, x1 in 2 * shapes:
             mid, half = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
             ref_pts = mid + half * nodes.reshape((-1,) + (1,) * np.ndim(mid))
