@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--plots", action="store_true",
                        help="emit self-contained SVG charts next to the tables")
         p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers for sweep entries (default: 1)")
+                       help="worker processes for longtime's trajectories; "
+                            "the other experiments run serially (default: 1)")
     return parser
 
 

@@ -6,7 +6,7 @@ and thresholds, so every verdict in an emitted report traces back to a
 named acceptance check.  A driver writes no file: its tables and
 verdicts go out through ``ExperimentReport.write``, the one writer of
 run outputs.  All drivers are deterministic for a fixed config and
-seed; sweep entries are independent and may run in worker processes.
+seed; only ``longtime``'s trajectories may run in worker processes.
 """
 
 from __future__ import annotations
@@ -94,23 +94,23 @@ class ExperimentReport:
             self._emit_plots(outdir)
 
     def _emit_plots(self, outdir):
-        """One chart per table.  A table with a ``t`` column charts the
-        column after it against ``t``, one series per ``m`` when it has an
-        ``m`` column; any other charts its second column against its first.
-        Rows with a value a chart axis cannot place are left out."""
+        """One chart per table: x is ``t`` if the table has it, otherwise
+        its first column; y is the first column after x that is not
+        ``m``; one series per ``m``, unless ``m`` is the x column.  Rows
+        with a value a chart axis cannot place are left out."""
         from .svgplot import line_chart
         for name, (header, rows) in self.tables.items():
-            if len(header) < 2 or not rows:
-                continue
             xi = header.index("t") if "t" in header else 0
-            yi = xi + 1
-            mi = header.index("m") if "t" in header and "m" in header \
-                else None
+            yi = next((i for i in range(xi + 1, len(header))
+                       if header[i] != "m"), None)
+            if yi is None or not rows:
+                continue
+            mi = header.index("m") if "m" in header else xi
             series = {}
             for r in rows:
                 if all(isinstance(v, (int, float)) and math.isfinite(v)
                        for v in (r[xi], r[yi])):
-                    label = header[yi] if mi is None else f"m = {r[mi]:g}"
+                    label = header[yi] if mi == xi else f"m = {r[mi]:g}"
                     series.setdefault(label, []).append(
                         (float(r[xi]), float(r[yi])))
             if not series:
@@ -145,12 +145,14 @@ def _patch0(cfg, grid):
         raise ConfigError(f"key 'init.boxes': {exc}") from exc
 
 
-def _quantile0(cfg, rho0, require_feasible=True):
+def _quantile0(cfg, key, rho, m_values):
+    """The JKO start of ``rho``, config key ``key``'s density; with ``inf``
+    in ``m_values``, no denser than the ``1 + EPS_FEAS`` jko_step admits."""
     n = _at_least("quantile.n", cfg.get_int("quantile.n", 400), 2)
-    q0 = to_quantile(rho0, n)
-    if require_feasible and q0.max_density > 1.0 + EPS_FEAS:
-        raise ConfigError("initial density exceeds the congestion cap; "
-                          "the hard-constraint runs need density <= 1")
+    q0 = to_quantile(rho, n)
+    if math.inf in m_values and q0.max_density > 1.0 + EPS_FEAS:
+        raise ConfigError(f"key {key!r}: density exceeds the congestion "
+                          "cap; the hard-constraint runs need density <= 1")
     return q0
 
 
@@ -212,12 +214,11 @@ def converge_in_m(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     m_list = _finite_m_list(cfg, "converge-m")
     h = cfg.get_positive("jko.h", 0.01)
     T = cfg.get_positive("run.T", 1.0)
-    q0 = _quantile0(cfg, rho0)
+    q0 = _quantile0(cfg, "init.boxes", rho0, m_list + [math.inf])
     ref = jko_trajectory(q0, math.inf, h, phi, T)
-    runs = _pmap(jko_trajectory,
-                 [(q0, m, h, phi, T) for m in m_list], workers)
-    rows = [(m, max(w2_distance(a, b) for a, b in zip(states, ref)))
-            for m, states in zip(m_list, runs)]
+    rows = [(m, max(w2_distance(a, b) for a, b in
+                    zip(jko_trajectory(q0, m, h, phi, T), ref)))
+            for m in m_list]
     report = ExperimentReport("converge-m", config_hash=cfg.hash())
     report.tables["converge_m"] = (["m", "sup_w2"], rows)
     sups = [r[1] for r in rows]
@@ -247,10 +248,9 @@ def converge_in_h(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     h0 = cfg.get_positive("jko.h", 0.04)
     halvings = _at_least("h.halvings", cfg.get_int("h.halvings", 4), 2)
     T = cfg.get_positive("run.T", 1.0)
-    q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
+    q0 = _quantile0(cfg, "init.boxes", rho0, [m])
     hs = [h0 / 2 ** k for k in range(halvings + 1)]
-    runs = _pmap(jko_trajectory,
-                 [(q0, m, h, phi, T) for h in hs], workers)
+    runs = [jko_trajectory(q0, m, h, phi, T) for h in hs]
     rows = []
     for k in range(halvings):
         coarse, fine = runs[k], runs[k + 1]
@@ -283,9 +283,9 @@ def longtime_decay(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     T = cfg.get_positive("run.T", 5.0)
     eps_rate = cfg.get_float("eps.rate", 0.1)
     n_eval = _at_least("snapshots", cfg.get_int("snapshots", 16), 1)
-    q0 = _quantile0(cfg, rho0, require_feasible=math.inf in m_list)
-    rho02 = cfg.grid_density("init2.boxes", grid)
-    q02 = to_quantile(rho02, q0.n)
+    q0 = _quantile0(cfg, "init.boxes", rho0, m_list)
+    q02 = _quantile0(cfg, "init2.boxes",
+                     cfg.grid_density("init2.boxes", grid), m_list)
 
     report = ExperimentReport("longtime", config_hash=cfg.hash())
     runs = _pmap(_traj_samples, [(q, m, h, phi, T, n_eval)
@@ -339,7 +339,7 @@ def compare_sweep(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
             rep = verify_comparison(small, big, m, h, phi, n_quantile=n_q)
             worst = max(worst, rep.max_violation)
             all_ok &= rep.passed
-            rows.append((trial, f"{m:g}", rep.max_violation, rep.eps_cmp,
+            rows.append((trial, m, rep.max_violation, rep.eps_cmp,
                          int(rep.passed)))
     report = ExperimentReport("compare", config_hash=cfg.hash())
     report.tables["compare"] = (
@@ -419,10 +419,6 @@ def crossval(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
                 worst = max(worst, float(np.max(np.abs(rho_t.values[mask] - 1.0))))
     report.add_criterion("crossval.interior-density", worst, interior_tol,
                          worst <= interior_tol)
-    if not phi.positive_laplacian:
-        report.notes.append(
-            "potential Laplacian is not strictly positive: the free-boundary "
-            "identification is not asserted for this configuration")
     return report
 
 
@@ -439,7 +435,7 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
     if scheme == "jko":
         m = cfg.get_m(default=math.inf)
         h = cfg.get_positive("jko.h", 0.01)
-        q0 = _quantile0(cfg, rho0, require_feasible=math.isinf(m))
+        q0 = _quantile0(cfg, "init.boxes", rho0, [m])
         states = jko_trajectory(q0, m, h, phi, T)
         rows = []
         for k, q in enumerate(states):
@@ -495,7 +491,7 @@ def single_run(cfg: ExperimentConfig, workers=1) -> ExperimentReport:
                              drift <= 1e-9 * (1.0 + T))
         tables["patches"] = _patch_table(traj)
     else:
-        raise ConfigError(f"unknown run.scheme {scheme!r}")
+        raise ConfigError(f"key 'run.scheme': unknown scheme {scheme!r}")
     return report
 
 

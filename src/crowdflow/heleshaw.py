@@ -182,8 +182,8 @@ def _merge_touching(ivs: tuple) -> tuple:
 
 def _assert_lengths(ivs: tuple):
     if any(b - a <= 0.0 for a, b in ivs):
-        raise AssertionError("interval collapsed; rigid 1D translation "
-                             "cannot produce this - inspect the potential")
+        raise AssertionError("interval collapsed; a volume-preserving front "
+                             "step cannot produce this - inspect the potential")
 
 
 def hausdorff_distance(p1: Patch, p2: Patch) -> float:

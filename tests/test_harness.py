@@ -95,7 +95,8 @@ class TestConfig:
     # "density values must be nonnegative"; a patch run read no box height,
     # so a height other than 1 exited 0.  A box off the grid, a negative or
     # zero box, overlapping patch boxes, grid.lo >= grid.hi and a radial grid
-    # off r = 0 once exited 2 with a message that named no key
+    # off r = 0 once exited 2 with a message that named no key, and so did
+    # an unknown run.scheme
     @pytest.mark.parametrize("kind, extra, key, bads", [
         ("single-run", "run.scheme = pme\nm = 3\npme.dt = {}\n", "pme.dt",
          ("0", "-0.01", "nan", "inf")),
@@ -153,6 +154,7 @@ class TestConfig:
          ("-3", "0.5")),
         ("single-run", "init.boxes = {}\n", "init.boxes",
          ("1,2,-1", "1,2,0")),
+        ("single-run", "run.scheme = {}\n", "run.scheme", ("nope",)),
     ], ids=["single-run-pme.dt", "crossval-pme.dt", "jko-run.T",
             "longtime-run.T", "pme-run.T", "heleshaw-run.T", "jko-jko.h",
             "crossval-heleshaw.dt", "crossval-times", "crossval-m.list",
@@ -165,7 +167,7 @@ class TestConfig:
             "heleshaw-init.boxes", "init.boxes-off-grid",
             "crossval-init.boxes-off-grid", "crossval-init.boxes-overlap",
             "grid.lo-not-below-grid.hi", "radial-grid.lo",
-            "init.boxes-not-positive"])
+            "init.boxes-not-positive", "run.scheme"])
     def test_unusable_value_names_its_key(self, tmp_path, capsys, kind,
                                           extra, key, bads):
         for bad in bads:
@@ -401,6 +403,20 @@ class TestCli:
         body = Path(out, svgs[0]).read_text()
         assert body.startswith("<svg") and body.endswith("</svg>")
 
+    def test_compare_plots_one_series_per_m(self, tmp_path):
+        # compare's m column once held strings, which no chart axis can
+        # place, and its chart took m for y: no row was charted and no
+        # compare.svg was written
+        cfgp = cfg_file(tmp_path, "trials = 2\nm.list = 5,50,inf\n"
+                        "grid.lo = -4\ngrid.hi = 4\nquantile.n = 100\n")
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", cfgp, "--out", str(out),
+                     "--plots"]) == 0
+        body = (out / "compare.svg").read_text()
+        assert len(re.findall("<polyline ", body)) == 3
+        assert all(f">m = {m}</text>" in body for m in ("5", "50", "inf"))
+        assert ">trial</text>" in body and ">max_violation</text>" in body
+
     def test_longtime_plots_skip_the_infinite_exponent(self, tmp_path):
         # longtime's m column holds m = inf, which no chart axis can
         # place: the chart puts no m on an axis, and the run still prints
@@ -492,17 +508,21 @@ class TestDrivers:
 
     def test_longtime_rejects_a_start_above_the_cap_before_any_step(
             self, monkeypatch):
-        # a start above the density one that jko_step admits (1 + EPS_FEAS)
-        # is a config error before the finite-m legs run, not a raise in
-        # the m = inf leg after them
+        # either start above the density one that jko_step admits
+        # (1 + EPS_FEAS) is a config error naming its key before the
+        # finite-m legs run, not a raise in the m = inf leg after them;
+        # the second start once went unchecked
         steps = []
         monkeypatch.setattr("crowdflow.jko.jko_step",
                             lambda *a, **k: steps.append(a))
-        cfg = ExperimentConfig.from_text(
-            BASE + "m.list = 10,inf\ninit.boxes = 1,2,1.0000005\n"
-            "init2.boxes = 2,3,1\nsnapshots = 4\nrun.T = 0.05\n")
-        with pytest.raises(ConfigError, match="congestion cap"):
-            run_experiment(cfg, kind="longtime")
+        for key, box, box2 in (("init.boxes", "1,2,1.0000005", "2,3,1"),
+                               ("init2.boxes", "1,2,1", "2,3,1.5")):
+            cfg = ExperimentConfig.from_text(
+                BASE + f"m.list = 10,inf\ninit.boxes = {box}\n"
+                f"init2.boxes = {box2}\nsnapshots = 4\nrun.T = 0.05\n")
+            with pytest.raises(ConfigError,
+                               match=f"key '{key}': .*congestion cap"):
+                run_experiment(cfg, kind="longtime")
         assert steps == []
 
     def test_longtime_requires_convexity(self):
@@ -533,9 +553,9 @@ class TestDrivers:
                                np.array(r2, dtype=float), rtol=0, atol=0)
 
     def test_worker_pool_never_larger_than_sweep(self, monkeypatch):
-        # a fork-based pool starts all max_workers processes at once, so a
-        # sweep of two entries must not ask for 64; the fake runs serially
-        # and starts no process
+        # a fork-based pool starts all max_workers processes at once, so
+        # longtime's four trajectories (two starts for each of two m) must
+        # not ask for 64; the fake runs serially and starts no process
         sizes = []
 
         class SerialPool:
@@ -553,13 +573,28 @@ class TestDrivers:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             SerialPool)
-        text = BASE + "m.list = 4,8\nrun.T = 0.1\n"
+        text = BASE + ("m.list = 10,inf\nsnapshots = 4\n"
+                       "init2.boxes = 2,3,1\nrun.T = 0.05\n")
         rep = run_experiment(ExperimentConfig.from_text(text),
-                             kind="converge-m", workers=64)
-        assert sizes == [2]
+                             kind="longtime", workers=64)
+        assert sizes == [4]
         serial = run_experiment(ExperimentConfig.from_text(text),
-                                kind="converge-m", workers=1)
+                                kind="longtime", workers=1)
         assert rep.tables == serial.tables
+
+    def test_converge_sweeps_build_no_pool(self, monkeypatch):
+        # a pool's start-up costs more than the whole sweep of converge-m
+        # or converge-h saves, so both step serially whatever workers is
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            no_pool)
+        for kind, extra in (
+                ("converge-m", "m.list = 4,8\nrun.T = 0.1\n"),
+                ("converge-h", "m = inf\nh.halvings = 2\nrun.T = 0.1\n")):
+            run_experiment(ExperimentConfig.from_text(BASE + extra),
+                           kind=kind, workers=2)
 
     @pytest.mark.parametrize("extra", [
         "m = 10\n", "run.scheme = pme\nm = 3\npme.dt = 0.01\n",

@@ -768,7 +768,7 @@ class TestSolverStarts:
             backtracked |= trials > out.iterations
         assert backtracked
 
-    def test_spacing_projected_only_for_an_infeasible_start(
+    def test_no_start_projected_and_an_over_cap_start_rejected(
             self, g6, quad_phi, monkeypatch):
         # the solver projects no start it admits: a trajectory, and a start
         # squeezed within the admissible density 1 + EPS_FEAS, go straight
