@@ -11,6 +11,11 @@ fluxes by surface area with a reflecting center.
 Each step is backward Euler on these fluxes (Bessemoulin-Chatard and
 Filbet, SIAM J. Sci. Comput. 34, 2012), so no CFL bound limits it.  The
 implicit system is solved by Newton's method from the previous state.
+Newton stops on its step size: once a step is at most ``TOL_STEP`` times
+the iterate's maximum, or once the contraction of its last two steps
+predicts that the next one would be (Deuflhard, Newton Methods for
+Nonlinear Problems, 2004, ch. 2), which saves the sweep that would only
+confirm convergence.
 Every Newton and Picard matrix is a tridiagonal M-matrix whose columns
 sum to the cell measures, because the fluxes telescope: every iterate
 keeps the mass, and the Picard iterate, taken with secant coefficients
@@ -20,7 +25,7 @@ goes negative, is nonnegative by construction.  Nothing is clipped.
 A run steps a stack of states, one row per exponent, in lockstep: each
 Newton iteration does its array work once for the whole stack, then
 solves each row's system by its own sweep.  The rows share no outcome.
-A row leaves the stack once its own step passes the stopping test, and
+A row leaves the stack once its own steps pass either exit, and
 counts its own iterations against ``MAX_ITERATIONS``; the rows whose
 solve fails are stepped again, as a sub-stack, in two half steps.  So
 every row takes the operations its run alone would take, in the same
@@ -42,7 +47,9 @@ class PmeStabilityError(RuntimeError):
     """Raised when a step does not converge even after repeated halving."""
 
 
-#: Newton stops once its step is this small against the iterate's maximum
+#: Newton stops once its step, or the next step that the contraction of its
+#: last two Newton steps predicts, ``|delta_k|^2 / |delta_{k-1}|``, is this
+#: small against the iterate's maximum
 TOL_STEP = 1e-12
 #: iterations one implicit solve may take before its step is halved
 MAX_ITERATIONS = 40
@@ -158,9 +165,14 @@ class _Stencil:
         Newton on the residual ``meas (u - v) - dt div F(u)``, started at
         ``v``.  A Newton iterate with a negative value is replaced by the
         Picard iterate from the same point; a non-finite iterate, or no
-        convergence within ``MAX_ITERATIONS``, fails the row.  The rows
-        share each iteration's array work but not its outcome: a row
-        leaves the stack once its own step passes the test, or fails.
+        convergence within ``MAX_ITERATIONS``, fails the row.  A row
+        converges at ``u + delta_k`` once ``max|delta_k| <= TOL_STEP
+        max(u)``, or, between two Newton steps, once ``max|delta_k|^2 <=
+        TOL_STEP max(u) max|delta_{k-1}|``: the contraction exit, which
+        never fires on a row's first iteration, nor when either step is a
+        Picard replacement.
+        The rows share each iteration's array work but not its outcome: a
+        row leaves the stack once its own steps pass an exit, or fails.
         """
         meas, meas_list = self.meas, self.meas_list
         c_diff = dt * self.diff
@@ -168,6 +180,9 @@ class _Stencil:
         out = np.empty_like(v)
         ok = np.zeros(len(v), dtype=bool)
         rows = list(range(len(v)))  # the rows of out still being solved
+        # each row's last Newton step size; 0.0, which lets no contraction
+        # exit fire, before its first step and after a Picard replacement
+        last = [0.0] * len(v)
         m_list = m.tolist()
         m = m[:, None]
         u = v
@@ -194,6 +209,7 @@ class _Stencil:
                         res.tolist())):
                     delta[i] = _solve_balanced(meas_list, *system)
                 new = u + delta
+                neg = []  # the rows whose Newton iterate went negative
                 if not new.min() >= 0.0:
                     neg = [i for i, low in enumerate(new.min(axis=1).tolist())
                            if not low >= 0.0]
@@ -213,17 +229,21 @@ class _Stencil:
                         u.max(axis=1).tolist())):
                     if not size < math.inf:  # NaN fails too
                         continue
-                    if size <= TOL_STEP * top:
+                    newton = i not in neg
+                    if (size <= TOL_STEP * top or newton
+                            and size * size <= TOL_STEP * top * last[i]):
                         out[rows[i]] = u[i]
                         ok[rows[i]] = True
                     else:
                         left.append(i)
+                        last[i] = size if newton else 0.0
                 if len(left) == len(rows):
                     continue
                 if not left:
                     break
                 rows = [rows[i] for i in left]
                 m_list = [m_list[i] for i in left]
+                last = [last[i] for i in left]
                 u, v, m = u[left], v[left], m[left]
         return out, ok
 

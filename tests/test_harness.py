@@ -533,24 +533,19 @@ class TestDrivers:
             run_experiment(cfg, kind="longtime")
 
     def test_workers_match_serial(self):
-        for kind, table, extra in (
-                ("converge-m", "converge_m", "m.list = 4,8\nrun.T = 0.1\n"),
-                ("longtime", "longtime",
-                 "m.list = 10,inf\nsnapshots = 4\ninit2.boxes = 2,3,1\n"),
-                # three exponents in one stacked pme_run, whatever workers is
-                ("crossval", "crossval",
-                 "m.list = 4,8,16\ncrossval.times = 0.05,0.1\n"
-                 "pme.dt = 0.01\n")):
-            text = BASE + extra
-            rep1 = run_experiment(ExperimentConfig.from_text(text),
-                                  kind=kind, workers=1)
-            rep2 = run_experiment(ExperimentConfig.from_text(text),
-                                  kind=kind, workers=2)
-            r1 = rep1.tables[table][1]
-            r2 = rep2.tables[table][1]
-            assert len(r1) > 1
-            assert np.allclose(np.array(r1, dtype=float),
-                               np.array(r2, dtype=float), rtol=0, atol=0)
+        # longtime is the one driver that builds a pool; every other one
+        # steps serially whatever workers is, which
+        # test_converge_sweeps_build_no_pool checks
+        text = BASE + "m.list = 10,inf\nsnapshots = 4\ninit2.boxes = 2,3,1\n"
+        rep1 = run_experiment(ExperimentConfig.from_text(text),
+                              kind="longtime", workers=1)
+        rep2 = run_experiment(ExperimentConfig.from_text(text),
+                              kind="longtime", workers=2)
+        r1 = rep1.tables["longtime"][1]
+        r2 = rep2.tables["longtime"][1]
+        assert len(r1) > 1
+        assert np.allclose(np.array(r1, dtype=float),
+                           np.array(r2, dtype=float), rtol=0, atol=0)
 
     def test_worker_pool_never_larger_than_sweep(self, monkeypatch):
         # a fork-based pool starts all max_workers processes at once, so
@@ -584,7 +579,8 @@ class TestDrivers:
 
     def test_converge_sweeps_build_no_pool(self, monkeypatch):
         # a pool's start-up costs more than the whole sweep of converge-m
-        # or converge-h saves, so both step serially whatever workers is
+        # or converge-h saves, so both step serially whatever workers is;
+        # crossval steps its exponents as one stacked pme_run
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
@@ -592,7 +588,9 @@ class TestDrivers:
                             no_pool)
         for kind, extra in (
                 ("converge-m", "m.list = 4,8\nrun.T = 0.1\n"),
-                ("converge-h", "m = inf\nh.halvings = 2\nrun.T = 0.1\n")):
+                ("converge-h", "m = inf\nh.halvings = 2\nrun.T = 0.1\n"),
+                ("crossval", "m.list = 4,8,16\ncrossval.times = 0.05,0.1\n"
+                 "pme.dt = 0.01\n")):
             run_experiment(ExperimentConfig.from_text(BASE + extra),
                            kind=kind, workers=2)
 

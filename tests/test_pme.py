@@ -139,6 +139,34 @@ class TestPmeStep:
         mass = np.array([r.mass for _, r in snaps])
         assert np.max(np.abs(mass - mass[0])) <= 1e-14 * mass[0]
 
+    def test_contraction_exit_needs_two_newton_steps(self, monkeypatch,
+                                                     quad_phi):
+        # scripted sweeps on a flat state at 1: a Newton sweep returns a
+        # uniform step, and the sweep after a Newton iterate below zero
+        # returns the Picard iterate.  The step test stops at 1e-12 on any
+        # step; the contraction exit fires on the second of two Newton steps
+        # (1e-10^2 <= 1e-12 * 1e-6), never on a first step, and not when
+        # either step is a Picard replacement (real runs take them: m = 63.5
+        # on crossval's grid takes five)
+        import crowdflow.pme as pme
+
+        rho = GridDensity(GridSpec(0, 1, 4), np.ones(4))
+
+        def sweeps(script):
+            queue = [[x] * 4 for x in script]
+            monkeypatch.setattr(pme, "_solve_balanced",
+                                lambda *_: queue.pop(0))
+            pme_step(rho, 2.0, quad_phi, 0.01)
+            return len(script) - len(queue)
+
+        assert sweeps([0.9e-12]) == 1
+        assert sweeps([1.1e-12, 0.0]) == 2
+        assert sweeps([1e-6, 1e-10, 0.0]) == 2
+        # Picard step last: 1e-9^2 <= 1e-12 * 1e-2 would fire
+        assert sweeps([1e-2, -3.0, 1.01 + 1e-9, 0.0]) == 4
+        # Picard step before: 1e-9^2 <= 1e-12 * 1e-4 would fire
+        assert sweeps([1e-2, -3.0, 1.01 + 1e-4, 1e-9, 0.0]) == 5
+
     def test_balanced_solve_matches_a_dense_solve(self, rng):
         # the M-matrix with columns summing to meas: a nonnegative right
         # side gives a nonnegative solution, exactly, even where the
@@ -307,6 +335,46 @@ class TestPmeRun:
         assert self._bits(runs) == self._bits(alone)
         assert [m for m, dt in calls if dt > 4e-3] == [list(m_list)] * 10
         assert [m for m, dt in calls if dt < 4e-3] == [[16.0]] * 20
+
+    def test_crossval_stack_sweeps_and_accepted_residuals(self, monkeypatch,
+                                                          quad_phi):
+        # crossval's stack: the contraction exit saves the sweep that would
+        # only confirm convergence, 4215 sweeps for the 1000 row-steps
+        # (4754 with the step test alone), and no step is halved.  Every
+        # accepted row-step still solves its implicit system to round-off:
+        # max|meas (u - v) - dt div F(u)| is at most 4.7e-14 of max(meas u)
+        # (1.5e-14 with the step test alone), and an exit looser than
+        # TOL_STEP fails the bound
+        import crowdflow.pme as pme
+
+        grid = GridSpec(-0.5, 2.5, 72)
+        meas, areas = grid.cell_measures, grid.edge_areas[1:-1]
+        vel = -quad_phi.grad(grid.edges)[1:-1]
+        sweeps, solves, worst = [], [], []
+        sweep, solve = pme._solve_balanced, pme._Stencil._solve
+
+        def checked(self, v, m, dt):
+            solves.append(dt)
+            u, ok = solve(self, v, m, dt)
+            for u_i, v_i, m_i in zip(u[ok], v[ok], m[ok]):
+                flux = dt * areas * ((u_i[1:] ** m_i - u_i[:-1] ** m_i)
+                                     / grid.dx - np.maximum(vel, 0.0)
+                                     * u_i[:-1] + np.maximum(-vel, 0.0)
+                                     * u_i[1:])
+                res = meas * (u_i - v_i)
+                res[:-1] -= flux
+                res[1:] += flux
+                worst.append(np.abs(res).max() / np.max(meas * u_i))
+            return u, ok
+
+        monkeypatch.setattr(pme, "_solve_balanced", lambda *args:
+                            sweeps.append(None) or sweep(*args))
+        monkeypatch.setattr(pme._Stencil, "_solve", checked)
+        pme_run(indicator(1, 2, grid), [4.0, 8.0, 16.0, 32.0, 64.0],
+                quad_phi, 1.0, 5e-3, (0.25, 0.5, 1.0))
+        assert len(solves) == 200 and min(solves) > 4e-3
+        assert len(sweeps) == 4215
+        assert len(worst) == 1000 and max(worst) <= 1e-13
 
     def test_default_step_lands_on_the_crossval_times(self, quad_phi,
                                                        monkeypatch):
