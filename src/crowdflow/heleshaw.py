@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .model import Patch, _bisect, _check_positive, _snapshot_schedule
+from .model import (Patch, _bisect, _check_positive, _snapshot_schedule,
+                    _step_toward)
 from .potentials import Potential, _horner
 
 
@@ -100,13 +101,13 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
                  snapshot_times=None):
     """Track the patch boundary to horizon ``T`` with classical RK4.
 
-    Steps are ``dt``, shortened to land on each time of
-    ``model._snapshot_schedule(T, snapshot_times)``.  Intervals whose gap
-    closes are merged into their union; the contact instant is located by
-    bisection on the step fraction so the volume is continuous across the
-    merge.  Returns ``(trajectory, volume_rows)``: ``(t, Patch)`` at
-    t = 0, at each merge and at each snapshot time, and one
-    ``(t, volume)`` per step.
+    Steps land on each time of ``model._snapshot_schedule(T,
+    snapshot_times)`` by ``model._step_toward``, the rule ``pme_run``
+    shares.  Intervals whose gap closes are merged into their union; the
+    contact instant is located by bisection on the step fraction so the
+    volume is continuous across the merge.  Returns ``(trajectory,
+    volume_rows)``: ``(t, Patch)`` at t = 0, at each merge and at each
+    snapshot time, and one ``(t, volume)`` per step.
     """
     if not patch0.intervals:
         raise ValueError("cannot evolve an empty patch")
@@ -125,8 +126,8 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
     trajectory = [(0.0, patch)]
     volumes = [(0.0, patch.volume)]
     for t_snap in schedule:
-        while t < t_snap - 1e-14:
-            step = min(dt, t_snap - t)
+        while t < t_snap:
+            step, lands = _step_toward(t, t_snap, dt)
             cand = _rk4(ivs, dim, rate, step)
             merged = not _admissible(cand, dim)
             if merged:
@@ -140,14 +141,13 @@ def heleshaw_run(patch0: Patch, phi: Potential, T: float, dt: float,
                     cand = ((0.0, b),) + rest
                 cand = _merge_touching(cand)
                 step *= frac
-            t += step
+            t = t_snap if lands and not merged else t + step
             ivs = cand
             _assert_lengths(ivs)
             patch = Patch(ivs, dim=dim)
             if merged:
                 trajectory.append((t, patch))
             volumes.append((t, patch.volume))
-        t = t_snap
         trajectory.append((t, patch))
     return trajectory, volumes
 

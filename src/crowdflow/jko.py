@@ -121,14 +121,11 @@ def _newton_state(x, d, gaps):
 
 
 def _objective(state, w, m, phi, h):
-    """Step objective of an iterate from ``_newton_state``."""
+    """Step objective of a finite-m iterate from ``_newton_state``."""
     _, d, gaps, pts = state
-    if not math.isinf(m) and (gaps <= 0.0).any():
-        return math.inf
     val = w * phi.avg(pts).sum()
     val += _cost(d, w) / (2.0 * h)
-    if not math.isinf(m):
-        val += gap_energy(w, gaps, m)
+    val += gap_energy(w, gaps, m)
     return float(val)
 
 
@@ -308,15 +305,18 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
     ``predictor`` displacement ``p`` starts the iterate at ``(y + p, p,
     diff(y) + diff(p))`` when those gaps are all positive; otherwise, and
     without one, Newton starts at ``y``; ``gaps_y`` are the gaps of ``y``.
+    The Newton step is the only search direction: the step Hessian is
+    positive definite, so it descends.
     Returns at ``kkt_residual <= tol_grad`` or raises after
     ``MAX_ITERATIONS`` Newton steps: the nodes, the KKT residual, and the
     number of steps taken as the iteration count.  A start whose gap
-    powers overflow raises ``ValueError``.  A trial's gap powers may
-    overflow to inf, and two adjacent ones then cancel to NaN; the line
-    search rejects both, so one ``np.errstate`` over the whole solve
-    ignores overflow and invalid values.  Only its untested tiny step can
-    return a non-finite gradient, and that raises
-    ``JkoConvergenceError``: a NaN residual would pass the exit test.
+    powers or barrier curvature overflow raises ``ValueError``.  A
+    trial's gap powers may overflow to inf, and two adjacent ones then
+    cancel to NaN; the line search rejects both, so one ``np.errstate``
+    over the whole solve ignores overflow and invalid values.  Only its
+    untested tiny step can return a non-finite gradient, as a non-finite
+    Newton step does, and that raises ``JkoConvergenceError``: a NaN
+    residual would pass the exit test.
     """
     args = (w, m, phi, h)
     gaps0 = None if predictor is None \
@@ -328,10 +328,14 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
     with np.errstate(over="ignore", invalid="ignore"):
         g = _gradient(state, *args)
         gnorm = float(np.abs(g).max())
-        if not math.isfinite(gnorm):
+        # the curvature overflows first, at the smallest gap; a numpy
+        # scalar's power gives inf where a Python float's raises
+        gap_min = state[2].min()
+        if not (math.isfinite(gnorm)
+                and math.isfinite(m * (w / gap_min) ** (m + 1.0) / w)):
             raise ValueError(
                 f"infeasible start: the gap powers overflow at m = {m:g} "
-                f"(smallest gap {float(state[2].min()):.3e}, "
+                f"(smallest gap {float(gap_min):.3e}, "
                 f"cell mass {w:.3e})")
         f = None  # objective at ``state``, when a line search evaluated it
         it = 0
@@ -342,15 +346,9 @@ def _solve_finite_m(y, gaps_y, w, m, phi, h, opts, predictor):
                     f"iterations (KKT residual {gnorm / w:.3e}, "
                     f"tol {opts.tol_grad:.1e})")
             it += 1
-            hd, ho = _hessian(state, *args)
-            step = _solve_tridiag(hd, ho, -g)
-            # the finiteness test first: a non-finite step needs no slope
-            if not np.isfinite(step).all() or \
-                    (slope := float(np.dot(step, g))) >= 0.0:
-                step = -g / hd.max()  # gradient fallback, crudely scaled
-                slope = float(np.dot(step, g))
-            state, g, gnorm, f = _line_search(state, step, slope, gnorm,
-                                              args, f)
+            step = _solve_tridiag(*_hessian(state, *args), -g)
+            state, g, gnorm, f = _line_search(
+                state, step, float(np.dot(step, g)), gnorm, args, f)
             if not math.isfinite(gnorm):  # NaN would pass the loop test
                 raise JkoConvergenceError(
                     f"non-finite gradient after {it} iterations "

@@ -74,6 +74,13 @@ def _snapshot_schedule(T, snapshot_times):
     return kept
 
 
+def _step_toward(t, t_snap, dt):
+    """``(step, lands)`` from ``t`` toward the snapshot ``t_snap``: ``dt``,
+    or the rest of the way when that is at most ``dt (1 + 1e-9)``."""
+    rest = t_snap - t
+    return (rest, True) if rest <= dt * (1.0 + 1e-9) else (dt, False)
+
+
 def _locked(a):
     """A read-only float copy of ``a``; the caller's array stays writable."""
     a = np.array(a, dtype=float, order="C")

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from .model import (GridDensity, GridSpec, Patch, _check_positive, _runs,
-                    _snapshot_schedule)
+                    _snapshot_schedule, _step_toward)
 from .potentials import Potential
 
 
@@ -266,11 +266,11 @@ def pme_run(rho0: GridDensity, m_list, phi: Potential, T: float,
     GridDensity)`` snapshots under ``m_list[i]``, including the initial
     and final states, and ``steps`` the number of steps taken up to each
     snapshot, the same for every exponent.  The snapshot times are
-    ``model._snapshot_schedule(T, snapshot_times)``; the step that would
-    pass one, or stop within ``1e-9 dt`` of it, is fitted to land on it
-    exactly.  The exponents step as one stack of value rows, with the
-    same update as ``pme_step``, so each run is bit for bit the run of
-    its exponent alone.
+    ``model._snapshot_schedule(T, snapshot_times)``, and each step lands
+    on them by ``model._step_toward``, the rule ``heleshaw_run`` shares.
+    The exponents step as one stack of value rows, with the same update
+    as ``pme_step``, so each run is bit for bit the run of its exponent
+    alone.
     """
     m = np.array(m_list, dtype=float)
     if m.ndim != 1 or not m.size:
@@ -288,9 +288,9 @@ def pme_run(rho0: GridDensity, m_list, phi: Potential, T: float,
     step_count = 0
     for t_snap in schedule:
         while t < t_snap:
-            last = t_snap - t <= dt * (1.0 + 1e-9)
-            v = stencil.step(v, m, t_snap - t if last else dt)
-            t = t_snap if last else t + dt
+            step, lands = _step_toward(t, t_snap, dt)
+            v = stencil.step(v, m, step)
+            t = t_snap if lands else t + step
             step_count += 1
         for run, row in zip(runs, v):
             run.append((t, rho0.with_values(row)))

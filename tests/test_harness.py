@@ -365,6 +365,22 @@ class TestCli:
                 == 2, text
             assert not os.path.exists(out)
 
+    def test_overflowing_barrier_curvature_at_the_start_exit_2(
+            self, tmp_path, capsys):
+        # w = 1e-5 on a gap of 5e-6 at m = 1000: the start check once read
+        # only the gradient, and the overflowing Hessian printed "array
+        # must not contain infs or NaNs"
+        cfgp = cfg_file(tmp_path, "run.scheme = jko\nm = 1000\n"
+                        "init.boxes = 1,1.005,2\ngrid.n = 6000\n"
+                        "quantile.n = 1000\njko.h = 0.01\nrun.T = 0.01\n")
+        out = str(tmp_path / "never")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["single-run", "--config", cfgp, "--out", out]) == 2
+        assert "infeasible start: the gap powers overflow at m = 1000 " \
+            "(smallest gap 5.000e-06" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_one_subcommand_per_experiment_kind(self):
         parser = build_parser()
         for kind in ("single-run", "converge-m", "converge-h", "compare",

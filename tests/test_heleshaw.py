@@ -9,8 +9,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from crowdflow.heleshaw import _rate_function, hausdorff_distance, heleshaw_run
-from crowdflow.model import Patch
+from crowdflow.model import GridSpec, Patch
 from crowdflow.oracles import quadratic_interval_flow, stationary_patch
+from crowdflow.pme import pme_run
 from crowdflow.potentials import potential_catalog
 
 
@@ -136,6 +137,24 @@ class TestRun:
             head, _ = heleshaw_run(patch0, quad_phi, t, 0.07,
                                    snapshot_times=times[:k + 1])
             assert dict(traj)[t] == head[-1][1]
+
+    @pytest.mark.parametrize("T, times, n_steps", [
+        (0.3 + 1e-12, (0.3 + 1e-12,), 3), (5e-15, None, 16)],
+        ids=["last-step-stretched", "snapshots-below-1e-14"])
+    def test_steps_land_by_the_rule_pme_run_takes(self, quad_phi, T, times,
+                                                 n_steps):
+        # the tracker once stepped min(dt, t_snap - t) until within 1e-14:
+        # a fourth step 1e-12 long where pme_run stretches its third, and
+        # no step at all toward 16 snapshots 3.1e-16 apart, so it returned
+        # the start patch at T
+        patch0 = Patch(((1.0, 2.0),))
+        traj, volumes = heleshaw_run(patch0, quad_phi, T, 0.1,
+                                     snapshot_times=times)
+        _, steps = pme_run(patch0.indicator(GridSpec(-3.0, 3.0, 60)), [2.0],
+                           quad_phi, T, 0.1, snapshot_times=times)
+        assert len(volumes) - 1 == steps[-1] == n_steps
+        assert traj[-1][0] == T
+        assert traj[-1][1].intervals != patch0.intervals
 
     def test_run_commutes_with_mirroring_through_a_merge(self):
         # x -> -x with the intervals reversed, under Phi(-x): the odd

@@ -415,6 +415,30 @@ class TestJkoStep:
         with pytest.raises(JkoConvergenceError, match="KKT residual nan"):
             jko_step(q0, 7.0, 0.01, quad_phi)
 
+    def test_non_finite_newton_step_is_loud_at_once(self, g6, quad_phi,
+                                                    monkeypatch):
+        # the Newton step is the only direction: a NaN one backtracks to the
+        # untested tiny step, whose NaN gradient raises after one iteration.
+        # A gradient fallback once took over and raised 500 steps later
+        monkeypatch.setattr(jko, "_solve_tridiag",
+                            lambda hd, ho, rhs: np.full_like(rhs, math.nan))
+        q0 = indicator_quantile(1, 2, g6, n=100)
+        with pytest.raises(JkoConvergenceError,
+                           match="non-finite gradient after 1 iterations"):
+            jko_step(q0, 7.0, 0.01, quad_phi)
+
+    def test_overflowing_barrier_curvature_at_the_start_names_the_overflow(
+            self):
+        # w / gap = 2 at m = 1000: the gap power 2**1000 is finite, but the
+        # curvature m (w / gap)**(m + 1) / w overflows, which used to
+        # surface as the tridiagonal solve's complaint about infs
+        x = np.linspace(-1.0, 1.0, 101)
+        x[51] = x[50] + 5e-6
+        q0 = QuantileRep(1e-3, x)  # cell mass 1e-5
+        with pytest.raises(ValueError, match=r"overflow at m = 1000 "
+                                             r"\(smallest gap 5\.000e-06"):
+            jko_step(q0, 1000.0, 1e-3, potential_catalog("quadratic", q=1.0))
+
     def test_mass_and_count_invariant(self, g6, quad_phi):
         q0 = indicator_quantile(1, 2, g6, n=64)
         out = jko_step(q0, 8.0, 0.01, quad_phi)
