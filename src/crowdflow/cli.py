@@ -7,9 +7,10 @@ error or rejected value, 3 numerical failure inside a run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from .config import ExperimentConfig, _at_least
+from .config import ConfigError, ExperimentConfig, _at_least
 from .experiments import DRIVERS, run_experiment
 from .jko import JkoConvergenceError
 from .pme import PmeStabilityError
@@ -35,11 +36,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path):
+    """A ConfigError naming ``--out`` unless ``ExperimentReport.write`` can
+    make ``path`` or write into it: checked before the run, so an unusable
+    directory wastes none.  Reads the file system, writes nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):  # "/" exists, so this ends
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise ConfigError(f"key '--out': {probe!r} is not a writable "
+                          f"directory, so {path!r} cannot hold the outputs")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.from_file(args.config)
         workers = _at_least("--workers", args.workers, 1)
+        _check_out(args.out)
         report = run_experiment(cfg, kind=args.kind, workers=workers)
     except (JkoConvergenceError, PmeStabilityError, FloatingPointError,
             ZeroDivisionError) as exc:

@@ -22,7 +22,12 @@ multiplier, and ``iterations`` counts sweeps.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,18 +207,15 @@ def _solve_tridiag(hd, ho, rhs):
     """Solve the symmetric tridiagonal system (diag ``hd``, offdiag ``ho``).
 
     LAPACK ``dptsv`` directly, the routine ``scipy.linalg.solveh_banded``
-    picks for a tridiagonal matrix, without that wrapper's per-call cost.
+    picks for a tridiagonal matrix, without that wrapper's per-call cost or
+    its package's load (``_dptsv``); a 1x1 system loads no LAPACK.
     Non-finite input raises ``ValueError``.  A matrix that is not positive
     definite gets one retry with a ridge of ``1e-12`` of its largest
     diagonal entry, then raises ``LinAlgError``; a 1x1 matrix too.
     """
-    # imported here, the one place that needs it: scipy.linalg costs more to
-    # load than the rest of the package, and PME, front-tracking and crossval
-    # runs take no JKO step
-    from scipy.linalg.lapack import dptsv
     if not np.isfinite(np.concatenate((hd, ho, rhs))).all():
         raise ValueError("array must not contain infs or NaNs")
-    solve = _solve_1x1 if hd.size == 1 else dptsv
+    solve = _solve_1x1 if hd.size == 1 else _dptsv()
     _, _, x, info = solve(hd, ho, rhs)
     if info > 0:
         ridge = 1e-12 * np.abs(hd).max() + 1e-300
@@ -230,6 +232,37 @@ def _solve_1x1(hd, ho, rhs):
     if hd[0] > 0.0:
         return hd, ho, rhs / hd, 0
     return hd, ho, rhs, 1
+
+
+_LAPACK = "scipy.linalg._flapack"
+
+
+@functools.cache
+def _dptsv():
+    """LAPACK ``dptsv``, from scipy's compiled LAPACK module alone.
+
+    Loaded at the first solve, the one place that needs it, and without
+    the ``scipy.linalg`` package (nor ``scipy`` itself): that package costs
+    about 28 MB and a quarter of a second to load, its LAPACK module about
+    2.5 MB and a few milliseconds, and PME, front-tracking and crossval
+    runs take no JKO step.  If the module is loaded already (by
+    ``scipy.linalg``), it is reused.  The module puts itself into
+    ``sys.modules``, so a later ``import scipy.linalg`` reuses it too and
+    calls the same routine; that package then lacks the private attribute
+    ``_flapack``, which scipy reads only by ``from scipy.linalg import
+    _flapack``, an import that finds the module in ``sys.modules``.
+    """
+    module = sys.modules.get(_LAPACK)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            _LAPACK, [os.path.join(p, "linalg")
+                      for p in scipy.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"no module named {_LAPACK!r}", name=_LAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dptsv
 
 
 # ---------------------------------------------------------------------------

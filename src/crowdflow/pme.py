@@ -90,8 +90,9 @@ def _solve_balanced(meas, fwd, bwd, rhs):
     column sum left after elimination plus ``fwd[i]`` (the last pivot is
     that column sum alone), so no cancellation enters; for ``rhs >= 0``
     the solution is ``>= 0`` in floating point.  Plain lists in and out:
-    numpy has no banded solver, and scipy's would load ``scipy.linalg``,
-    which no PME run otherwise needs.
+    numpy has no banded solver, and LAPACK's ``dgtsv`` would load scipy's
+    LAPACK module (about 2.5 MB, as the JKO solve does), which no PME run
+    otherwise needs, and has no such sign guarantee.
     """
     n = len(rhs)
     if n == 1:

@@ -199,6 +199,21 @@ class TestConfig:
         assert "key '--workers'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_unusable_out_names_itself_before_the_run(self, tmp_path, capsys,
+                                                      monkeypatch, sub):
+        # once a traceback and exit 1 after the whole run: FileExistsError
+        # or NotADirectoryError from the report's makedirs
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        monkeypatch.setattr("crowdflow.cli.run_experiment", None)
+        assert main(["crossval", "--config", cfg_file(tmp_path),
+                     "--out", str(blocker / sub)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key '--out'")
+        assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
     def test_negligible_leading_coefficient_names_its_key(self, tmp_path,
                                                           capsys):
         # a subnormal leading coefficient once overflowed the companion
@@ -709,41 +724,105 @@ heleshaw.dt = 0.001
 """
 
 # imports the package as a run does, runs crossval and writes its report,
-# then takes one JKO step; prints which lazily loaded modules were present
+# then takes one finite-m JKO step (an m = inf step from a saturated box
+# solves one rigid block, a 1x1 system that needs no LAPACK); prints which
+# lazily loaded modules were present
 COLD_START = """\
-import json, math, sys
+import json, sys
 import crowdflow, crowdflow.cli, crowdflow.experiments
 from crowdflow.config import ExperimentConfig
-LAZY = ("scipy.linalg", "concurrent.futures.process")
+LAZY = ("scipy.linalg", "scipy.linalg._flapack", "concurrent.futures.process")
 cfg = ExperimentConfig.from_text(sys.argv[1])
 report = crowdflow.experiments.run_experiment(cfg, kind="crossval")
 report.write(sys.argv[2])
 before = [name for name in LAZY if name in sys.modules]
 q0 = crowdflow.to_quantile(
     crowdflow.make_grid_density(cfg.shape_spec(), cfg.grid_spec()), 40)
-step = crowdflow.jko_step(q0, math.inf, 0.01, cfg.potential())
+step = crowdflow.jko_step(q0, 4.0, 0.01, cfg.potential())
 print(json.dumps({"criteria": len(report.criteria), "before": before,
                   "after": [name for name in LAZY if name in sys.modules],
                   "iterations": step.iterations}))
 """
 
 
-def test_cold_start_loads_neither_scipy_linalg_nor_the_pool(tmp_path):
-    # a fresh interpreter, so that no other test has loaded them already
+def _fresh_interpreter(*args):
+    """The JSON last line that ``python *args`` prints, run in a fresh
+    interpreter (so that no other test has loaded a module already) that
+    imports this checkout's crowdflow."""
     src = str(Path(crowdflow.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
         os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START, CROSSVAL_SHORT, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120, check=False)
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=False)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cold_start_loads_neither_scipy_linalg_nor_the_pool(tmp_path):
+    got = _fresh_interpreter("-c", COLD_START, CROSSVAL_SHORT, str(tmp_path))
     assert got["criteria"] > 0 and (tmp_path / "report.json").is_file()
     assert got["before"] == []
-    # the first JKO step loads scipy.linalg and still solves
-    assert got["after"] == ["scipy.linalg"]
+    # the first JKO step loads scipy's LAPACK module alone, not the
+    # scipy.linalg package, and solves
+    assert got["after"] == ["scipy.linalg._flapack"]
     assert got["iterations"] >= 1
+
+
+# one finite-m JKO step, with scipy.linalg imported before it ("package")
+# or after it ("lean"); prints the solver's loads of a module by its spec
+# and what a later scipy.linalg caller sees
+LOAD_ORDER = """\
+import importlib.util, json, sys
+loads = []
+module_from_spec = importlib.util.module_from_spec
+def counted(spec):
+    loads.append(spec.name)
+    return module_from_spec(spec)
+importlib.util.module_from_spec = counted
+import crowdflow
+from crowdflow import jko
+from crowdflow.config import ExperimentConfig
+if sys.argv[2] == "package":
+    import scipy.linalg
+linalg_before_step = "scipy.linalg" in sys.modules
+cfg = ExperimentConfig.from_text(sys.argv[1])
+q0 = crowdflow.to_quantile(
+    crowdflow.make_grid_density(cfg.shape_spec(), cfg.grid_spec()), 40)
+step = crowdflow.jko_step(q0, 4.0, 0.01, cfg.potential())
+import numpy as np
+import scipy.linalg
+ab = np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0]])
+x = scipy.linalg.solveh_banded(ab, np.ones(3))
+gtsv, = scipy.linalg.get_lapack_funcs(("gtsv",), (ab,))
+_, _, _, y, info = gtsv(-np.ones(2), 2.0 * np.ones(3), -np.ones(2), np.ones(3))
+print(json.dumps({
+    "linalg_before_step": linalg_before_step, "loads": loads,
+    "iterations": step.iterations,
+    "same_dptsv": scipy.linalg.lapack.dptsv is jko._dptsv(),
+    "solveh_banded": x.tolist(), "gtsv": [y.tolist(), info]}))
+"""
+
+
+@pytest.mark.parametrize("order", ["lean", "package"])
+def test_lapack_loads_once_in_either_order(order):
+    # in a child under -W error: in-process tests see scipy.linalg loaded
+    # already (tests/test_jko.py imports it), so only a child takes the
+    # lean load
+    got = _fresh_interpreter("-W", "error", "-c", LOAD_ORDER, CROSSVAL_SHORT,
+                             order)
+    assert got["linalg_before_step"] is (order == "package")
+    assert got["iterations"] >= 1
+    # the solver loads the module itself only when scipy.linalg has not
+    assert got["loads"] == ([] if order == "package"
+                            else ["scipy.linalg._flapack"])
+    # scipy.linalg, loaded after the lean module or before it, calls the
+    # routine the JKO solver calls, and its other solvers still run
+    assert got["same_dptsv"] is True
+    np.testing.assert_allclose(got["solveh_banded"], [1.5, 2.0, 1.5])
+    np.testing.assert_allclose(got["gtsv"][0], [1.5, 2.0, 1.5])
+    assert got["gtsv"][1] == 0
 
 
 def test_svg_line_chart_self_contained():
